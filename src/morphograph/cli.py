@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -29,13 +28,7 @@ from .errors import (
     MissingWeights,
     MorphographError,
 )
-from .flooding import (
-    flooding_from_edges,
-    flooding_from_nodes,
-    minima_of_flooding,
-    minima_sets,
-    require_flooding,
-)
+from .flooding import as_flooding, minima_of_flooding, minima_sets
 from .graphs import UNSET, WeightedGraph
 
 EXIT_INPUT = 2
@@ -58,7 +51,6 @@ class RunConfig:
     method: str = "core"
     algo: str = "core"
     output: Optional[str] = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.depth < 1:
@@ -69,9 +61,10 @@ class RunConfig:
             raise MalformedInput("--connectivity must be 4 or 8")
         if self.fmt not in FORMATS:
             raise MalformedInput(f"--format must be one of {FORMATS}")
-        if self.threads < 1:
-            raise MalformedInput("MORPHOGRAPH_THREADS must be >= 1")
-        geodesics.parse_tie(self.tie)
+        try:
+            geodesics.parse_tie(self.tie)
+        except ValueError as exc:
+            raise MalformedInput(f"--tie: {exc}") from None
 
 
 def _load(config: RunConfig) -> tuple[WeightedGraph, Optional[tuple[int, int]]]:
@@ -82,23 +75,16 @@ def _load(config: RunConfig) -> tuple[WeightedGraph, Optional[tuple[int, int]]]:
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
     if path.endswith(".pgm") or data[:2] in (b"P2", b"P5"):
-        width, height, _, _ = formats.parse_pgm(data)
+        try:
+            width, height, _, _ = formats.parse_pgm(data)
+        except ValueError as exc:  # a P2 pixel that is not a number
+            raise MalformedImage(f"bad PGM pixel data: {exc}") from None
         return formats.image_to_graph(data, config.connectivity), (width, height)
     try:
         text = data.decode()
     except UnicodeDecodeError:
         raise MalformedInput(f"{path} is neither PGM nor text") from None
     return formats.parse_wgr(text), None
-
-
-def _as_flooding(g: WeightedGraph) -> WeightedGraph:
-    if g.has_node_weights and g.has_edge_weights:
-        return require_flooding(g)
-    if g.has_edge_weights:
-        return flooding_from_edges(g)
-    if g.has_node_weights:
-        return flooding_from_nodes(g)
-    raise MissingWeights("input graph carries no weights")
 
 
 def _emit(config: RunConfig, text: Optional[str] = None, data: Optional[bytes] = None) -> None:
@@ -121,26 +107,24 @@ def run(config: RunConfig) -> int:
     g, shape = _load(config)
 
     if config.command == "flood":
-        fg = _as_flooding(g)
+        fg = as_flooding(g)
         _emit(config, text=formats.write_wgr(fg))
         return 0
 
     if config.command == "prune":
-        fg = _as_flooding(g)
+        fg = as_flooding(g)
         pruned = steepness.local_prune(fg, config.steepness - 1)
         _emit(config, text=formats.write_wgr(pruned))
         return 0
 
     if config.command == "watershed":
-        fg = _as_flooding(g)
+        fg = as_flooding(g)
         if config.algo == "dijkstra":
             _, labeling = geodesics.dijkstra_to_minima(fg, config.depth, config.tie)
         elif config.algo == "core":
             _, labeling, _ = geodesics.core_expanding(fg, config.depth, config.tie)
         else:
             labeling = geodesics.hq_watershed(fg)
-        zones = watershed.basins_with_zones(fg, config.depth)
-        minima = minima_sets(minima_of_flooding(fg))
         if config.fmt == "pgm-labels":
             if shape is None:
                 raise MalformedInput("pgm-labels output needs a PGM input")
@@ -153,7 +137,8 @@ def run(config: RunConfig) -> int:
         if config.fmt == "dot":
             _emit(config, text=formats.to_dot(fg, labeling))
             return 0
-        payload = formats.labels_json(fg, labeling, minima)
+        zones = watershed.basins_with_zones(fg, config.depth)
+        payload = formats.labels_json(fg, labeling, minima_sets(minima_of_flooding(fg)))
         payload["zones"] = sorted(zones.zone_nodes() - fg.dummies)
         payload["zone_components"] = formats.zone_components(fg, zones)
         _emit(config, text=json.dumps(payload, sort_keys=True) + "\n")
@@ -195,7 +180,7 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "dist":
-        fg = _as_flooding(g)
+        fg = as_flooding(g)
         method = config.method.replace("-", "_")
         if config.method == "dijkstra":
             dists, labeling = geodesics.dijkstra_to_minima(fg, config.depth, config.tie)
@@ -258,11 +243,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         method=getattr(args, "method", "core"),
         algo=getattr(args, "algo", "core"),
         output=getattr(args, "output", None),
-        threads=int(os.environ.get("MORPHOGRAPH_THREADS", "1") or "1"),
     )
     try:
         return run(config)
-    except (MalformedInput, MalformedImage, MissingWeights, ValueError) as exc:
+    except (MalformedInput, MalformedImage, MissingWeights) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
             file=sys.stderr,

@@ -5,7 +5,9 @@ two identities "every edge is the max of its endpoints" and "every node
 is the min of its adjacent edges".  On such a graph the node-weight and
 edge-weight reliefs have the same regional minima, and each node outside
 the minima owns at least one adjacent edge of equal weight (a flooding
-pair), the atomic step of every descent used later.
+pair), the atomic step of every descent used later.  The validation
+verdict and the minima labeling are computed once per graph and cached
+on it; graphs are frozen, so the cache never goes stale.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .adjunction import (
     dilate_nodes_to_edges,
     erode_edges_to_nodes,
 )
-from .errors import InvalidFloodingGraph, ZeroNonMinimum
+from .errors import InvalidFloodingGraph, MissingWeights, ZeroNonMinimum
 from .graphs import (
     Labeling,
     UNSET,
@@ -50,11 +52,14 @@ def validate_flooding(g: WeightedGraph) -> FloodingReport:
 
 
 def require_flooding(g: WeightedGraph) -> WeightedGraph:
-    report = validate_flooding(g)
-    if not report.ok:
-        raise InvalidFloodingGraph(
-            f"bad edges {report.bad_edges[:8]}, bad nodes {report.bad_nodes[:8]}"
-        )
+    """Raise unless ``g`` is a flooding graph; the verdict is cached on ``g``."""
+    if "_flooding_ok" not in vars(g):
+        report = validate_flooding(g)
+        if not report.ok:
+            raise InvalidFloodingGraph(
+                f"bad edges {report.bad_edges[:8]}, bad nodes {report.bad_nodes[:8]}"
+            )
+        vars(g)["_flooding_ok"] = True
     return g
 
 
@@ -82,6 +87,21 @@ def flooding_from_nodes(g: WeightedGraph) -> WeightedGraph:
     return gx.with_weights(edge_weights=dilate_nodes_to_edges(gx, gx.node_weights))
 
 
+def as_flooding(g: WeightedGraph) -> WeightedGraph:
+    """The flooding graph of any weighted graph.
+
+    A graph carrying both weights must already be one; otherwise it is
+    derived from whichever carrier is weighted.
+    """
+    if g.has_node_weights and g.has_edge_weights:
+        return require_flooding(g)
+    if g.has_edge_weights:
+        return flooding_from_edges(g)
+    if g.has_node_weights:
+        return flooding_from_nodes(g)
+    raise MissingWeights("input graph carries no weights")
+
+
 # ---------------------------------------------------------------------------
 # shared minima
 # ---------------------------------------------------------------------------
@@ -94,6 +114,8 @@ def minima_of_flooding(g: WeightedGraph) -> Labeling:
     must agree (isolated nodes count as singleton minima on both sides);
     any disagreement means the graph is not a flooding graph.
     """
+    if "_minima" in vars(g):
+        return vars(g)["_minima"]
     require_flooding(g)
     node_m = {frozenset(m) for m in regional_minima(g, "nodes")}
     edge_m = {
@@ -109,7 +131,15 @@ def minima_of_flooding(g: WeightedGraph) -> Labeling:
     for k, m in enumerate(sorted(node_m, key=min), start=1):
         for i in m:
             labels[i] = k
-    return Labeling(tuple(labels), "nodes")
+    labeling = vars(g)["_minima"] = Labeling(tuple(labels), "nodes")
+    return labeling
+
+
+def _inherit_minima(child: WeightedGraph, parent: WeightedGraph) -> WeightedGraph:
+    """Cache on ``child`` the verdict and minima of the flooding graph
+    ``parent``; only for a child that provably keeps both."""
+    vars(child).update(_flooding_ok=True, _minima=minima_of_flooding(parent))
+    return child
 
 
 def minima_sets(labeling: Labeling) -> list[frozenset[int]]:

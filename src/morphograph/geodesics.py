@@ -28,7 +28,7 @@ from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MorphographError, NoRoots
-from .flooding import minima_of_flooding, require_flooding
+from .flooding import minima_of_flooding
 from .graphs import Labeling, UNSET, WeightedGraph
 from .lexalgebra import LexWeight, UNIT, ZERO, lex_chain
 
@@ -100,11 +100,10 @@ def dijkstra_to_minima(
     estimate is final.  Equal estimates with different labels resolve by
     the tie policy.
     """
-    require_flooding(g)
+    dist, labels, settled, inside = _seed_minima(g)
     rng = parse_tie(tie)
     nw = g.node_weights
     ew = g.edge_weights
-    dist, labels, settled, inside = _seed_minima(g)
 
     best: dict[int, LexWeight] = {}
     ties: dict[int, int] = {}
@@ -154,11 +153,10 @@ def core_expanding(
     Returns (distances, labeling, enqueue_count); the count equals the
     number of nodes, each entering the queue exactly once.
     """
-    require_flooding(g)
+    dist, labels, settled, inside = _seed_minima(g)
     rng = parse_tie(tie)
     nw = g.node_weights
     ew = g.edge_weights
-    dist, labels, settled, inside = _seed_minima(g)
 
     counter = itertools.count()
     heap: list = []
@@ -197,7 +195,6 @@ def hq_watershed(g: WeightedGraph) -> Labeling:
     FIFO within a bucket assigns plateau nodes to the wavefront that
     reaches them first (from the plateau's lower boundary inwards).
     """
-    require_flooding(g)
     labeling = minima_of_flooding(g)
     labels = list(labeling.values)
     nw = [w if labels[i] == UNSET else 0 for i, w in enumerate(g.node_weights)]

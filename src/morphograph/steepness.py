@@ -18,7 +18,7 @@ from .adjunction import (
     erode_edges_to_nodes,
     erode_nodes_to_edges,
 )
-from .flooding import minima_of_flooding, require_flooding, zero_minima
+from .flooding import _inherit_minima, minima_of_flooding, require_flooding, zero_minima
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 
 
@@ -28,14 +28,13 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     k=1 changes nothing; k=2 keeps the edges toward each node's lowest
     neighbors (lowest after pinning the minima at 0); larger k looks
     further down the tracks.  Edges inside the minima always survive.
+    The result is a flooding graph with the same regional minima, so it
+    inherits the cached verdict and minima of ``g``.
     """
-    if k < 1:
-        raise ValueError("steepness depth must be >= 1")
-    require_flooding(g)
     kept = set()
     for cands in minimal_track_edges(g, k).values():
         kept.update(cands)
-    return g.partial(kept)
+    return _inherit_minima(g.partial(kept), g)
 
 
 def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
@@ -46,6 +45,8 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
     candidate edges of a node share the node's own weight, so tracks are
     compared by their tails.
     """
+    if k < 1:
+        raise ValueError("steepness depth must be >= 1")
     nw = g.node_weights
     ew = g.edge_weights
     labels = minima_of_flooding(g).values

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DisconnectedInput, IncompleteHierarchy, MissingWeights
-from .flooding import flooding_from_edges, flooding_from_nodes, require_flooding
+from .errors import DisconnectedInput, IncompleteHierarchy
+from .flooding import as_flooding, flooding_from_edges
 from .geodesics import parse_tie
 from .graphs import Labeling, WeightedGraph, connected_components, contract
 from .steepness import prune_to_steepness
@@ -43,19 +43,6 @@ class Hierarchy:
         return bool(self.levels) and self.levels[-1].contracted.num_nodes == 1
 
 
-def _prepare(g: WeightedGraph) -> tuple[WeightedGraph, WeightedGraph]:
-    """Base edge-weighted graph plus its flooding graph."""
-    if g.has_node_weights and g.has_edge_weights:
-        require_flooding(g)
-        return g, g
-    if g.has_edge_weights:
-        return g, flooding_from_edges(g)
-    if g.has_node_weights:
-        flood = flooding_from_nodes(g)
-        return flood, flood
-    raise MissingWeights("waterfall needs a weighted graph")
-
-
 def build_hierarchy(
     g: WeightedGraph, k: int = 2, tie: Union[str, random.Random, None] = "min-label"
 ) -> Hierarchy:
@@ -66,7 +53,8 @@ def build_hierarchy(
     base nodes and coarsen strictly from level to level.
     """
     rng = parse_tie(tie)
-    base, flood = _prepare(g)
+    flood = as_flooding(g)
+    base = g if g.has_edge_weights else flood
     if base.num_nodes > 1 and connected_components(base).num_labels != 1:
         raise DisconnectedInput("waterfall needs a connected graph")
     if base.num_nodes <= 1:
@@ -82,7 +70,7 @@ def build_hierarchy(
 
     while True:
         pruned = prune_to_steepness(cur_flood, k)
-        forest = drainage_forest(pruned, rng if rng is not None else "min-label")
+        forest = drainage_forest(pruned, rng)
         forest_full_ids = [
             cur_full.edge_id(*pruned.edges[eid]) for eid in forest.edges
         ]

@@ -18,10 +18,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .flooding import assign_pairs, minima_of_flooding, minima_sets, require_flooding
+from .flooding import assign_pairs, minima_of_flooding, minima_sets
 from .geodesics import parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph
-from .steepness import minimal_track_edges, prune_to_steepness
+from .steepness import minimal_track_edges
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,8 @@ def unique_drain(
     Edges inside the minima survive untouched; everything else not chosen
     by the pairing is cut, leaving one and only one descent per node.
     """
-    require_flooding(g)
-    rng = parse_tie(tie)
     labeling, inside = _minima_inside(g)
+    rng = parse_tie(tie)
     pairs = assign_pairs(g, inside, rng)
     kept = set(pairs.values())
     for eid, (u, v) in enumerate(g.edges):
@@ -92,9 +91,8 @@ def drainage_forest(
     weights plus (size - 1) times the level per minimum, independent of
     the tie policy.
     """
-    require_flooding(g)
-    rng = parse_tie(tie)
     labeling, inside = _minima_inside(g)
+    rng = parse_tie(tie)
     pairs = assign_pairs(g, inside, rng)
     edges: set[int] = set(pairs.values())
     for m in minima_sets(labeling):
@@ -127,9 +125,10 @@ def forest_weight(g: WeightedGraph, forest: SpanningForest) -> int:
 
 
 def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
-    gp = prune_to_steepness(g, k)
-    cand = minimal_track_edges(gp, k)
-    labeling, inside = _minima_inside(gp)
+    # Pruning keeps the minima and the endpoints of every minimal track
+    # edge, so the tracks of g itself serve: no pruned graph is built.
+    cand = minimal_track_edges(g, k)
+    labeling, inside = _minima_inside(g)
     labels = list(labeling.values)
 
     # far end of each candidate edge, per node
@@ -140,7 +139,7 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
             continue
         outs = []
         for eid in eids:
-            u, v = gp.edges[eid]
+            u, v = g.edges[eid]
             far = v if u == i else u
             outs.append(far)
             rev.setdefault(far, []).append(i)
@@ -188,7 +187,6 @@ def basins_with_zones(g: WeightedGraph, k: int) -> Labeling:
     graph; a node reached simultaneously by two distinct labels becomes
     ZONE, and ZONE spreads to everything upstream of it.
     """
-    require_flooding(g)
     return _propagate(g, k, None, keep_zones=True)
 
 
@@ -196,5 +194,4 @@ def partition(
     g: WeightedGraph, k: int, tie: Union[str, random.Random, None] = "min-label"
 ) -> Labeling:
     """Every node assigned to exactly one basin, ties resolved by policy."""
-    require_flooding(g)
     return _propagate(g, k, parse_tie(tie), keep_zones=False)

@@ -188,3 +188,46 @@ def test_dot_format_watershed(five_path_file, capsys):
     code, out, _ = run_cli(capsys, "watershed", five_path_file, "--format", "dot")
     assert code == 0
     assert out.startswith("graph {") and "--" in out
+
+
+def test_bad_tie_and_pixel_values_are_input_errors(five_path_file, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "watershed", five_path_file, "--tie", "seed:x")
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedInput"
+    img = tmp_path / "text.pgm"
+    img.write_bytes(b"P2 2 1 9\n1 x\n")
+    code, _, err = run_cli(capsys, "watershed", str(img))
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedImage"
+
+
+def test_value_error_from_a_bug_is_not_an_input_error(five_path_file, monkeypatch):
+    from morphograph import geodesics
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(geodesics, "core_expanding", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["watershed", five_path_file, "--algo", "core"])
+
+
+def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, capsys):
+    from morphograph import flooding
+
+    calls = {"validate": 0, "minima": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flooding, "validate_flooding", counted("validate", flooding.validate_flooding))
+    monkeypatch.setattr(flooding, "regional_minima", counted("minima", flooding.regional_minima))
+    for fmt in ("json", "dot"):
+        calls.update(validate=0, minima=0)
+        code, _, _ = run_cli(capsys, "watershed", five_path_file, "--format", fmt)
+        assert code == 0
+        # one validation; one minima labeling from the node and edge minima
+        assert calls == {"validate": 1, "minima": 2}

@@ -1,6 +1,7 @@
 from morphograph import (
     WeightedGraph,
     erode_weights,
+    flooding_from_nodes,
     is_steep,
     local_prune,
     local_prune_step,
@@ -9,7 +10,9 @@ from morphograph import (
     zero_minima,
 )
 from morphograph.flooding import minima_of_flooding
+from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import UNSET, lowest_edge_filter
+from morphograph.steepness import minimal_track_edges
 from conftest import random_flooding
 
 
@@ -81,6 +84,32 @@ def test_prune_nesting_and_composition(rng):
         for k, l in ((2, 3), (3, 2), (4, 2)):
             lhs = set(prune_to_steepness(prune_to_steepness(fg, l), k).edges)
             assert lhs == sets[max(k, l)]
+
+
+def _quantized_pixel_floodings(rng, count):
+    for conn in (4, 8):
+        for _ in range(count):
+            w, h = rng.randint(2, 9), rng.randint(2, 9)
+            pixels = [rng.randrange(4) for _ in range(w * h)]
+            yield flooding_from_nodes(image_to_graph(write_pgm(w, h, pixels, 3), conn))
+
+
+def test_pruning_keeps_minima_and_minimal_track_endpoints(rng):
+    # prune_to_steepness hands its minima to the pruned graph and the
+    # watershed propagates along the tracks of the unpruned graph; both
+    # rest on these two facts, checked here on an uncached copy.
+    samples = [random_flooding(rng) for _ in range(60)]
+    samples += _quantized_pixel_floodings(rng, 8)
+    for fg in samples:
+        for k in range(1, 6):
+            p = prune_to_steepness(fg, k)
+            pruned = WeightedGraph(p.num_nodes, p.edges, p.node_weights, p.edge_weights, p.dummies)
+            assert minima_of_flooding(pruned) == minima_of_flooding(fg)
+            on_g = minimal_track_edges(fg, k)
+            on_p = minimal_track_edges(pruned, k)
+            assert on_g.keys() == on_p.keys()
+            for i, eids in on_g.items():
+                assert {fg.edges[e] for e in eids} == {pruned.edges[e] for e in on_p[i]}
 
 
 def test_erode_on_zeroed_path4(path4_flooding):
