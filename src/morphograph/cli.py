@@ -28,7 +28,7 @@ from .errors import (
     MissingWeights,
     MorphographError,
 )
-from .flooding import as_flooding, minima_of_flooding, minima_sets
+from .flooding import as_flooding, minima_of_flooding, minima_sets, parse_tie
 from .graphs import UNSET, WeightedGraph
 
 EXIT_INPUT = 2
@@ -62,7 +62,7 @@ class RunConfig:
         if self.fmt not in FORMATS:
             raise MalformedInput(f"--format must be one of {FORMATS}")
         try:
-            geodesics.parse_tie(self.tie)
+            parse_tie(self.tie)
         except ValueError as exc:
             raise MalformedInput(f"--tie: {exc}") from None
 
@@ -75,11 +75,8 @@ def _load(config: RunConfig) -> tuple[WeightedGraph, Optional[tuple[int, int]]]:
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
     if path.endswith(".pgm") or data[:2] in (b"P2", b"P5"):
-        try:
-            width, height, _, _ = formats.parse_pgm(data)
-        except ValueError as exc:  # a P2 pixel that is not a number
-            raise MalformedImage(f"bad PGM pixel data: {exc}") from None
-        return formats.image_to_graph(data, config.connectivity), (width, height)
+        width, height, _, pixels = formats.parse_pgm(data)
+        return formats.pixel_graph(width, height, pixels, config.connectivity), (width, height)
     try:
         text = data.decode()
     except UnicodeDecodeError:
@@ -187,6 +184,11 @@ def run(config: RunConfig) -> int:
         elif config.method == "core":
             dists, labeling, _ = geodesics.core_expanding(fg, config.depth, config.tie)
         else:
+            if fg.num_nodes > lexalgebra.MAX_DENSE_NODES:
+                raise MalformedInput(
+                    f"--method {config.method} takes at most {lexalgebra.MAX_DENSE_NODES} "
+                    f"nodes, got {fg.num_nodes}; use core or dijkstra"
+                )
             dists, labeling = lexalgebra.distances_to_minima(fg, config.depth, method)
         real = [i for i in range(fg.num_nodes) if i not in fg.dummies]
         payload = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .adjunction import (
     dilate_nodes_to_edges,
@@ -175,6 +175,17 @@ def zero_minima(g: WeightedGraph) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 # flooding pairs
 # ---------------------------------------------------------------------------
+
+
+def parse_tie(tie: Union[str, random.Random, None]) -> Optional[random.Random]:
+    """Tie policy: "min-label" -> None, "seed:<u64>" -> seeded generator."""
+    if tie is None or isinstance(tie, random.Random):
+        return tie
+    if tie == "min-label":
+        return None
+    if tie.startswith("seed:"):
+        return random.Random(int(tie[5:]))
+    raise ValueError(f"unknown tie policy {tie!r}")
 
 
 def assign_pairs(

@@ -130,6 +130,8 @@ def parse_pgm(data: bytes) -> tuple[int, int, int, list[int]]:
             pixels = [int(token()) for _ in range(count)]
         except MalformedImage:
             raise MalformedImage("truncated P2 pixel data") from None
+        except ValueError:
+            raise MalformedImage("P2 pixel is not a number") from None
     else:
         pos += 1  # single whitespace after maxval
         per = 2 if maxval > 255 else 1
@@ -153,10 +155,15 @@ def write_pgm(width: int, height: int, pixels: list[int], maxval: int = 255) -> 
 
 
 def image_to_graph(data: bytes, connectivity: int = 4) -> WeightedGraph:
+    """Pixel graph of a PGM image (see :func:`pixel_graph`)."""
+    width, height, _, pixels = parse_pgm(data)
+    return pixel_graph(width, height, pixels, connectivity)
+
+
+def pixel_graph(width: int, height: int, pixels: list[int], connectivity: int = 4) -> WeightedGraph:
     """Pixel graph: one node per pixel (row-major), gray level as weight."""
     if connectivity not in (4, 8):
         raise MalformedImage(f"connectivity must be 4 or 8, got {connectivity}")
-    width, height, _, pixels = parse_pgm(data)
     edges = []
     for y in range(height):
         for x in range(width):
@@ -170,7 +177,8 @@ def image_to_graph(data: bytes, connectivity: int = 4) -> WeightedGraph:
                     edges.append((i, i + width + 1))
                 if x > 0:
                     edges.append((i, i + width - 1))
-    return WeightedGraph(width * height, tuple(edges), tuple(pixels), None)
+    # grid pairs are sorted, in range and distinct by construction
+    return WeightedGraph._derive(width * height, tuple(edges), tuple(pixels), None, frozenset())
 
 
 # ---------------------------------------------------------------------------

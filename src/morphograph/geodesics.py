@@ -28,20 +28,9 @@ from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MorphographError, NoRoots
-from .flooding import minima_of_flooding
+from .flooding import minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, WeightedGraph
 from .lexalgebra import LexWeight, UNIT, ZERO, lex_chain
-
-
-def parse_tie(tie: Union[str, random.Random, None]) -> Optional[random.Random]:
-    """Tie policy: "min-label" -> None, "seed:<u64>" -> seeded generator."""
-    if tie is None or isinstance(tie, random.Random):
-        return tie
-    if tie == "min-label":
-        return None
-    if tie.startswith("seed:"):
-        return random.Random(int(tie[5:]))
-    raise ValueError(f"unknown tie policy {tie!r}")
 
 
 class HierarchicalQueue:

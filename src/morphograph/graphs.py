@@ -78,12 +78,29 @@ class WeightedGraph:
             if (u, v) in seen:
                 raise ValueError(f"parallel edge ({u},{v})")
             seen.add((u, v))
-        if self.node_weights is not None and len(self.node_weights) != self.num_nodes:
-            raise ValueError("node_weights length != num_nodes")
-        if self.edge_weights is not None and len(self.edge_weights) != len(edges):
-            raise ValueError("edge_weights length != num edges")
+        self._check_weights()
         if any(not 0 <= d < self.num_nodes for d in self.dummies):
             raise ValueError("dummy flag outside node range")
+
+    def _check_weights(self) -> None:
+        if self.node_weights is not None and len(self.node_weights) != self.num_nodes:
+            raise ValueError("node_weights length != num_nodes")
+        if self.edge_weights is not None and len(self.edge_weights) != len(self.edges):
+            raise ValueError("edge_weights length != num edges")
+
+    @classmethod
+    def _derive(cls, num_nodes, edges, node_weights, edge_weights, dummies,
+                adjacency=None) -> "WeightedGraph":
+        """Constructor for edges known normalised, in range and distinct
+        (and their sorted ``adjacency``, if given): only weight lengths are
+        checked, and nothing else is cached on the new graph."""
+        g = object.__new__(cls)
+        vars(g).update(num_nodes=num_nodes, edges=edges, node_weights=node_weights,
+                       edge_weights=edge_weights, dummies=dummies)
+        if adjacency is not None:
+            vars(g)["adjacency"] = adjacency
+        g._check_weights()
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -127,23 +144,40 @@ class WeightedGraph:
     # -- derived graphs ----------------------------------------------------
 
     def with_weights(self, node_weights=None, edge_weights=None) -> "WeightedGraph":
-        """Copy with one or both weight fields replaced."""
-        return WeightedGraph(
+        """Copy with one or both weight fields replaced; shares the topology."""
+        g = WeightedGraph._derive(
             self.num_nodes,
             self.edges,
             tuple(node_weights) if node_weights is not None else self.node_weights,
             tuple(edge_weights) if edge_weights is not None else self.edge_weights,
             self.dummies,
+            self.adjacency,
         )
+        if "_edge_index" in vars(self):
+            vars(g)["_edge_index"] = self._edge_index
+        return g
 
     def partial(self, keep: Iterable[int]) -> "WeightedGraph":
         """Partial graph: same nodes, only the edges in ``keep`` (edge ids)."""
         kept = sorted(set(keep))
+        if kept and (kept[0] < 0 or kept[-1] >= len(self.edges)):
+            raise IndexError("edge id out of range")
+        new_id = [-1] * len(self.edges)
+        for k, eid in enumerate(kept):
+            new_id[eid] = k
+        # old ids map to new ids in the same order, so each filtered
+        # adjacency row stays sorted
+        adjacency = tuple(
+            tuple([(j, new_id[eid]) for j, eid in row if new_id[eid] >= 0])
+            for row in self.adjacency
+        )
         edges = tuple(self.edges[i] for i in kept)
         ew = None
         if self.edge_weights is not None:
             ew = tuple(self.edge_weights[i] for i in kept)
-        return WeightedGraph(self.num_nodes, edges, self.node_weights, ew, self.dummies)
+        return WeightedGraph._derive(
+            self.num_nodes, edges, self.node_weights, ew, self.dummies, adjacency
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +215,49 @@ def connected_components(g: WeightedGraph, restrict: Optional[Iterable[int]] = N
     return Labeling(tuple(labels), "nodes")
 
 
+def _zone_walk(g: WeightedGraph, mode: str) -> tuple[list[int], list[tuple[list[int], bool]]]:
+    """Visit each flat zone of the chosen carrier once, breadth-first.
+
+    Returns the per-carrier zone labels (consecutive from 1, in order of
+    the smallest id per zone) and, per zone, its member ids and whether
+    no neighbor of the zone lies strictly lower (a regional minimum).
+    """
+    if mode == "nodes":
+        w, size, pick = g.require_node_weights(), g.num_nodes, 0
+    elif mode == "edges":
+        w, size, pick = g.require_edge_weights(), len(g.edges), 1
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    adj = g.adjacency
+    # the nodes whose adjacency holds each member's neighbors
+    ends = g.edges if pick else [(i,) for i in range(size)]
+    labels = [UNSET] * size
+    # stamp[n] == k once node n's adjacency was scanned for zone k
+    stamp = [UNSET] * g.num_nodes
+    zones: list[tuple[list[int], bool]] = []
+    for start in range(size):
+        if labels[start] != UNSET:
+            continue
+        k, level = len(zones) + 1, w[start]
+        labels[start] = k
+        members, lowest = [start], True
+        for x in members:  # grows while it is walked
+            for n in ends[x]:
+                if stamp[n] == k:
+                    continue
+                stamp[n] = k
+                for entry in adj[n]:
+                    y = entry[pick]  # entry = (neighbor node, edge id)
+                    if w[y] == level:
+                        if labels[y] == UNSET:
+                            labels[y] = k
+                            members.append(y)
+                    elif w[y] < level:
+                        lowest = False
+        zones.append((members, lowest))
+    return labels, zones
+
+
 def flat_zones(g: WeightedGraph, mode: str) -> Labeling:
     """Maximal connected pieces of uniform altitude on the chosen carrier.
 
@@ -188,30 +265,8 @@ def flat_zones(g: WeightedGraph, mode: str) -> Labeling:
     mode="edges": zones of edges joined by chains (shared endpoints) of
     equal edge weight; the labeling is per edge id.
     """
-    if mode == "nodes":
-        nw = g.require_node_weights()
-        keep = [eid for eid, (u, v) in enumerate(g.edges) if nw[u] == nw[v]]
-        return connected_components(g, keep)
-    if mode == "edges":
-        ew = g.require_edge_weights()
-        labels = [UNSET] * len(g.edges)
-        nxt = 1
-        for start in range(len(g.edges)):
-            if labels[start] != UNSET:
-                continue
-            w = ew[start]
-            labels[start] = nxt
-            queue = deque([start])
-            while queue:
-                eid = queue.popleft()
-                for endpoint in g.edges[eid]:
-                    for _, eid2 in g.neighbors(endpoint):
-                        if labels[eid2] == UNSET and ew[eid2] == w:
-                            labels[eid2] = nxt
-                            queue.append(eid2)
-            nxt += 1
-        return Labeling(tuple(labels), "edges")
-    raise ValueError(f"unknown mode {mode!r}")
+    labels, _ = _zone_walk(g, mode)
+    return Labeling(tuple(labels), mode)
 
 
 def regional_minima(g: WeightedGraph, mode: str) -> list[frozenset[int]]:
@@ -222,40 +277,8 @@ def regional_minima(g: WeightedGraph, mode: str) -> list[frozenset[int]]:
     whose neighboring nodes are all higher.  Returned sets are ordered by
     smallest contained id.
     """
-    zones = flat_zones(g, mode)
-    sets = [ids for _, ids in sorted(zones.label_sets().items())]
-    if mode == "nodes":
-        nw = g.node_weights
-        out = []
-        for zone in sets:
-            level = nw[next(iter(zone))]
-            ok = True
-            for i in zone:
-                for j, _ in g.neighbors(i):
-                    if j not in zone and nw[j] <= level:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(zone)
-        return out
-    ew = g.edge_weights
-    out = []
-    for zone in sets:
-        level = ew[next(iter(zone))]
-        span = {n for eid in zone for n in g.edges[eid]}
-        ok = True
-        for i in span:
-            for _, eid in g.neighbors(i):
-                if eid not in zone and ew[eid] <= level:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(zone)
-    return out
+    _, zones = _zone_walk(g, mode)
+    return [frozenset(members) for members, lowest in zones if lowest]
 
 
 def minima_span(minima: Sequence[frozenset[int]], g: WeightedGraph, mode: str) -> list[frozenset[int]]:
@@ -315,7 +338,7 @@ def contract(g: WeightedGraph, h: Iterable[int]) -> Contraction:
     new_dummies = frozenset(
         k for k, ms in members.items() if all(m in g.dummies for m in ms)
     )
-    graph = WeightedGraph(len(order), new_edges, None, new_ew, new_dummies)
+    graph = WeightedGraph._derive(len(order), new_edges, None, new_ew, new_dummies)
     return Contraction(graph, node_map, origins)
 
 
@@ -329,21 +352,24 @@ def expand_isolated_minima(g: WeightedGraph) -> WeightedGraph:
     singles = [next(iter(m)) for m in regional_minima(g, "nodes") if len(m) == 1]
     if not singles:
         return g
-    n = g.num_nodes
+    n, e = g.num_nodes, len(g.edges)
     new_nw = list(nw)
     new_edges = list(g.edges)
     new_ew = list(g.edge_weights) if g.edge_weights is not None else None
-    dummies = set(g.dummies)
+    adjacency = list(g.adjacency)
     for i in singles:
         new_nw.append(nw[i])
         new_edges.append((i, n))
         if new_ew is not None:
             new_ew.append(nw[i])
-        dummies.add(n)
-        n += 1
-    return WeightedGraph(
+        # the dummy's id exceeds every neighbor of i, so the row stays sorted
+        adjacency[i] += ((n, e),)
+        adjacency.append(((i, e),))
+        n, e = n + 1, e + 1
+    return WeightedGraph._derive(
         n, tuple(new_edges), tuple(new_nw),
-        tuple(new_ew) if new_ew is not None else None, frozenset(dummies),
+        tuple(new_ew) if new_ew is not None else None,
+        g.dummies | frozenset(range(g.num_nodes, n)), tuple(adjacency),
     )
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DisconnectedInput, IncompleteHierarchy
-from .flooding import as_flooding, flooding_from_edges
-from .geodesics import parse_tie
+from .flooding import as_flooding, flooding_from_edges, parse_tie
 from .graphs import Labeling, WeightedGraph, connected_components, contract
 from .steepness import prune_to_steepness
 from .watershed import drainage_forest

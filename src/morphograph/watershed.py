@@ -18,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .flooding import assign_pairs, minima_of_flooding, minima_sets
-from .geodesics import parse_tie
+from .flooding import assign_pairs, minima_of_flooding, minima_sets, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph
 from .steepness import minimal_track_edges
 

@@ -231,3 +231,32 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
         assert code == 0
         # one validation; one minima labeling from the node and edge minima
         assert calls == {"validate": 1, "minima": 2}
+
+
+def test_pgm_input_is_parsed_once(tmp_path, monkeypatch, capsys):
+    from morphograph import formats
+
+    calls = []
+    parse = formats.parse_pgm
+    monkeypatch.setattr(formats, "parse_pgm", lambda data: calls.append(1) or parse(data))
+    img = tmp_path / "line.pgm"
+    img.write_bytes(b"P2 3 1 9\n0 1 0\n")
+    code, _, _ = run_cli(capsys, "flood", str(img))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_dense_methods_refuse_oversized_input_quickly(tmp_path, capsys):
+    import time
+
+    from morphograph.lexalgebra import MAX_DENSE_NODES
+
+    width = MAX_DENSE_NODES + 1
+    img = tmp_path / "wide.pgm"
+    img.write_bytes(write_pgm(width, 1, [(7 * i) % 10 for i in range(width)], 9))
+    for method in ("closure", "jacobi", "gauss-seidel", "jordan", "gondran"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dist", str(img), "--method", method)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "MalformedInput"

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morphograph import MalformedImage, MalformedInput
+from morphograph import MalformedImage, MalformedInput, MorphographError
 from morphograph.flooding import flooding_from_nodes
 from morphograph.formats import (
     image_to_graph,
@@ -65,6 +67,48 @@ def test_pgm_sixteen_bit():
 def test_pgm_rejects_malformed(data):
     with pytest.raises(MalformedImage):
         parse_pgm(data)
+
+
+def test_pgm_non_numeric_pixel_is_malformed_image():
+    with pytest.raises(MalformedImage):
+        parse_pgm(b"P2 2 1 9\n1 x\n")
+
+
+_header_number = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["255", "256", "65535", "65536", "0", "+2", "1_0", "10" * 30, "x", "2.5"]),
+)
+_filler = st.sampled_from([" ", "\n", "\t", " # note\n", "#\n", "\n# 1 2 3\n"])
+
+
+@st.composite
+def _pgm_bytes(draw):
+    magic = draw(st.sampled_from(["P2", "P5", "P6", "P", ""]))
+    fields = draw(st.lists(_header_number, min_size=0, max_size=3))
+    header = magic
+    for f in fields:
+        header += draw(_filler) + f
+    header += draw(st.sampled_from(["\n", " ", "", "# c\n"]))
+    if magic == "P2":
+        tokens = draw(st.lists(
+            st.one_of(st.integers(-2, 70000).map(str), st.sampled_from(["x", "#c\n", "-"])),
+            max_size=40,
+        ))
+        body = " ".join(tokens).encode()
+    else:
+        body = draw(st.binary(max_size=80))
+    return header.encode() + body
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pgm_bytes())
+def test_parse_pgm_fuzz_raises_only_package_errors(data):
+    try:
+        width, height, maxval, pixels = parse_pgm(data)
+    except MorphographError:
+        return
+    assert len(pixels) == width * height
+    assert all(0 <= p <= maxval for p in pixels)
 
 
 def test_image_to_graph_line():

@@ -12,7 +12,9 @@ from morphograph import (
     lowest_edge_filter,
     regional_minima,
 )
-from conftest import random_edge_weighted, random_node_weighted
+from morphograph.flooding import flooding_from_nodes, minima_of_flooding
+from morphograph.formats import image_to_graph, write_pgm
+from conftest import random_edge_weighted, random_flooding, random_node_weighted
 
 
 def test_rejects_self_loops_and_parallels():
@@ -231,3 +233,138 @@ def test_filter_spans_non_isolated_nodes(rng):
         for i in range(g.num_nodes):
             if g.neighbors(i):
                 assert i in covered
+
+
+# -- shared topology and the zone walk ---------------------------------------
+
+
+def naive_zones(g, mode):
+    """Oracle: flat-zone labels by repeated merging, independent of the walk."""
+    if mode == "nodes":
+        w, ids = g.node_weights, range(g.num_nodes)
+        touch = [(u, v) for (u, v) in g.edges]
+    else:
+        w, ids = g.edge_weights, range(len(g.edges))
+        touch = [
+            (a, b) for a in ids for b in ids
+            if a < b and set(g.edges[a]) & set(g.edges[b])
+        ]
+    root = list(ids)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in touch:
+            if w[a] == w[b] and root[a] != root[b]:
+                root[a] = root[b] = min(root[a], root[b])
+                changed = True
+    order = sorted(set(root))
+    return tuple(order.index(r) + 1 for r in root)
+
+
+def naive_minima(g, mode):
+    """Oracle: zones with no strictly lower neighbor (node or touching edge)."""
+    labels = naive_zones(g, mode)
+    out = []
+    for lab in range(1, max(labels, default=0) + 1):
+        zone = frozenset(i for i, v in enumerate(labels) if v == lab)
+        if mode == "nodes":
+            level = g.node_weights[min(zone)]
+            lower = any(
+                g.node_weights[v if u in zone else u] < level
+                for (u, v) in g.edges if (u in zone) != (v in zone)
+            )
+        else:
+            level = g.edge_weights[min(zone)]
+            span = {n for e in zone for n in g.edges[e]}
+            lower = any(
+                g.edge_weights[e] < level
+                for e, (u, v) in enumerate(g.edges) if u in span or v in span
+            )
+        if not lower:
+            out.append(zone)
+    return out
+
+
+def _quantized_pixel_graphs(rng, count):
+    for conn in (4, 8):
+        for _ in range(count):
+            w, h = rng.randint(1, 9), rng.randint(1, 9)
+            pixels = [rng.randrange(4) for _ in range(w * h)]
+            yield image_to_graph(write_pgm(w, h, pixels, 3), conn)
+
+
+def _sample_graphs(rng):
+    out = [random_edge_weighted(rng, 12) for _ in range(40)]
+    out += [random_node_weighted(rng, 12) for _ in range(40)]
+    out += [random_flooding(rng, 12) for _ in range(40)]
+    out += _quantized_pixel_graphs(rng, 10)
+    return out
+
+
+def test_zone_walk_matches_naive_reference(rng):
+    for g in _sample_graphs(rng):
+        for mode in ("nodes", "edges"):
+            if mode == "nodes" and not g.has_node_weights:
+                continue
+            if mode == "edges" and not g.has_edge_weights:
+                continue
+            assert flat_zones(g, mode).values == naive_zones(g, mode)
+            assert regional_minima(g, mode) == naive_minima(g, mode)
+        if g.has_node_weights and not g.has_edge_weights:
+            fg = flooding_from_nodes(g)
+            assert regional_minima(fg, "edges") == naive_minima(fg, "edges")
+
+
+def _same_as_fresh(d):
+    fresh = WeightedGraph(d.num_nodes, d.edges, d.node_weights, d.edge_weights, d.dummies)
+    assert d == fresh
+    assert d.adjacency == fresh.adjacency
+    for eid, (u, v) in enumerate(d.edges):
+        assert d.edge_id(u, v) == d.edge_id(v, u) == eid
+
+
+def test_derived_graphs_match_a_fresh_construction(rng):
+    for g in _sample_graphs(rng):
+        _same_as_fresh(g)
+        keep = [e for e in range(len(g.edges)) if rng.random() < 0.6]
+        _same_as_fresh(g.partial(keep))
+        _same_as_fresh(contract(g, keep).graph)
+        shifted = [w + 1 for w in g.node_weights or g.edge_weights]
+        if g.has_node_weights:
+            _same_as_fresh(g.with_weights(node_weights=shifted))
+            _same_as_fresh(expand_isolated_minima(g))
+            _same_as_fresh(expand_isolated_minima(g).partial(keep))
+        else:
+            _same_as_fresh(g.with_weights(edge_weights=shifted))
+
+
+def test_with_weights_shares_topology_but_not_caches(rng):
+    for _ in range(20):
+        fg = random_flooding(rng, 10)
+        minima_of_flooding(fg)
+        fg.edge_id(*fg.edges[0])
+        w = fg.with_weights(node_weights=[x + 1 for x in fg.node_weights])
+        assert w.adjacency is fg.adjacency and w._edge_index is fg._edge_index
+        assert "_minima" not in vars(w) and "_flooding_ok" not in vars(w)
+        p = fg.partial(range(0, len(fg.edges), 2))
+        assert "_edge_index" not in vars(p)
+        assert "_minima" not in vars(p) and "_flooding_ok" not in vars(p)
+        with pytest.raises(ValueError):
+            fg.with_weights(node_weights=fg.node_weights[1:])
+
+
+def test_partial_rejects_edge_ids_out_of_range(path4):
+    for bad in ([3], [-1], [0, 5]):
+        with pytest.raises(IndexError):
+            path4.partial(bad)
+
+
+def test_public_constructor_rejects_bad_ids_and_lengths():
+    # complements test_rejects_self_loops_and_parallels
+    for edges in (((2, 0), (0, 2)), ((-1, 0),)):
+        with pytest.raises(ValueError):
+            WeightedGraph(3, edges)
+    with pytest.raises(ValueError):
+        WeightedGraph(3, ((0, 1),), (1, 2), None)
+    with pytest.raises(ValueError):
+        WeightedGraph(3, ((0, 1),), None, None, frozenset({3}))
