@@ -8,9 +8,15 @@ computes lexicographic distances to the minima with a chosen solver.
 
 Inputs are .wgr text graphs or PGM images (one node per pixel); outputs
 are JSON by default, DOT or PGM label maps on request.  Runs are
-deterministic given the configuration, including the tie seed.  Exit
-codes: 0 success, 2 input error, 3 invariant violation; diagnostics go
-to stderr as one JSON object per line.
+deterministic given the options, including the tie seed.  Exit codes:
+0 success, 2 input error (bad flags included), 3 invariant violation;
+diagnostics go to stderr as one JSON object per line.
+
+``build_parser`` is the only definition of the options: each flag
+declares its default and allowed values once, and each subcommand's
+handler is registered on its parser as ``run``.  Handlers reach the
+library through its modules at call time, so a patched module function
+is the one that runs.
 """
 
 from __future__ import annotations
@@ -18,57 +24,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from . import formats, geodesics, lexalgebra, steepness, waterfall, watershed
+from . import flooding, formats, geodesics, lexalgebra, steepness, waterfall, watershed
 from .errors import (
     MalformedImage,
     MalformedInput,
     MissingWeights,
     MorphographError,
 )
-from .flooding import as_flooding, minima_of_flooding, minima_sets, parse_tie
 from .graphs import UNSET, WeightedGraph
 
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-DIST_METHODS = ("closure", "jacobi", "gauss-seidel", "jordan", "gondran", "dijkstra", "core")
-WATERSHED_ALGOS = ("dijkstra", "core", "hq")
-FORMATS = ("json", "dot", "pgm-labels")
+Shape = Optional[tuple[int, int]]
+Output = Union[str, bytes, dict]  # text, raw bytes, or a JSON payload
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    depth: int = 2
-    steepness: int = 1
-    tie: str = "min-label"
-    connectivity: int = 4
-    fmt: str = "json"
-    method: str = "core"
-    algo: str = "core"
-    output: Optional[str] = None
+class _Parser(argparse.ArgumentParser):
+    """Raises ``MalformedInput`` on a flag error instead of printing usage
+    and exiting; subparsers inherit the class."""
 
-    def validate(self) -> None:
-        if self.depth < 1:
-            raise MalformedInput("--depth must be >= 1")
-        if self.steepness < 1:
-            raise MalformedInput("--steepness must be >= 1")
-        if self.connectivity not in (4, 8):
-            raise MalformedInput("--connectivity must be 4 or 8")
-        if self.fmt not in FORMATS:
-            raise MalformedInput(f"--format must be one of {FORMATS}")
-        try:
-            parse_tie(self.tie)
-        except ValueError as exc:
-            raise MalformedInput(f"--tie: {exc}") from None
+    def error(self, message: str):
+        raise MalformedInput(message)
 
 
-def _load(config: RunConfig) -> tuple[WeightedGraph, Optional[tuple[int, int]]]:
-    path = config.input_path
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def tie_policy(text: str) -> str:
+    """Check the policy but keep the string: each call seeds its own generator."""
+    flooding.parse_tie(text)
+    return text
+
+
+def _load(path: str, connectivity: int) -> tuple[WeightedGraph, Shape]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -76,7 +71,7 @@ def _load(config: RunConfig) -> tuple[WeightedGraph, Optional[tuple[int, int]]]:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
     if path.endswith(".pgm") or data[:2] in (b"P2", b"P5"):
         width, height, _, pixels = formats.parse_pgm(data)
-        return formats.pixel_graph(width, height, pixels, config.connectivity), (width, height)
+        return formats.pixel_graph(width, height, pixels, connectivity), (width, height)
     try:
         text = data.decode()
     except UnicodeDecodeError:
@@ -84,181 +79,153 @@ def _load(config: RunConfig) -> tuple[WeightedGraph, Optional[tuple[int, int]]]:
     return formats.parse_wgr(text), None
 
 
-def _emit(config: RunConfig, text: Optional[str] = None, data: Optional[bytes] = None) -> None:
-    if config.output:
-        mode = "wb" if data is not None else "w"
-        with open(config.output, mode) as fh:
-            fh.write(data if data is not None else text)
-    elif data is not None:
-        sys.stdout.buffer.write(data)
+def _emit(output: Optional[str], result: Output) -> None:
+    if isinstance(result, dict):
+        result = json.dumps(result, sort_keys=True) + "\n"
+    if output:
+        with open(output, "wb" if isinstance(result, bytes) else "w") as fh:
+            fh.write(result)
+    elif isinstance(result, bytes):
+        sys.stdout.buffer.write(result)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
 
 
-def _jsonify_dist(d) -> Optional[list]:
-    return None if d is None else list(d)
+def _geodesic(fg: WeightedGraph, name: str, args: argparse.Namespace):
+    """Distances and labeling from the graph-native solver ``name``."""
+    if name == "dijkstra":
+        return geodesics.dijkstra_to_minima(fg, args.depth, args.tie)
+    dists, labeling, _ = geodesics.core_expanding(fg, args.depth, args.tie)
+    return dists, labeling
 
 
-def run(config: RunConfig) -> int:
-    config.validate()
-    g, shape = _load(config)
+def _flood(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+    return formats.write_wgr(flooding.as_flooding(g))
 
-    if config.command == "flood":
-        fg = as_flooding(g)
-        _emit(config, text=formats.write_wgr(fg))
-        return 0
 
-    if config.command == "prune":
-        fg = as_flooding(g)
-        pruned = steepness.local_prune(fg, config.steepness - 1)
-        _emit(config, text=formats.write_wgr(pruned))
-        return 0
+def _prune(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+    return formats.write_wgr(steepness.local_prune(flooding.as_flooding(g), args.steepness - 1))
 
-    if config.command == "watershed":
-        fg = as_flooding(g)
-        if config.algo == "dijkstra":
-            _, labeling = geodesics.dijkstra_to_minima(fg, config.depth, config.tie)
-        elif config.algo == "core":
-            _, labeling, _ = geodesics.core_expanding(fg, config.depth, config.tie)
-        else:
-            labeling = geodesics.hq_watershed(fg)
-        if config.fmt == "pgm-labels":
-            if shape is None:
-                raise MalformedInput("pgm-labels output needs a PGM input")
-            data, legend = formats.labels_to_pgm(shape[0], shape[1], labeling)
-            _emit(config, data=data)
-            if config.output:
-                with open(config.output + ".legend.json", "w") as fh:
-                    json.dump(legend, fh, sort_keys=True)
-            return 0
-        if config.fmt == "dot":
-            _emit(config, text=formats.to_dot(fg, labeling))
-            return 0
-        zones = watershed.basins_with_zones(fg, config.depth)
-        payload = formats.labels_json(fg, labeling, minima_sets(minima_of_flooding(fg)))
-        payload["zones"] = sorted(zones.zone_nodes() - fg.dummies)
-        payload["zone_components"] = formats.zone_components(fg, zones)
-        _emit(config, text=json.dumps(payload, sort_keys=True) + "\n")
-        return 0
 
-    if config.command == "waterfall":
-        h = waterfall.build_hierarchy(g, config.depth, config.tie)
-        if config.fmt == "dot":
-            parts = [formats.to_dot(lvl.contracted) for lvl in h.levels]
-            _emit(config, text="".join(parts))
-            return 0
-        real = [b for b in range(h.base.num_nodes) if b not in h.base.dummies]
-        payload = {
-            "levels": [
-                {
-                    "regions": lvl.region_count,
-                    "labels": [lvl.partition.values[b] for b in real],
-                }
-                for lvl in h.levels
-            ],
-            "edge_levels": [
-                {"edge": list(h.base.edges[eid]), "level": lvl}
-                for eid, lvl in enumerate(waterfall.merge_levels(h))
-            ],
-        }
-        _emit(config, text=json.dumps(payload, sort_keys=True) + "\n")
-        return 0
+def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+    fg = flooding.as_flooding(g)
+    if args.algo == "hq":
+        labeling = geodesics.hq_watershed(fg)
+    else:
+        _, labeling = _geodesic(fg, args.algo, args)
+    if args.fmt == "pgm-labels":
+        if shape is None:
+            raise MalformedInput("pgm-labels output needs a PGM input")
+        data, legend = formats.labels_to_pgm(shape[0], shape[1], labeling)
+        if args.output:
+            with open(args.output + ".legend.json", "w") as fh:
+                json.dump(legend, fh, sort_keys=True)
+        return data
+    if args.fmt == "dot":
+        return formats.to_dot(fg, labeling)
+    zones = watershed.basins_with_zones(fg, args.depth)
+    minima = flooding.minima_sets(flooding.minima_of_flooding(fg))
+    payload = formats.labels_json(fg, labeling, minima)
+    payload["zones"] = sorted(zones.zone_nodes() - fg.dummies)
+    payload["zone_components"] = formats.zone_components(fg, zones)
+    return payload
 
-    if config.command == "mst":
-        h = waterfall.build_hierarchy(g, config.depth, config.tie)
-        tree = waterfall.emergent_tree(h)
-        ew = h.base.edge_weights
-        edges = sorted(h.base.edges[eid] for eid in tree)
-        payload = {
-            "edges": [[u, v, ew[h.base.edge_id(u, v)]] for (u, v) in edges],
-            "weight": sum(ew[eid] for eid in tree),
-        }
-        _emit(config, text=json.dumps(payload, sort_keys=True) + "\n")
-        return 0
 
-    if config.command == "dist":
-        fg = as_flooding(g)
-        method = config.method.replace("-", "_")
-        if config.method == "dijkstra":
-            dists, labeling = geodesics.dijkstra_to_minima(fg, config.depth, config.tie)
-        elif config.method == "core":
-            dists, labeling, _ = geodesics.core_expanding(fg, config.depth, config.tie)
-        else:
-            if fg.num_nodes > lexalgebra.MAX_DENSE_NODES:
-                raise MalformedInput(
-                    f"--method {config.method} takes at most {lexalgebra.MAX_DENSE_NODES} "
-                    f"nodes, got {fg.num_nodes}; use core or dijkstra"
-                )
-            dists, labeling = lexalgebra.distances_to_minima(fg, config.depth, method)
-        real = [i for i in range(fg.num_nodes) if i not in fg.dummies]
-        payload = {
-            "distances": [_jsonify_dist(dists[i]) for i in real],
-            "labels": [labeling.values[i] if labeling.values[i] != UNSET else 0 for i in real],
-        }
-        _emit(config, text=json.dumps(payload, sort_keys=True) + "\n")
-        return 0
+def _waterfall(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+    h = waterfall.build_hierarchy(g, args.depth, args.tie)
+    if args.fmt == "dot":
+        return "".join(formats.to_dot(lvl.contracted) for lvl in h.levels)
+    real = [b for b in range(h.base.num_nodes) if b not in h.base.dummies]
+    return {
+        "levels": [
+            {
+                "regions": lvl.region_count,
+                "labels": [lvl.partition.values[b] for b in real],
+            }
+            for lvl in h.levels
+        ],
+        "edge_levels": [
+            {"edge": list(h.base.edges[eid]), "level": lvl}
+            for eid, lvl in enumerate(waterfall.merge_levels(h))
+        ],
+    }
 
-    raise MalformedInput(f"unknown command {config.command!r}")
+
+def _mst(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+    h = waterfall.build_hierarchy(g, args.depth, args.tie)
+    edges, ew = h.base.edges, h.base.edge_weights
+    tree = sorted(waterfall.emergent_tree(h), key=edges.__getitem__)
+    return {
+        "edges": [[*edges[eid], ew[eid]] for eid in tree],
+        "weight": sum(ew[eid] for eid in tree),
+    }
+
+
+def _dist(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+    fg = flooding.as_flooding(g)
+    if args.method in ("dijkstra", "core"):
+        dists, labeling = _geodesic(fg, args.method, args)
+    elif fg.num_nodes > lexalgebra.MAX_DENSE_NODES:
+        raise MalformedInput(
+            f"--method {args.method} takes at most {lexalgebra.MAX_DENSE_NODES} "
+            f"nodes, got {fg.num_nodes}; use core or dijkstra"
+        )
+    else:
+        dists, labeling = lexalgebra.distances_to_minima(
+            fg, args.depth, args.method.replace("-", "_")
+        )
+    real = [i for i in range(fg.num_nodes) if i not in fg.dummies]
+    return {
+        "distances": [dists[i] for i in real],
+        "labels": [labeling.values[i] if labeling.values[i] != UNSET else 0 for i in real],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morphograph",
         description="watershed, pruning and waterfall hierarchies on weighted graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tie=True):
+    def command(name, run, help, tie=True, fmts=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("input", help=".wgr graph or PGM image")
-        p.add_argument("--depth", type=int, default=2, metavar="K")
+        p.add_argument("--depth", type=positive, default=2, metavar="K")
         p.add_argument("--connectivity", type=int, default=4, choices=(4, 8))
-        p.add_argument("--format", dest="fmt", default="json", choices=FORMATS)
         p.add_argument("--output", default=None)
         if tie:
-            p.add_argument("--tie", default="min-label", metavar="min-label|seed:<u64>")
+            p.add_argument("--tie", type=tie_policy, default="min-label",
+                           metavar="min-label|seed:<u64>")
+        if fmts:
+            p.add_argument("--format", dest="fmt", default="json", choices=fmts)
+        return p
 
-    common(sub.add_parser("flood", help="derive a validated flooding graph"), tie=False)
-    p = sub.add_parser("prune", help="prune to a given steepness")
-    common(p, tie=False)
-    p.add_argument("--steepness", type=int, default=1, metavar="K")
-    p = sub.add_parser("watershed", help="label catchment basins")
-    common(p)
-    p.add_argument("--algo", default="core", choices=WATERSHED_ALGOS)
-    common(sub.add_parser("waterfall", help="build the full hierarchy"))
-    common(sub.add_parser("mst", help="emergent minimum spanning tree"))
-    p = sub.add_parser("dist", help="lexicographic distances to the minima")
-    common(p)
-    p.add_argument("--method", default="core", choices=DIST_METHODS)
+    command("flood", _flood, "derive a validated flooding graph", tie=False)
+    p = command("prune", _prune, "prune to a given steepness", tie=False)
+    p.add_argument("--steepness", type=positive, default=1, metavar="K")
+    p = command("watershed", _watershed, "label catchment basins",
+                fmts=("json", "dot", "pgm-labels"))
+    p.add_argument("--algo", default="core", choices=("dijkstra", "core", "hq"))
+    command("waterfall", _waterfall, "build the full hierarchy", fmts=("json", "dot"))
+    command("mst", _mst, "emergent minimum spanning tree")
+    p = command("dist", _dist, "lexicographic distances to the minima")
+    p.add_argument("--method", default="core", choices=(
+        "closure", "jacobi", "gauss-seidel", "jordan", "gondran", "dijkstra", "core"))
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        depth=getattr(args, "depth", 2),
-        steepness=getattr(args, "steepness", 1),
-        tie=getattr(args, "tie", "min-label"),
-        connectivity=getattr(args, "connectivity", 4),
-        fmt=getattr(args, "fmt", "json"),
-        method=getattr(args, "method", "core"),
-        algo=getattr(args, "algo", "core"),
-        output=getattr(args, "output", None),
-    )
     try:
-        return run(config)
-    except (MalformedInput, MalformedImage, MissingWeights) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        g, shape = _load(args.input, args.connectivity)
+        _emit(args.output, args.run(args, g, shape))
+        return 0
     except MorphographError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+        if isinstance(exc, (MalformedInput, MalformedImage, MissingWeights)):
+            return EXIT_INPUT
         return EXIT_INVARIANT
 
 

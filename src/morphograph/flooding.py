@@ -110,25 +110,16 @@ def as_flooding(g: WeightedGraph) -> WeightedGraph:
 def minima_of_flooding(g: WeightedGraph) -> Labeling:
     """Labeling of the regional minima, identical on both carriers.
 
-    The node-weight minima and the node spans of the edge-weight minima
-    must agree (isolated nodes count as singleton minima on both sides);
-    any disagreement means the graph is not a flooding graph.
+    Computed on the node carrier only: on a validated flooding graph the
+    node-weight minima are exactly the node spans of the edge-weight
+    minima plus the isolated nodes, so the edge carrier adds nothing.
+    Labels run from 1 in order of each minimum's smallest node id.
     """
     if "_minima" in vars(g):
         return vars(g)["_minima"]
     require_flooding(g)
-    node_m = {frozenset(m) for m in regional_minima(g, "nodes")}
-    edge_m = {
-        frozenset(s)
-        for s in minima_span(regional_minima(g, "edges"), g, "edges")
-    }
-    isolated = {
-        frozenset([i]) for i in range(g.num_nodes) if not g.neighbors(i)
-    }
-    if node_m != edge_m | isolated:
-        raise InvalidFloodingGraph("node and edge minima disagree")
     labels = [UNSET] * g.num_nodes
-    for k, m in enumerate(sorted(node_m, key=min), start=1):
+    for k, m in enumerate(regional_minima(g, "nodes"), start=1):
         for i in m:
             labels[i] = k
     labeling = vars(g)["_minima"] = Labeling(tuple(labels), "nodes")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import MalformedImage, MalformedInput
-from .graphs import Labeling, UNSET, ZONE, WeightedGraph
+from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
 from .weights import W_MAX
 
 
@@ -32,7 +32,7 @@ def parse_wgr(text: str) -> WeightedGraph:
         if not line:
             if raw.strip().startswith("# dummy"):
                 parts = raw.strip().split()
-                if len(parts) == 3 and parts[2].isdigit():
+                if len(parts) == 3 and parts[2].isdecimal():
                     dummies.add(int(parts[2]))
             continue
         parts = line.split()
@@ -207,9 +207,7 @@ def zone_components(g: WeightedGraph, labeling: Labeling) -> list[list[int]]:
     keep = [
         eid for eid, (u, v) in enumerate(g.edges) if u in zone and v in zone
     ]
-    from .graphs import connected_components
-
-    comp = connected_components(g.partial(keep))
+    comp = connected_components(g, keep)
     groups: dict[int, list[int]] = {}
     for i in sorted(zone):
         groups.setdefault(comp.values[i], []).append(i)

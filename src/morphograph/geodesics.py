@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MorphographError, NoRoots
 from .flooding import minima_of_flooding, parse_tie
-from .graphs import Labeling, UNSET, WeightedGraph
+from .graphs import Labeling, UNSET, WeightedGraph, regional_minima
 from .lexalgebra import LexWeight, UNIT, ZERO, lex_chain
 
 
@@ -291,8 +291,6 @@ def reconstruct_by_integration(g: WeightedGraph) -> tuple[tuple[int, ...], Label
     minimum recovers the field exactly, which is verified before
     returning.
     """
-    from .graphs import regional_minima
-
     nw = g.require_node_weights()
     groups = regional_minima(g, "nodes")
     span = {i for m in groups for i in m}

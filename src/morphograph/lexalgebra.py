@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
-from .graphs import WeightedGraph
+from .flooding import minima_of_flooding, minima_sets
+from .graphs import Labeling, UNSET, WeightedGraph
 
 # ZERO is None; every other value is a non-increasing tuple of levels.
 LexWeight = Optional[tuple[int, ...]]
@@ -372,9 +373,6 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
     minima themselves sit at UNIT.  Ties between minima resolve to the
     smallest label.
     """
-    from .flooding import minima_of_flooding, minima_sets
-    from .graphs import Labeling, UNSET
-
     labeling = minima_of_flooding(g)
     sets = minima_sets(labeling)
     a = incidence_matrix(g, k)

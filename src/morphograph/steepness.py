@@ -138,18 +138,11 @@ def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:
 def is_steep(g: WeightedGraph, k: int) -> bool:
     """True iff depth-``k`` pruning would leave the graph unchanged.
 
-    Checked locally: with the minima pinned at 0, none of the first k-1
-    local pruning steps may drop an edge (equivalently, every erosion
-    iterate below k keeps all edges tied to their lowest neighbors).
-    k=1 holds for every flooding graph.
+    Checked locally: none of the first k-1 local pruning steps may drop
+    an edge.  Steps only ever remove edges, so that holds exactly when
+    ``local_prune(g, k - 1)`` keeps every edge.  k=1 holds for every
+    flooding graph.
     """
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
-    require_flooding(g)
-    z = zero_minima(g)
-    for _ in range(k - 1):
-        z2 = local_prune_step(z)
-        if len(z2.edges) != len(z.edges):
-            return False
-        z = z2
-    return True
+    return len(local_prune(g, k - 1).edges) == len(g.edges)

@@ -229,8 +229,8 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
         calls.update(validate=0, minima=0)
         code, _, _ = run_cli(capsys, "watershed", five_path_file, "--format", fmt)
         assert code == 0
-        # one validation; one minima labeling from the node and edge minima
-        assert calls == {"validate": 1, "minima": 2}
+        # one validation; one minima labeling from the node minima
+        assert calls == {"validate": 1, "minima": 1}
 
 
 def test_pgm_input_is_parsed_once(tmp_path, monkeypatch, capsys):
@@ -260,3 +260,23 @@ def test_dense_methods_refuse_oversized_input_quickly(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "MalformedInput"
+
+
+def test_flag_errors_are_one_json_line(five_path_file, capsys):
+    for args in (
+        [],
+        ["flood", five_path_file, "--depth", "x"],
+        ["flood", five_path_file, "--depth", "0"],
+        ["prune", five_path_file, "--steepness", "0"],
+        ["watershed", five_path_file, "--connectivity", "5"],
+        ["watershed", five_path_file, "--algo", "nope"],
+        ["waterfall", five_path_file, "--tie", "seed:x"],
+        ["mst", five_path_file, "--format", "dot"],
+        ["waterfall", five_path_file, "--format", "pgm-labels"],
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "", args
+        assert len(err.splitlines()) == 1, args
+        assert json.loads(err)["error"] == "MalformedInput", args
+    code, out, _ = run_cli(capsys, "flood", five_path_file, "--depth", "3", "--connectivity", "8")
+    assert code == 0 and out

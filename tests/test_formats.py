@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphograph import MalformedImage, MalformedInput, MorphographError
@@ -109,6 +109,34 @@ def test_parse_pgm_fuzz_raises_only_package_errors(data):
         return
     assert len(pixels) == width * height
     assert all(0 <= p <= maxval for p in pixels)
+
+
+_wgr_token = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["-1", "10" * 30, "1_0", "+1", "\u00b2", "\u0663", "x", "2.5", "#", "node"]),
+)
+
+
+@st.composite
+def _wgr_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        head = draw(st.sampled_from(["node", "edge", "# dummy", "#", "junk", ""]))
+        lines.append(" ".join([head] + draw(st.lists(_wgr_token, max_size=4))))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@example("node 0 1\n# dummy \u00b2\n")
+@given(_wgr_text())
+def test_parse_wgr_fuzz_raises_only_package_errors(text):
+    try:
+        g = parse_wgr(text)
+    except MorphographError:
+        return
+    again = parse_wgr(write_wgr(g))
+    assert (again.num_nodes, again.edges, again.dummies) == (g.num_nodes, g.edges, g.dummies)
+    assert (again.node_weights, again.edge_weights) == (g.node_weights, g.edge_weights)
 
 
 def test_image_to_graph_line():
