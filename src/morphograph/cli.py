@@ -79,12 +79,19 @@ def _load(path: str, connectivity: int) -> tuple[WeightedGraph, Shape]:
     return formats.parse_wgr(text), None
 
 
+def _write(path: str, data: Union[str, bytes]) -> None:
+    try:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from None
+
+
 def _emit(output: Optional[str], result: Output) -> None:
     if isinstance(result, dict):
         result = json.dumps(result, sort_keys=True) + "\n"
     if output:
-        with open(output, "wb" if isinstance(result, bytes) else "w") as fh:
-            fh.write(result)
+        _write(output, result)
     elif isinstance(result, bytes):
         sys.stdout.buffer.write(result)
     else:
@@ -118,8 +125,7 @@ def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Outp
             raise MalformedInput("pgm-labels output needs a PGM input")
         data, legend = formats.labels_to_pgm(shape[0], shape[1], labeling)
         if args.output:
-            with open(args.output + ".legend.json", "w") as fh:
-                json.dump(legend, fh, sort_keys=True)
+            _write(args.output + ".legend.json", json.dumps(legend, sort_keys=True))
         return data
     if args.fmt == "dot":
         return formats.to_dot(fg, labeling)

@@ -138,20 +138,24 @@ def minima_sets(labeling: Labeling) -> list[frozenset[int]]:
     return [ids for _, ids in sorted(labeling.label_sets().items())]
 
 
-def zero_minima(g: WeightedGraph) -> WeightedGraph:
+def zero_minima(g: WeightedGraph, span: Optional[set[int]] = None) -> WeightedGraph:
     """Re-weight every regional minimum (nodes and internal edges) to 0.
 
     Keeps "edge = max of endpoints" valid everywhere; "node = min of
     adjacent edges" may fail afterwards on minima that are isolated
     nodes, which is harmless for every descent-based computation.
     Raises ZeroNonMinimum if a node outside the minima already weighs 0.
+    ``span``, the nodes of the minima, defaults to the node spans of the
+    edge-weight minima plus the isolated nodes; a caller holding the
+    ``minima_of_flooding`` labeling passes its nodes instead.
     """
     nw = g.require_node_weights()
     ew = g.require_edge_weights()
-    span = set()
-    for m in minima_span(regional_minima(g, "edges"), g, "edges"):
-        span.update(m)
-    span.update(i for i in range(g.num_nodes) if not g.neighbors(i))
+    if span is None:
+        span = set()
+        for m in minima_span(regional_minima(g, "edges"), g, "edges"):
+            span.update(m)
+        span.update(i for i in range(g.num_nodes) if not g.neighbors(i))
     for i in range(g.num_nodes):
         if i not in span and nw[i] == 0:
             raise ZeroNonMinimum(f"node {i} weighs 0 outside the minima")

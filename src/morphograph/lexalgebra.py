@@ -14,8 +14,11 @@ Square matrices over this structure give shortest lexicographic path
 weights through powers of the incidence matrix; the classical linear
 solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination)
 all compute the smallest solution of ``Y = A (x) Y (+) B``, which is
-``closure(A) (x) B``.  Dense matrices here are the oracle path, kept to
-modest sizes; the graph-native algorithms live in ``geodesics``.
+``closure(A) (x) B`` wherever ``closure`` is exact (see its docstring).
+Dense matrices here are the oracle path, kept to modest sizes; they are
+lists of lists at the interface, and the solvers run on sparse rows
+``{col: entry}`` holding only the non-ZERO entries.  The graph-native
+algorithms live in ``geodesics``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ LexWeight = Optional[tuple[int, ...]]
 ZERO: LexWeight = None
 UNIT: LexWeight = ()
 
-# Sized by timing: on a 2-vCPU host the five solvers together take
-# 7-10 s on 20x20 relief images (400 nodes) and 13 s at 441 nodes.
+# Sized by timing on a 2-vCPU host: the five solvers together took
+# 7-10 s at 400 nodes with dense loops; on sparse rows they take
+# 1.2-1.4 s on 20x19 relief images (388-389 nodes, depth 3).
 MAX_DENSE_NODES = 400
 
 
@@ -169,61 +173,103 @@ def mat_add(a: LexMatrix, b: LexMatrix) -> LexMatrix:
     return [[lex_min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _rows(m: LexMatrix) -> list[dict]:
+    """Sparse rows ``{col: entry}`` of a dense matrix, ZERO entries dropped."""
+    return [{j: x for j, x in enumerate(row) if x is not None} for row in m]
+
+
+def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
+    """Plain product of sparse rows, plus the sparse rows ``add`` if given."""
+    out = []
+    for i, row in enumerate(a):
+        acc = dict(add[i]) if add else {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                z = lex_chain(x, y, k)
+                if z is not None:
+                    acc[j] = lex_min(acc.get(j), z)
+        out.append(acc)
+    return out
+
+
 def mat_mul(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    n, inner = len(a), len(b)
-    if a and len(a[0]) != inner:
+    if a and len(a[0]) != len(b):
         raise DimensionMismatch("matrix shapes do not chain")
-    cols = len(b[0]) if b else 0
-    out = zero_matrix(n, cols)
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for t in range(inner):
-            x = row_a[t]
-            if x is None:
-                continue
-            row_b = b[t]
-            for j in range(cols):
-                y = row_b[j]
-                if y is None:
-                    continue
-                row_out[j] = lex_min(row_out[j], lex_chain(x, y, k))
+    return _dense(_mul_rows(_rows(a), _rows(b), k), len(b[0]) if b else 0)
+
+
+def _by_head(row: dict) -> dict:
+    """The row re-keyed in order of each window's head, UNIT first."""
+    return dict(sorted(row.items(), key=lambda item: item[1][0][:1]))
+
+
+def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
+    """Tracked product of sparse rows; ``a`` yields (col, entry) pairs.
+
+    Rows of ``b`` must be in head order (``_by_head``), and so are the
+    rows returned: a left factor with a non-empty window stops at the
+    first head above its tail.  A left window that already holds k levels
+    is the window of every product it starts.
+    """
+    out = []
+    for row in a:
+        acc: dict = {}
+        for t, (wa, ta) in row:
+            wk = wa[:k]
+            full = len(wa) >= k
+            for j, (wb, tb) in b[t].items():
+                if not wa:
+                    w = wb[:k]
+                elif not wb:
+                    w, tb = wk, ta
+                elif wb[0] > ta:
+                    break
+                else:
+                    w = wk if full else (wa + wb)[:k]
+                old = acc.get(j)
+                # exact_min: smaller window, then larger tail
+                if old is None or w < old[0] or w == old[0] and tb > old[1]:
+                    acc[j] = (w, tb)
+        out.append(_by_head(acc))
+    return out
+
+
+def _dense(rows: list[dict], cols: int, entry=lambda x: x) -> LexMatrix:
+    out = zero_matrix(len(rows), cols)
+    for row, row_out in zip(rows, out):
+        for j, x in row.items():
+            row_out[j] = entry(x)
     return out
 
 
 def _mat_mul_tracked(a, b, k):
-    n, cols = len(a), len(b[0])
-    out = [[None] * cols for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for t in range(len(b)):
-            x = row_a[t]
-            if x is None:
-                continue
-            row_b = b[t]
-            for j in range(cols):
-                y = row_b[j]
-                if y is None:
-                    continue
-                row_out[j] = exact_min(row_out[j], exact_chain(x, y, k))
-    return out
+    """Tracked product of dense matrices."""
+    b_rows = [_by_head(row) for row in _rows(b)]
+    return _dense(_mul_tracked_rows([r.items() for r in _rows(a)], b_rows, k), len(b[0]))
 
 
 def closure(a: LexMatrix, k: int) -> LexMatrix:
-    """Least fixpoint of repeated squaring of (identity + a).
+    """Repeated squaring of (identity + a) until it is stationary.
 
-    Entry (i, j) is the minimal depth-k lexicographic weight over all
-    walks from i to j; stationary after ceil(log2(n-1)) squarings since
-    an elementary path has at most n nodes.  Squaring chains truncated
-    prefixes, so it runs on the tail-tracked elements internally.
+    Squaring chains truncated prefixes, so it runs on the tail-tracked
+    elements, one per entry: on a window tie the larger tail wins.  On a
+    flooding graph (the only input ``distances_to_minima`` gives it), each
+    (i, j) with
+    j in a regional minimum then holds the minimal depth-k weight over all
+    walks from i to j.  On a general graph an entry may be larger, or
+    ZERO, where the kept element beat one with a larger window and a
+    larger tail that a later factor needed: on edges (0,1) (0,2) (0,5)
+    (1,2) (1,5) (2,4) (3,4) weighing 6 6 3 3 3 5 6 at k = 2, entry (1, 4)
+    is ZERO though the walk 1-0-2-4 weighs (6, 6).  ``linear_solve`` with
+    ``method="jordan"`` keeps every such element and is exact.
     """
     n = len(a)
-    m = [[lift(x) for x in row] for row in mat_add(identity_matrix(n), a)]
+    m = _rows([[lift(x) for x in row] for row in mat_add(identity_matrix(n), a)])
+    m = [_by_head(row) for row in m]
     while True:
-        m2 = _mat_mul_tracked(m, m, k)
+        m2 = _mul_tracked_rows([r.items() for r in m], m, k)
         if m2 == m:
-            return [[None if x is None else x[0] for x in row] for row in m]
+            return _dense(m, n, lambda x: x[0])
         m = m2
 
 
@@ -233,11 +279,12 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
 
 
 def _solve_jacobi(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    y = zero_matrix(len(b), len(b[0]))
+    rows, b_rows = _rows(a), _rows(b)
+    y: list[dict] = [{} for _ in b]
     while True:
-        y2 = mat_add(mat_mul(a, y, k), b)
+        y2 = _mul_rows(rows, y, k, b_rows)
         if y2 == y:
-            return y
+            return _dense(y, len(b[0]))
         y = y2
 
 
@@ -245,16 +292,15 @@ def _solve_gauss_seidel(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
     # strictly-lower part uses the previous sweep, strictly-upper the
     # current one: rows are updated bottom-up within a sweep.
     n, cols = len(b), len(b[0])
+    nbrs = [[(j, x) for j, x in row.items() if j != i] for i, row in enumerate(_rows(a))]
     y = zero_matrix(n, cols)
     while True:
         changed = False
         for i in range(n - 1, -1, -1):
             for c in range(cols):
                 acc = b[i][c]
-                for j in range(n):
-                    if j == i:
-                        continue
-                    acc = lex_min(acc, lex_chain(a[i][j], y[j][c], k))
+                for j, x in nbrs[i]:
+                    acc = lex_min(acc, lex_chain(x, y[j][c], k))
                 if acc != y[i][c]:
                     y[i][c] = acc
                     changed = True
@@ -263,27 +309,54 @@ def _solve_gauss_seidel(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
 
 
 def _solve_jordan(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    # pivoting chains accumulated (truncated) paths, hence tracked elements
+    # Floyd-Warshall pivoting chains accumulated (truncated) paths, so each
+    # entry keeps a Pareto front of tracked elements: one is dropped only
+    # for another with a window <= and a tail >= its own, which chains with
+    # every suffix it does, no worse.  A single representative would drop
+    # i->p as (200,) tail 180 for (190,) tail 100 and lose p->j at 170.
+    # Cycles never beat the path they interrupt, so pivoting skips the
+    # diagonal, which ends as UNIT.
     n = len(a)
-    c = [[lift(x) for x in row] for row in a]
+    c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(_rows(a))]
     for p in range(n):
         for i in range(n):
-            cip = c[i][p]
-            if cip is None:
+            front_ip = c[i].get(p)
+            if front_ip is None:  # also for i == p: the diagonal is not kept
                 continue
-            for j in range(n):
-                c[i][j] = exact_min(c[i][j], exact_chain(cip, c[p][j], k))
+            row_i = c[i]
+            for j, front_pj in c[p].items():
+                if j == i:
+                    continue
+                front = row_i.get(j, ())
+                for wa, ta in front_ip:
+                    for wb, tb in front_pj:
+                        # exact_chain, inlined
+                        if not wa:
+                            w, t = wb[:k], tb
+                        elif not wb:
+                            w, t = wa[:k], ta
+                        elif ta < wb[0]:
+                            continue
+                        else:
+                            w, t = (wa + wb)[:k], tb
+                        for e in front:
+                            if e[0] <= w and e[1] >= t:
+                                break  # dominated
+                        else:
+                            front = row_i[j] = (
+                                *(e for e in front if e[0] < w or e[1] > t), (w, t))
     for i in range(n):
-        c[i][i] = exact_min(c[i][i], UNIT_T)
-    bt = [[lift(x) for x in row] for row in b]
-    y = _mat_mul_tracked(c, bt, k)
-    return [[None if x is None else x[0] for x in row] for row in y]
+        c[i][i] = (UNIT_T,)
+    pairs = [((j, x) for j, front in row.items() for x in front) for row in c]
+    bt = [_by_head(row) for row in _rows([[lift(x) for x in row] for row in b])]
+    return _dense(_mul_tracked_rows(pairs, bt, k), len(b[0]), lambda x: x[0])
 
 
 def _solve_gondran(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
     # greedy elimination: the smallest remaining b entry is already the
     # solution for its row; substitute and shrink the system.
     n, cols = len(b), len(b[0])
+    column = _rows(list(zip(*a)))  # column[j]: the non-ZERO a[i][j] by i
     y = zero_matrix(n, cols)
     for c in range(cols):
         work = [b[i][c] for i in range(n)]
@@ -299,9 +372,9 @@ def _solve_gondran(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
             y[i0][c] = work[i0]
             if work[i0] is None:
                 continue
-            for i in range(n):
+            for i, x in column[i0].items():
                 if not settled[i]:
-                    work[i] = lex_min(work[i], lex_chain(a[i][i0], work[i0], k))
+                    work[i] = lex_min(work[i], lex_chain(x, work[i0], k))
         # unreachable rows keep ZERO
     return y
 
@@ -315,7 +388,8 @@ _SOLVERS = {
 
 
 def linear_solve(a: LexMatrix, b: LexMatrix, k: int, method: str = "jacobi") -> LexMatrix:
-    """Smallest solution of ``Y = A (x) Y (+) B``; equals closure(A) (x) B."""
+    """Smallest solution of ``Y = A (x) Y (+) B``; equals closure(A) (x) B
+    wherever closure is exact."""
     if len(a) != len(b):
         raise DimensionMismatch("A rows != B rows")
     if not b or not b[0]:

@@ -18,7 +18,7 @@ from .adjunction import (
     erode_edges_to_nodes,
     erode_nodes_to_edges,
 )
-from .flooding import _inherit_minima, minima_of_flooding, require_flooding, zero_minima
+from .flooding import _inherit_minima, minima_of_flooding, zero_minima
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 
 
@@ -126,8 +126,8 @@ def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    require_flooding(g)
-    z = zero_minima(g)
+    labels = minima_of_flooding(g).values
+    z = zero_minima(g, {i for i, v in enumerate(labels) if v != UNSET})
     for _ in range(m):
         z = local_prune_step(z)
     survivors = set(z.edges)

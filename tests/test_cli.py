@@ -280,3 +280,20 @@ def test_flag_errors_are_one_json_line(five_path_file, capsys):
         assert json.loads(err)["error"] == "MalformedInput", args
     code, out, _ = run_cli(capsys, "flood", five_path_file, "--depth", "3", "--connectivity", "8")
     assert code == 0 and out
+
+
+def test_unwritable_output_is_one_json_line(five_path_file, tmp_path, capsys):
+    img = tmp_path / "img.pgm"
+    img.write_bytes(write_pgm(3, 1, [0, 1, 0], 9))
+    missing = tmp_path / "no" / "such" / "dir" / "out"
+    for args in (
+        ["flood", five_path_file],
+        ["watershed", str(img), "--format", "pgm-labels"],
+    ):
+        code, out, err = run_cli(capsys, *args, "--output", str(missing))
+        assert code == 2 and out == "", args
+        assert len(err.splitlines()) == 1, args
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedInput", args
+        assert payload["detail"].startswith(f"cannot write {missing}"), args
+    assert not (tmp_path / "no").exists()

@@ -204,6 +204,29 @@ def test_closure_matches_walk_enumeration(rng):
             assert best == st_[x]
 
 
+def test_tracked_product_matches_reference_fold(rng):
+    # the sparse kernel inlines exact_chain and exact_min and skips heads
+    # above the left tail; the plain fold over every slot is the reference
+    from morphograph.lexalgebra import _mat_mul_tracked, exact_chain, exact_min
+
+    def tracked():
+        if rng.random() < 0.4:
+            return None
+        w = tuple(sorted((rng.randint(0, 5) for _ in range(rng.randint(0, 4))), reverse=True))
+        return (w, rng.randint(0, w[-1])) if w else ((), 0)
+
+    for _ in range(200):
+        n, inner, cols, k = (rng.randint(1, 5) for _ in range(4))
+        a = [[tracked() for _ in range(inner)] for _ in range(n)]
+        b = [[tracked() for _ in range(cols)] for _ in range(inner)]
+        want = [[None] * cols for _ in range(n)]
+        for i in range(n):
+            for t in range(inner):
+                for j in range(cols):
+                    want[i][j] = exact_min(want[i][j], exact_chain(a[i][t], b[t][j], k))
+        assert _mat_mul_tracked(a, b, k) == want
+
+
 def test_matrix_power_stabilizes_at_n_minus_one(rng):
     from morphograph.lexalgebra import _mat_mul_tracked, lift
 
@@ -309,3 +332,106 @@ def test_flooding_matrix_is_ultrametric(rng):
                 for z in range(n):
                     if None not in (d[x][y], d[y][z], d[x][z]):
                         assert d[x][z] <= max(d[x][y], d[y][z])
+
+
+# -- exactness of the per-minimum solutions ------------------------------------
+
+
+def _per_minimum_system(fg, k):
+    """The incidence matrix and the per-minimum UNIT columns that
+    ``distances_to_minima`` solves."""
+    from morphograph.flooding import minima_of_flooding, minima_sets
+
+    sets = minima_sets(minima_of_flooding(fg))
+    b = zero_matrix(fg.num_nodes, len(sets))
+    for c, nodes in enumerate(sets):
+        for m in nodes:
+            b[m][c] = UNIT
+    return incidence_matrix(fg, k), b
+
+
+def _quantized_pixel_flooding(rng):
+    from morphograph.flooding import as_flooding
+    from morphograph.formats import pixel_graph
+
+    width, height = rng.randint(8, 12), rng.randint(8, 12)
+    levels = rng.choice((4, 8, 16))
+    pixels = [rng.randrange(levels) for _ in range(width * height)]
+    return as_flooding(pixel_graph(width, height, pixels, rng.choice((4, 8))))
+
+
+def test_jordan_columns_match_gondran_on_pixel_floodings(rng):
+    # pivoting chains truncated paths: a single tracked element per entry
+    # loses a path whose larger window still chains further on, which
+    # left non-minimal columns on nearly every such image
+    for _ in range(12):
+        fg = _quantized_pixel_flooding(rng)
+        k = rng.randint(1, 3)
+        a, b = _per_minimum_system(fg, k)
+        assert linear_solve(a, b, k, "jordan") == linear_solve(a, b, k, "gondran")
+
+
+def test_jordan_labels_match_closure_on_pinned_image():
+    # a 5x3 crop of a dense benchmark tile on which a single-representative
+    # Jordan gave node 10 (gray 88) label 2 instead of the tie's smaller 1
+    from morphograph.flooding import as_flooding
+    from morphograph.formats import pixel_graph
+    from morphograph.lexalgebra import distances_to_minima
+
+    pixels = [142, 119, 111, 103, 67, 110, 88, 84, 102, 52, 88, 45, 41, 74, 71]
+    fg = as_flooding(pixel_graph(5, 3, pixels, 4))
+    want = distances_to_minima(fg, 1, "closure")
+    assert want[1].values[10] == 1
+    for method in ("jordan", "gondran", "jacobi", "gauss_seidel"):
+        assert distances_to_minima(fg, 1, method) == want
+
+
+def test_jordan_is_exact_where_closure_keeps_one_element():
+    # closure's squaring keeps (3,) over (6, 6) for 1 -> 2 and (3, 3) over
+    # (6,) for 0 -> 2, and neither kept element chains the 2 -> 4 edge of
+    # weight 5, so its entry (1, 4) stays ZERO; Jordan keeps both elements
+    g = WeightedGraph(
+        6, ((0, 1), (0, 2), (0, 5), (1, 2), (1, 5), (2, 4), (3, 4)), None,
+        (6, 6, 3, 3, 3, 5, 6),
+    )
+    a = incidence_matrix(g, 2)
+    for method in ("jordan", "gondran", "jacobi", "gauss_seidel"):
+        assert linear_solve(a, identity_matrix(6), 2, method)[1][4] == (6, 6)
+
+
+def test_jordan_matches_walk_enumeration(rng):
+    # cycles never improve a walk, so the elementary paths (at most n - 1
+    # edges) give the minimal weights
+    for _ in range(15):
+        g = random_edge_weighted(rng, 6)
+        k = rng.randint(1, 3)
+        n = g.num_nodes
+        y = linear_solve(incidence_matrix(g, k), identity_matrix(n), k, "jordan")
+        ew = g.edge_weights
+        for x in range(n):
+            best = [None if x != t else UNIT for t in range(n)]
+            for walk in enumerate_walks(g, x, n - 1):
+                w = lex_weight(
+                    [ew[g.edge_id(walk[t], walk[t + 1])] for t in range(len(walk) - 1)],
+                    k,
+                )
+                best[walk[-1]] = lex_min(best[walk[-1]], w)
+            assert best == y[x]
+
+
+def test_closure_is_exact_into_the_minima_of_floodings(rng):
+    # closure keeps one element per entry, which is not exact on every
+    # graph, but it is exact into the minima of a flooding graph: the
+    # only graphs distances_to_minima hands it
+    from conftest import random_flooding
+
+    for trial in range(60):
+        fg = _quantized_pixel_flooding(rng) if trial % 10 == 0 else random_flooding(rng, 14)
+        k = rng.randint(1, 4)
+        a, b = _per_minimum_system(fg, k)
+        st_ = closure(a, k)
+        assert mat_mul(st_, b, k) == linear_solve(a, b, k, "gondran")
+        n = fg.num_nodes
+        exact = linear_solve(a, identity_matrix(n), k, "jordan")
+        span = [j for j in range(n) if any(x is not None for x in b[j])]
+        assert all(st_[i][j] == exact[i][j] for i in range(n) for j in span)

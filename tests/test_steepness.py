@@ -215,3 +215,25 @@ def test_is_steep_counterexample():
     )
     assert not is_steep(g, 2)
     assert is_steep(prune_to_steepness(g, 2), 2)
+
+
+def test_local_prune_reuses_the_cached_minima(rng, monkeypatch):
+    # the minima pinned at 0 come from the cached node labeling: no
+    # further walk over the edge carrier
+    from morphograph import flooding
+
+    calls = []
+    walk = flooding.regional_minima
+    monkeypatch.setattr(
+        flooding, "regional_minima", lambda g, mode: calls.append(mode) or walk(g, mode)
+    )
+    for _ in range(10):
+        fg = random_flooding(rng, 12)
+        calls.clear()
+        flooding.minima_of_flooding(fg)
+        local_prune(fg, 2)
+        assert calls == ["nodes"]
+        # the labeling's nodes are the span zero_minima finds on its own
+        labels = flooding.minima_of_flooding(fg).values
+        span = {i for i, v in enumerate(labels) if v != UNSET}
+        assert zero_minima(fg, span) == zero_minima(fg)
