@@ -33,7 +33,7 @@ from .errors import (
     MissingWeights,
     MorphographError,
 )
-from .graphs import UNSET, WeightedGraph
+from .graphs import WeightedGraph
 
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
@@ -183,7 +183,7 @@ def _dist(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
     real = [i for i in range(fg.num_nodes) if i not in fg.dummies]
     return {
         "distances": [dists[i] for i in real],
-        "labels": [labeling.values[i] if labeling.values[i] != UNSET else 0 for i in real],
+        "labels": [labeling.values[i] for i in real],
     }
 
 

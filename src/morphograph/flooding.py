@@ -5,9 +5,10 @@ two identities "every edge is the max of its endpoints" and "every node
 is the min of its adjacent edges".  On such a graph the node-weight and
 edge-weight reliefs have the same regional minima, and each node outside
 the minima owns at least one adjacent edge of equal weight (a flooding
-pair), the atomic step of every descent used later.  The validation
-verdict and the minima labeling are computed once per graph and cached
-on it; graphs are frozen, so the cache never goes stale.
+pair), the atomic step of every descent used later.  A graph is
+validated once, by ``minima_of_flooding``, whose minima labeling is then
+cached on it as the certificate that it is a flooding graph; graphs are
+frozen, so the cache never goes stale.
 """
 
 from __future__ import annotations
@@ -51,18 +52,6 @@ def validate_flooding(g: WeightedGraph) -> FloodingReport:
     return FloodingReport(not bad_e and not bad_n, bad_e, bad_n)
 
 
-def require_flooding(g: WeightedGraph) -> WeightedGraph:
-    """Raise unless ``g`` is a flooding graph; the verdict is cached on ``g``."""
-    if "_flooding_ok" not in vars(g):
-        report = validate_flooding(g)
-        if not report.ok:
-            raise InvalidFloodingGraph(
-                f"bad edges {report.bad_edges[:8]}, bad nodes {report.bad_nodes[:8]}"
-            )
-        vars(g)["_flooding_ok"] = True
-    return g
-
-
 def flooding_from_edges(g: WeightedGraph) -> WeightedGraph:
     """Derive a flooding graph from an edge-weighted graph.
 
@@ -94,7 +83,8 @@ def as_flooding(g: WeightedGraph) -> WeightedGraph:
     derived from whichever carrier is weighted.
     """
     if g.has_node_weights and g.has_edge_weights:
-        return require_flooding(g)
+        minima_of_flooding(g)
+        return g
     if g.has_edge_weights:
         return flooding_from_edges(g)
     if g.has_node_weights:
@@ -110,14 +100,20 @@ def as_flooding(g: WeightedGraph) -> WeightedGraph:
 def minima_of_flooding(g: WeightedGraph) -> Labeling:
     """Labeling of the regional minima, identical on both carriers.
 
-    Computed on the node carrier only: on a validated flooding graph the
+    Raises InvalidFloodingGraph unless ``g`` is a flooding graph.  The
+    labeling is cached on ``g`` and doubles as the certificate that it
+    is one.  Computed on the node carrier only: on a flooding graph the
     node-weight minima are exactly the node spans of the edge-weight
     minima plus the isolated nodes, so the edge carrier adds nothing.
     Labels run from 1 in order of each minimum's smallest node id.
     """
     if "_minima" in vars(g):
         return vars(g)["_minima"]
-    require_flooding(g)
+    report = validate_flooding(g)
+    if not report.ok:
+        raise InvalidFloodingGraph(
+            f"bad edges {report.bad_edges[:8]}, bad nodes {report.bad_nodes[:8]}"
+        )
     labels = [UNSET] * g.num_nodes
     for k, m in enumerate(regional_minima(g, "nodes"), start=1):
         for i in m:
@@ -127,10 +123,15 @@ def minima_of_flooding(g: WeightedGraph) -> Labeling:
 
 
 def _inherit_minima(child: WeightedGraph, parent: WeightedGraph) -> WeightedGraph:
-    """Cache on ``child`` the verdict and minima of the flooding graph
-    ``parent``; only for a child that provably keeps both."""
-    vars(child).update(_flooding_ok=True, _minima=minima_of_flooding(parent))
+    """Cache on ``child`` the minima, and so the certificate, of the
+    flooding graph ``parent``; only for a child that provably keeps both."""
+    vars(child)["_minima"] = minima_of_flooding(parent)
     return child
+
+
+def _minimum_nodes(labeling: Labeling) -> frozenset[int]:
+    """The nodes of the minima in a ``minima_of_flooding`` labeling."""
+    return frozenset(i for i, v in enumerate(labeling.values) if v != UNSET)
 
 
 def minima_sets(labeling: Labeling) -> list[frozenset[int]]:
@@ -246,7 +247,4 @@ def assign_pairs(
 
 def flooding_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
     """Deterministic (node, edge_id) pairing for every node outside minima."""
-    labeling = minima_of_flooding(g)
-    inside = frozenset(i for i, v in enumerate(labeling.values) if v != UNSET)
-    pairing = assign_pairs(g, inside)
-    return sorted(pairing.items())
+    return sorted(assign_pairs(g, _minimum_nodes(minima_of_flooding(g))).items())

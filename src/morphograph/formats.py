@@ -3,7 +3,9 @@
 The .wgr format is line based: ``node <id> [<weight>]``, ``edge <u> <v>
 [<weight>]`` and ``#`` comments.  Ids are 0-based and dense; a missing
 weight column means the carrier is unweighted, and mixing weighted with
-unweighted lines on one carrier is an error.
+unweighted lines on one carrier is an error.  A node weight is a level
+in [0, W_MAX], or TOP on a node that no edge touches in a graph with
+weighted edges: the weight the flooding graph gives such a node.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from typing import Optional
 
 from .errors import MalformedImage, MalformedInput
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
-from .weights import W_MAX
+from .weights import TOP, W_MAX
 
 
-def _level(token: str, lineno: int) -> int:
+def _level(token: str, lineno: int, top_ok: bool = False) -> int:
     value = int(token)
-    if not 0 <= value <= W_MAX:
+    if not (0 <= value <= W_MAX or top_ok and value == TOP):
         raise MalformedInput(f"line {lineno}: weight {value} outside [0, {W_MAX}]")
     return value
 
@@ -41,7 +43,7 @@ def parse_wgr(text: str) -> WeightedGraph:
                 nid = int(parts[1])
                 if nid in nodes:
                     raise MalformedInput(f"line {lineno}: duplicate node {nid}")
-                nodes[nid] = _level(parts[2], lineno) if len(parts) == 3 else None
+                nodes[nid] = _level(parts[2], lineno, top_ok=True) if len(parts) == 3 else None
             elif parts[0] == "edge" and len(parts) in (3, 4):
                 edges.append((int(parts[1]), int(parts[2])))
                 edge_w.append(_level(parts[3], lineno) if len(parts) == 4 else None)
@@ -51,6 +53,8 @@ def parse_wgr(text: str) -> WeightedGraph:
             raise
         except ValueError:
             raise MalformedInput(f"line {lineno}: cannot parse {raw!r}") from None
+    if not nodes:
+        raise MalformedInput("input graph has no nodes")
     if sorted(nodes) != list(range(len(nodes))):
         raise MalformedInput("node ids must be dense 0..N-1")
     node_vals = [nodes[i] for i in range(len(nodes))]
@@ -60,6 +64,14 @@ def parse_wgr(text: str) -> WeightedGraph:
     weighted_edges = [v is not None for v in edge_w]
     if any(weighted_edges) and not all(weighted_edges):
         raise MalformedInput("either all edges carry a weight or none")
+    # TOP, the empty infimum, is what ``flood`` and ``prune`` write on a
+    # node no edge touches; anywhere else it could reach an edge weight
+    if TOP in node_vals:
+        touched = {i for e in edges for i in e}
+        for i, w in enumerate(node_vals):
+            if w == TOP and (i in touched or not any(weighted_edges)):
+                raise MalformedInput(f"node {i}: weight {TOP} only if no edge touches it "
+                                     "and the edges are weighted")
     try:
         return WeightedGraph(
             len(nodes),

@@ -128,9 +128,6 @@ def dijkstra_to_minima(
         dist[j] = est
         relax(j)
 
-    for i in range(g.num_nodes):
-        if not settled[i]:
-            labels[i] = UNSET
     return dist, Labeling(tuple(labels), "nodes")
 
 
@@ -153,7 +150,7 @@ def core_expanding(
 
     def push(t: int) -> None:
         nonlocal enqueued
-        key = dist[t][:k - 1] if dist[t] is not None else dist[t]
+        key = dist[t][:k - 1]
         sub = rng.random() if rng is not None else 0.0
         heapq.heappush(heap, (key, sub, next(counter), t))
         enqueued += 1
@@ -170,9 +167,6 @@ def core_expanding(
             labels[s] = labels[t]
             push(s)
 
-    for i in range(g.num_nodes):
-        if not settled[i]:
-            labels[i] = UNSET
     return dist, Labeling(tuple(labels), "nodes"), enqueued
 
 
@@ -277,9 +271,6 @@ def toll_distances(
                 heapq.heappush(heap, (nd, next(counter), j))
             elif nd == dist[j] and labels[i] < labels[j]:
                 labels[j] = labels[i]
-    for i in range(g.num_nodes):
-        if not settled[i]:
-            labels[i] = UNSET
     return dist, Labeling(tuple(labels), "nodes")
 
 

@@ -264,8 +264,9 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
     ``method="jordan"`` keeps every such element and is exact.
     """
     n = len(a)
-    m = _rows([[lift(x) for x in row] for row in mat_add(identity_matrix(n), a)])
-    m = [_by_head(row) for row in m]
+    # the rows of identity + a: UNIT wins every diagonal
+    m = [_by_head({**{j: lift(x) for j, x in row.items()}, i: UNIT_T})
+         for i, row in enumerate(_rows(a))]
     while True:
         m2 = _mul_tracked_rows([r.items() for r in m], m, k)
         if m2 == m:
@@ -291,21 +292,18 @@ def _solve_jacobi(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
 def _solve_gauss_seidel(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
     # strictly-lower part uses the previous sweep, strictly-upper the
     # current one: rows are updated bottom-up within a sweep.
-    n, cols = len(b), len(b[0])
-    nbrs = [[(j, x) for j, x in row.items() if j != i] for i, row in enumerate(_rows(a))]
-    y = zero_matrix(n, cols)
+    rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(_rows(a))]
+    b_rows = _rows(b)
+    y: list[dict] = [{} for _ in b]
     while True:
         changed = False
-        for i in range(n - 1, -1, -1):
-            for c in range(cols):
-                acc = b[i][c]
-                for j, x in nbrs[i]:
-                    acc = lex_min(acc, lex_chain(x, y[j][c], k))
-                if acc != y[i][c]:
-                    y[i][c] = acc
-                    changed = True
+        for i in range(len(b) - 1, -1, -1):
+            row = _mul_rows([rows[i]], y, k, [b_rows[i]])[0]
+            if row != y[i]:
+                y[i] = row
+                changed = True
         if not changed:
-            return y
+            return _dense(y, len(b[0]))
 
 
 def _solve_jordan(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:

@@ -18,7 +18,7 @@ from .adjunction import (
     erode_edges_to_nodes,
     erode_nodes_to_edges,
 )
-from .flooding import _inherit_minima, minima_of_flooding, zero_minima
+from .flooding import _inherit_minima, _minimum_nodes, minima_of_flooding, zero_minima
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 
 
@@ -29,7 +29,7 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     neighbors (lowest after pinning the minima at 0); larger k looks
     further down the tracks.  Edges inside the minima always survive.
     The result is a flooding graph with the same regional minima, so it
-    inherits the cached verdict and minima of ``g``.
+    inherits the cached minima of ``g``, its flooding certificate.
     """
     kept = set()
     for cands in minimal_track_edges(g, k).values():
@@ -126,8 +126,7 @@ def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    labels = minima_of_flooding(g).values
-    z = zero_minima(g, {i for i, v in enumerate(labels) if v != UNSET})
+    z = zero_minima(g, _minimum_nodes(minima_of_flooding(g)))
     for _ in range(m):
         z = local_prune_step(z)
     survivors = set(z.edges)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .flooding import assign_pairs, minima_of_flooding, minima_sets, parse_tie
+from .flooding import _minimum_nodes, assign_pairs, minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph
 from .steepness import minimal_track_edges
 
@@ -39,12 +39,6 @@ class SpanningForest:
         return self.labels.num_labels
 
 
-def _minima_inside(g: WeightedGraph) -> tuple[Labeling, frozenset[int]]:
-    labeling = minima_of_flooding(g)
-    inside = frozenset(i for i, v in enumerate(labeling.values) if v != UNSET)
-    return labeling, inside
-
-
 def unique_drain(
     g: WeightedGraph, tie: Union[str, random.Random, None] = "min-label"
 ) -> WeightedGraph:
@@ -53,30 +47,13 @@ def unique_drain(
     Edges inside the minima survive untouched; everything else not chosen
     by the pairing is cut, leaving one and only one descent per node.
     """
-    labeling, inside = _minima_inside(g)
-    rng = parse_tie(tie)
-    pairs = assign_pairs(g, inside, rng)
+    inside = _minimum_nodes(minima_of_flooding(g))
+    pairs = assign_pairs(g, inside, parse_tie(tie))
     kept = set(pairs.values())
     for eid, (u, v) in enumerate(g.edges):
         if u in inside and v in inside:
             kept.add(eid)
     return g.partial(kept)
-
-
-def _minimum_tree(g: WeightedGraph, nodes: frozenset[int]) -> set[int]:
-    """Edge ids of a breadth-first spanning tree of one minimum."""
-    tree: set[int] = set()
-    start = min(nodes)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        for j, eid in g.neighbors(i):
-            if j in nodes and j not in seen:
-                seen.add(j)
-                tree.add(eid)
-                queue.append(j)
-    return tree
 
 
 def drainage_forest(
@@ -90,14 +67,27 @@ def drainage_forest(
     weights plus (size - 1) times the level per minimum, independent of
     the tie policy.
     """
-    labeling, inside = _minima_inside(g)
-    rng = parse_tie(tie)
-    pairs = assign_pairs(g, inside, rng)
+    labeling = minima_of_flooding(g)
+    pairs = assign_pairs(g, _minimum_nodes(labeling), parse_tie(tie))
     edges: set[int] = set(pairs.values())
-    for m in minima_sets(labeling):
-        edges.update(_minimum_tree(g, m))
-
     labels = list(labeling.values)
+    # One breadth-first search spans every minimum: adjacent minimum
+    # nodes share their minimum, and each tree grows from the smallest
+    # node of its minimum, the first one the scan meets.
+    seen = [False] * g.num_nodes
+    for start, lab in enumerate(labels):
+        if lab == UNSET or seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for j, eid in g.neighbors(i):
+                if labels[j] != UNSET and not seen[j]:
+                    seen[j] = True
+                    edges.add(eid)
+                    queue.append(j)
+
     adj: dict[int, list[int]] = {}
     for eid in edges:
         u, v = g.edges[eid]
@@ -127,55 +117,41 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
     # Pruning keeps the minima and the endpoints of every minimal track
     # edge, so the tracks of g itself serve: no pruned graph is built.
     cand = minimal_track_edges(g, k)
-    labeling, inside = _minima_inside(g)
-    labels = list(labeling.values)
+    labels = list(minima_of_flooding(g).values)
 
-    # far end of each candidate edge, per node
-    nxt: dict[int, list[int]] = {}
+    # nodes whose candidate edges lead to each node
     rev: dict[int, list[int]] = {}
     for i, eids in cand.items():
         if i is None:
             continue
-        outs = []
         for eid in eids:
             u, v = g.edges[eid]
-            far = v if u == i else u
-            outs.append(far)
-            rev.setdefault(far, []).append(i)
-        nxt[i] = outs
+            rev.setdefault(v if u == i else u, []).append(i)
 
-    # wavefront step at which each node first takes a propagated value
-    dist = {i: 0 for i in inside}
-    order = []
-    frontier = sorted(inside)
-    step = 0
+    # Each wavefront takes its labels from the previous one: a newly
+    # reached node looks at the previous-wavefront nodes its minimal
+    # tracks reach, listed in increasing id order.  A node is reached
+    # once it holds a label (the minima's, a propagated one or ZONE).
+    frontier = [i for i, lab in enumerate(labels) if lab != UNSET]
     while frontier:
-        step += 1
-        newly = []
+        sources: dict[int, list[int]] = {}
         for f in frontier:
             for i in rev.get(f, ()):
-                if i not in dist:
-                    dist[i] = step
-                    newly.append(i)
-        newly.sort()
-        order.extend(newly)
-        frontier = newly
-
-    for i in order:
-        incoming = sorted(
-            {j for j in nxt[i] if dist.get(j) == dist[i] - 1}
-        )
-        got = sorted({labels[j] for j in incoming})
-        if ZONE in got:
-            labels[i] = ZONE
-        elif len(got) == 1:
-            labels[i] = got[0]
-        elif keep_zones:
-            labels[i] = ZONE
-        elif rng is None:
-            labels[i] = got[0]
-        else:
-            labels[i] = labels[rng.choice(incoming)]
+                if labels[i] == UNSET:
+                    sources.setdefault(i, []).append(f)
+        frontier = sorted(sources)
+        for i in frontier:
+            got = sorted({labels[j] for j in sources[i]})
+            if ZONE in got:
+                labels[i] = ZONE
+            elif len(got) == 1:
+                labels[i] = got[0]
+            elif keep_zones:
+                labels[i] = ZONE
+            elif rng is None:
+                labels[i] = got[0]
+            else:
+                labels[i] = labels[rng.choice(sources[i])]
     return Labeling(tuple(labels), "nodes")
 
 

@@ -297,3 +297,91 @@ def test_unwritable_output_is_one_json_line(five_path_file, tmp_path, capsys):
         assert payload["error"] == "MalformedInput", args
         assert payload["detail"].startswith(f"cannot write {missing}"), args
     assert not (tmp_path / "no").exists()
+
+
+# -- one exit-code contract over a pathological corpus -----------------------
+
+# name -> (file name, bytes, extra flags, errors): errors is the error type
+# of every command, or a map from each failing command to its error type
+CORPUS = {
+    **{
+        f"{name}-c{conn}": (f"{name}.pgm", data, ["--connectivity", str(conn)], {})
+        for name, data in (
+            ("flat5x5", b"P2 5 5 9\n" + b"3 " * 25 + b"\n"),
+            ("row1x7", b"P2 7 1 9\n3 1 4 1 5 9 2\n"),
+            ("single1x1", b"P2 1 1 9\n4\n"),
+            ("dummies", b"P2 4 1 9\n1 5 1 5\n"),  # two isolated minima
+        )
+        for conn in (4, 8)
+    },
+    "two-components": ("two.wgr", b"node 0\nnode 1\nnode 2\nnode 3\nedge 0 1 2\nedge 2 3 5\n", [], {
+        "waterfall": "DisconnectedInput",
+        "waterfall --format dot": "DisconnectedInput",
+        "mst": "DisconnectedInput",
+    }),
+    "not-flooding": ("bad.wgr", b"node 0 1\nnode 1 1\nedge 0 1 5\n", [], "InvalidFloodingGraph"),
+    "unweighted": ("plain.wgr", b"node 0\nnode 1\nedge 0 1\n", [], "MissingWeights"),
+    "comment-only": ("comment.wgr", b"# no graph here\n", [], "MalformedInput"),
+    "empty": ("empty.wgr", b"", [], "MalformedInput"),
+}
+
+COMMANDS = (
+    "flood", "prune --steepness 2", "watershed", "watershed --format dot",
+    "watershed --format pgm-labels", "waterfall", "waterfall --format dot", "mst",
+    "dist", "dist --method closure",
+)
+
+EXIT_CODES = {
+    "MalformedInput": 2, "MalformedImage": 2, "MissingWeights": 2,
+    "InvalidFloodingGraph": 3, "DisconnectedInput": 3,
+}
+
+
+def _expected(name, command):
+    fname, _, _, errors = CORPUS[name]
+    if isinstance(errors, str):  # the input fails every command
+        return errors
+    if command == "watershed --format pgm-labels" and not fname.endswith(".pgm"):
+        return "MalformedInput"
+    return errors.get(command)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_exit_code_contract(name, command, tmp_path, capsysbinary):
+    fname, data, flags, _ = CORPUS[name]
+    path = tmp_path / fname
+    path.write_bytes(data)
+    want = _expected(name, command)
+    code = main([*command.split()[:1], str(path), *command.split()[1:], *flags])
+    out, err = capsysbinary.readouterr()
+    if want is None:
+        assert code == 0 and out and not err
+        return
+    assert code == EXIT_CODES[want] and out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == want
+
+
+def test_empty_graph_has_its_own_message(tmp_path, capsys):
+    p = tmp_path / "empty.wgr"
+    p.write_text("")
+    code, out, err = run_cli(capsys, "flood", str(p))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "MalformedInput", "detail": "input graph has no nodes"}
+
+
+def test_flood_reads_back_the_top_it_writes(tmp_path, capsys):
+    # node 2 touches no edge: its flooding weight is TOP, the empty infimum
+    p = tmp_path / "isolated.wgr"
+    p.write_text("node 0\nnode 1\nnode 2\nedge 0 1 4\n")
+    code, out, _ = run_cli(capsys, "flood", str(p))
+    assert code == 0 and "node 2 9223372036854775807" in out
+    flooded = tmp_path / "flooded.wgr"
+    flooded.write_text(out)
+    code, again, _ = run_cli(capsys, "flood", str(flooded))
+    assert code == 0 and again == out
+    code, out, err = run_cli(capsys, "watershed", str(flooded))
+    assert code == 0 and not err
+    assert json.loads(out)["minima"] == [[0, 1], [2]]

@@ -49,6 +49,20 @@ def test_wgr_rejects_malformed(text):
         parse_wgr(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "node 0 9223372036854775807\nnode 1 4\nedge 0 1 4\n",  # touched by an edge
+        "node 0 9223372036854775807\nnode 1 4\n",             # no weighted edges
+        "node 0 9223372036854775807\nnode 1 4\nnode 2 4\nedge 1 2\n",  # unweighted edges
+        "node 0 4\nnode 1 4\nedge 0 1 9223372036854775807\n",  # never on an edge
+    ],
+)
+def test_top_is_refused_where_it_could_reach_an_edge(text):
+    with pytest.raises(MalformedInput):
+        parse_wgr(text)
+
+
 def test_pgm_ascii_and_binary_agree():
     ascii_pgm = b"P2\n# comment\n3 2 9\n0 1 2\n3 4 5\n"
     binary = write_pgm(3, 2, [0, 1, 2, 3, 4, 5], 9)
