@@ -11,6 +11,10 @@ Composing a dilation with its adjunct erosion yields the edge opening
 and node closing, whose invariants drive everything downstream.  Empty
 suprema/infima on isolated nodes fall back to BOTTOM/TOP so the
 adjunction law stays valid on disconnected graphs.
+
+Each operator is one loop over the edge list: node-to-edge operators
+read both ends of an edge, edge-to-node ones scatter its weight onto
+both ends from BOTTOM or TOP, so none needs the adjacency rows.
 """
 
 from __future__ import annotations
@@ -26,28 +30,34 @@ Field = tuple[int, ...]
 
 def erode_nodes_to_edges(g: WeightedGraph, n: Sequence[int]) -> Field:
     """Each edge takes the minimum of its endpoint weights."""
-    return tuple(min(n[u], n[v]) for (u, v) in g.edges)
+    return tuple([n[u] if n[u] < n[v] else n[v] for u, v in g.edges])
 
 
 def dilate_nodes_to_edges(g: WeightedGraph, n: Sequence[int]) -> Field:
     """Each edge takes the maximum of its endpoint weights."""
-    return tuple(max(n[u], n[v]) for (u, v) in g.edges)
+    return tuple([n[u] if n[u] > n[v] else n[v] for u, v in g.edges])
 
 
 def dilate_edges_to_nodes(g: WeightedGraph, e: Sequence[int]) -> Field:
     """Each node takes the maximum of its adjacent edges (BOTTOM if none)."""
-    return tuple(
-        max((e[eid] for _, eid in g.neighbors(i)), default=BOTTOM)
-        for i in range(g.num_nodes)
-    )
+    out = [BOTTOM] * g.num_nodes
+    for (u, v), w in zip(g.edges, e):
+        if w > out[u]:
+            out[u] = w
+        if w > out[v]:
+            out[v] = w
+    return tuple(out)
 
 
 def erode_edges_to_nodes(g: WeightedGraph, e: Sequence[int]) -> Field:
     """Each node takes the minimum of its adjacent edges (TOP if none)."""
-    return tuple(
-        min((e[eid] for _, eid in g.neighbors(i)), default=TOP)
-        for i in range(g.num_nodes)
-    )
+    out = [TOP] * g.num_nodes
+    for (u, v), w in zip(g.edges, e):
+        if w < out[u]:
+            out[u] = w
+        if w < out[v]:
+            out[v] = w
+    return tuple(out)
 
 
 _OPS = {

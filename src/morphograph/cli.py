@@ -115,14 +115,14 @@ def _prune(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
 
 
 def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
-    fg = flooding.as_flooding(g)
+    fg = flooding.as_flooding(g)  # its input errors outrank the refusal below
+    if args.fmt == "pgm-labels" and shape is None:
+        raise MalformedInput("pgm-labels output needs a PGM input")
     if args.algo == "hq":
         labeling = geodesics.hq_watershed(fg)
     else:
         _, labeling = _geodesic(fg, args.algo, args)
     if args.fmt == "pgm-labels":
-        if shape is None:
-            raise MalformedInput("pgm-labels output needs a PGM input")
         data, legend = formats.labels_to_pgm(shape[0], shape[1], labeling)
         if args.output:
             _write(args.output + ".legend.json", json.dumps(legend, sort_keys=True))

@@ -150,22 +150,29 @@ def zero_minima(g: WeightedGraph, span: Optional[set[int]] = None) -> WeightedGr
     edge-weight minima plus the isolated nodes; a caller holding the
     ``minima_of_flooding`` labeling passes its nodes instead.
     """
+    if span is None:
+        g.require_node_weights()
+        # the nodes of the edge-weight minima, then the isolated nodes
+        span = set().union(*minima_span(regional_minima(g, "edges"), g, "edges"))
+        linked = {n for e in g.edges for n in e}  # the nodes of degree > 0
+        span.update(i for i in range(g.num_nodes) if i not in linked)
+    return g.with_weights(*_zeroed_weights(g, span))
+
+
+def _zeroed_weights(g: WeightedGraph, span) -> tuple[list[int], list[int]]:
+    """Node and edge weights of ``g`` with the nodes in ``span``, and the
+    edges between them, at 0: the weights ``zero_minima`` gives."""
     nw = g.require_node_weights()
     ew = g.require_edge_weights()
-    if span is None:
-        span = set()
-        for m in minima_span(regional_minima(g, "edges"), g, "edges"):
-            span.update(m)
-        span.update(i for i in range(g.num_nodes) if not g.neighbors(i))
     for i in range(g.num_nodes):
         if i not in span and nw[i] == 0:
             raise ZeroNonMinimum(f"node {i} weighs 0 outside the minima")
-    new_n = tuple(0 if i in span else nw[i] for i in range(g.num_nodes))
-    new_e = tuple(
+    new_n = [0 if i in span else nw[i] for i in range(g.num_nodes)]
+    new_e = [
         0 if u in span and v in span else ew[eid]
         for eid, (u, v) in enumerate(g.edges)
-    )
-    return g.with_weights(node_weights=new_n, edge_weights=new_e)
+    ]
+    return new_n, new_e
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,13 @@ def _root_groups(roots) -> list[frozenset[int]]:
 
 def node_erosion(g: WeightedGraph, n: Sequence[int]) -> tuple[int, ...]:
     """Per node, min of its own weight and its neighbors' weights."""
-    return tuple(
-        min([n[i]] + [n[j] for j, _ in g.neighbors(i)]) for i in range(g.num_nodes)
-    )
+    out = list(n)
+    for u, v in g.edges:
+        if n[v] < out[u]:
+            out[u] = n[v]
+        if n[u] < out[v]:
+            out[v] = n[u]
+    return tuple(out)
 
 
 def toll_distances(

@@ -9,16 +9,19 @@ every operator returns a new graph, so instances are safe to share.
 Dummy nodes introduced by :func:`expand_isolated_minima` are flagged in
 ``dummies`` so exporters can hide them; they behave like ordinary nodes
 everywhere else.
+
+Passes over the whole graph (flat zones, lowest-edge filters) loop over
+``edges``; only traversals from node to node read the adjacency rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import MissingWeights
+from .weights import TOP
 
 UNSET = 0
 ZONE = -1
@@ -51,8 +54,31 @@ class Labeling:
         return frozenset(i for i, v in enumerate(self.values) if v == ZONE)
 
 
+class _Topology:
+    """Lookups over one edge list, each built on first use and shared by
+    every graph with these nodes and edges (see ``with_weights``)."""
+
+    def __init__(self, num_nodes: int, edges: tuple[tuple[int, int], ...]):
+        self.num_nodes, self.edges = num_nodes, edges
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        for eid, (u, v) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
+    """Nodes ``0..num_nodes-1``, sorted edge pairs and optional weights; the
+    adjacency rows and edge index are built lazily, once per topology."""
+
     num_nodes: int
     edges: tuple[tuple[int, int], ...] = ()
     node_weights: Optional[tuple[int, ...]] = None
@@ -69,6 +95,7 @@ class WeightedGraph:
         if self.edge_weights is not None:
             object.__setattr__(self, "edge_weights", tuple(self.edge_weights))
         object.__setattr__(self, "dummies", frozenset(self.dummies))
+        object.__setattr__(self, "_topology", _Topology(self.num_nodes, edges))
         seen = set()
         for (u, v) in edges:
             if u == v:
@@ -90,32 +117,28 @@ class WeightedGraph:
 
     @classmethod
     def _derive(cls, num_nodes, edges, node_weights, edge_weights, dummies,
-                adjacency=None) -> "WeightedGraph":
+                topology=None) -> "WeightedGraph":
         """Constructor for edges known normalised, in range and distinct
-        (and their sorted ``adjacency``, if given): only weight lengths are
-        checked, and nothing else is cached on the new graph."""
+        (sharing ``topology``, if given, a graph with the same edges): only
+        weight lengths are checked, and nothing else is cached."""
         g = object.__new__(cls)
         vars(g).update(num_nodes=num_nodes, edges=edges, node_weights=node_weights,
-                       edge_weights=edge_weights, dummies=dummies)
-        if adjacency is not None:
-            vars(g)["adjacency"] = adjacency
+                       edge_weights=edge_weights, dummies=dummies,
+                       _topology=topology or _Topology(num_nodes, edges))
         g._check_weights()
         return g
 
     # -- basic accessors ---------------------------------------------------
 
-    @cached_property
+    @property
     def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
+        return self._topology.edge_index
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node, sorted tuple of (neighbor, edge_id)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return tuple(tuple(sorted(a)) for a in adj)
+        """Per node, sorted tuple of (neighbor, edge_id); kept on the graph
+        too, since ``neighbors`` reads it once per visited node."""
+        return self._topology.adjacency
 
     def edge_id(self, u: int, v: int) -> int:
         return self._edge_index[(u, v) if u < v else (v, u)]
@@ -144,40 +167,26 @@ class WeightedGraph:
     # -- derived graphs ----------------------------------------------------
 
     def with_weights(self, node_weights=None, edge_weights=None) -> "WeightedGraph":
-        """Copy with one or both weight fields replaced; shares the topology."""
-        g = WeightedGraph._derive(
+        """Copy with one or both weight fields replaced; shares the topology
+        and its lazily built lookups, whichever graph builds them first."""
+        return WeightedGraph._derive(
             self.num_nodes,
             self.edges,
             tuple(node_weights) if node_weights is not None else self.node_weights,
             tuple(edge_weights) if edge_weights is not None else self.edge_weights,
             self.dummies,
-            self.adjacency,
+            self._topology,
         )
-        if "_edge_index" in vars(self):
-            vars(g)["_edge_index"] = self._edge_index
-        return g
 
     def partial(self, keep: Iterable[int]) -> "WeightedGraph":
         """Partial graph: same nodes, only the edges in ``keep`` (edge ids)."""
         kept = sorted(set(keep))
         if kept and (kept[0] < 0 or kept[-1] >= len(self.edges)):
             raise IndexError("edge id out of range")
-        new_id = [-1] * len(self.edges)
-        for k, eid in enumerate(kept):
-            new_id[eid] = k
-        # old ids map to new ids in the same order, so each filtered
-        # adjacency row stays sorted
-        adjacency = tuple(
-            tuple([(j, new_id[eid]) for j, eid in row if new_id[eid] >= 0])
-            for row in self.adjacency
-        )
-        edges = tuple(self.edges[i] for i in kept)
-        ew = None
-        if self.edge_weights is not None:
-            ew = tuple(self.edge_weights[i] for i in kept)
+        ew = self.edge_weights
         return WeightedGraph._derive(
-            self.num_nodes, edges, self.node_weights, ew, self.dummies, adjacency
-        )
+            self.num_nodes, tuple([self.edges[i] for i in kept]), self.node_weights,
+            None if ew is None else tuple([ew[i] for i in kept]), self.dummies)
 
 
 # ---------------------------------------------------------------------------
@@ -192,70 +201,69 @@ def connected_components(g: WeightedGraph, restrict: Optional[Iterable[int]] = N
     consecutive from 1 in order of the smallest node id per component;
     isolated nodes become singleton components.
     """
-    allowed = set(range(len(g.edges))) if restrict is None else set(restrict)
-    adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for eid in allowed:
-        u, v = g.edges[eid]
-        adj[u].append(v)
-        adj[v].append(u)
-    labels = [UNSET] * g.num_nodes
-    nxt = 1
-    for start in range(g.num_nodes):
-        if labels[start] != UNSET:
-            continue
-        labels[start] = nxt
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if labels[j] == UNSET:
-                    labels[j] = nxt
-                    queue.append(j)
-        nxt += 1
-    return Labeling(tuple(labels), "nodes")
+    parent = list(range(g.num_nodes))
+    for eid in range(len(g.edges)) if restrict is None else restrict:
+        _union(parent, *g.edges[eid])
+    return Labeling(tuple(_set_labels(parent)), "nodes")
 
 
-def _zone_walk(g: WeightedGraph, mode: str) -> tuple[list[int], list[tuple[list[int], bool]]]:
-    """Visit each flat zone of the chosen carrier once, breadth-first.
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Join the sets of ``a`` and ``b``; each root is its set's smallest
+    id, so every parent link points to a smaller id."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
+
+
+def _set_labels(parent: list[int]) -> list[int]:
+    """Labels from 1 in order of each set's smallest id: a parent, being
+    smaller, is labeled before its children."""
+    labels, k = [UNSET] * len(parent), 0
+    for x, p in enumerate(parent):
+        k += p == x
+        labels[x] = k if p == x else labels[p]
+    return labels
+
+
+def _zone_walk(g: WeightedGraph, mode: str) -> tuple[list[int], list[bool]]:
+    """Flat zones of the chosen carrier, by one union-find pass over the edges.
 
     Returns the per-carrier zone labels (consecutive from 1, in order of
-    the smallest id per zone) and, per zone, its member ids and whether
-    no neighbor of the zone lies strictly lower (a regional minimum).
+    the smallest id per zone) and, per zone label, whether no neighbor of
+    the zone lies strictly lower (a regional minimum).
     """
     if mode == "nodes":
-        w, size, pick = g.require_node_weights(), g.num_nodes, 0
+        w = g.require_node_weights()
+        parent, low = list(range(g.num_nodes)), [True] * g.num_nodes
+        for u, v in g.edges:
+            if w[u] == w[v]:
+                _union(parent, u, v)
+            elif w[u] < w[v]:
+                low[v] = False
+            else:
+                low[u] = False
     elif mode == "edges":
-        w, size, pick = g.require_edge_weights(), len(g.edges), 1
+        w = g.require_edge_weights()
+        parent, lo = list(range(len(w))), [TOP] * g.num_nodes
+        first: dict[tuple[int, int], int] = {}  # (node, weight) -> an edge there
+        for eid, (ends, x) in enumerate(zip(g.edges, w)):
+            for n in ends:
+                if x < lo[n]:
+                    lo[n] = x
+                _union(parent, first.setdefault((n, x), eid), eid)
+        low = [x <= lo[u] and x <= lo[v] for (u, v), x in zip(g.edges, w)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    adj = g.adjacency
-    # the nodes whose adjacency holds each member's neighbors
-    ends = g.edges if pick else [(i,) for i in range(size)]
-    labels = [UNSET] * size
-    # stamp[n] == k once node n's adjacency was scanned for zone k
-    stamp = [UNSET] * g.num_nodes
-    zones: list[tuple[list[int], bool]] = []
-    for start in range(size):
-        if labels[start] != UNSET:
-            continue
-        k, level = len(zones) + 1, w[start]
-        labels[start] = k
-        members, lowest = [start], True
-        for x in members:  # grows while it is walked
-            for n in ends[x]:
-                if stamp[n] == k:
-                    continue
-                stamp[n] = k
-                for entry in adj[n]:
-                    y = entry[pick]  # entry = (neighbor node, edge id)
-                    if w[y] == level:
-                        if labels[y] == UNSET:
-                            labels[y] = k
-                            members.append(y)
-                    elif w[y] < level:
-                        lowest = False
-        zones.append((members, lowest))
-    return labels, zones
+    labels = _set_labels(parent)
+    lowest = [True] * max(labels, default=0)
+    for k, x in zip(labels, low):
+        lowest[k - 1] &= x
+    return labels, lowest
 
 
 def flat_zones(g: WeightedGraph, mode: str) -> Labeling:
@@ -277,8 +285,12 @@ def regional_minima(g: WeightedGraph, mode: str) -> list[frozenset[int]]:
     whose neighboring nodes are all higher.  Returned sets are ordered by
     smallest contained id.
     """
-    _, zones = _zone_walk(g, mode)
-    return [frozenset(members) for members, lowest in zones if lowest]
+    labels, lowest = _zone_walk(g, mode)
+    members: dict[int, list[int]] = {k: [] for k, low in enumerate(lowest, 1) if low}
+    for x, k in enumerate(labels):
+        if k in members:
+            members[k].append(x)
+    return [frozenset(m) for m in members.values()]
 
 
 def minima_span(minima: Sequence[frozenset[int]], g: WeightedGraph, mode: str) -> list[frozenset[int]]:
@@ -309,13 +321,9 @@ def contract(g: WeightedGraph, h: Iterable[int]) -> Contraction:
     constituent old id.  Node weights do not survive contraction: the
     result is an edge-weighted (or unweighted) graph.
     """
-    comp = connected_components(g, h)
-    reps: dict[int, int] = {}
-    for i, lab in enumerate(comp.values):
-        reps.setdefault(lab, i)  # first node seen = smallest id
-    order = sorted(reps.values())
-    new_id = {rep: k for k, rep in enumerate(order)}
-    node_map = tuple(new_id[reps[comp.values[i]]] for i in range(g.num_nodes))
+    # components are labeled from 1 in order of their smallest node id
+    node_map = tuple([lab - 1 for lab in connected_components(g, h).values])
+    count = max(node_map, default=-1) + 1
 
     ew = g.edge_weights
     best: dict[tuple[int, int], tuple[int, int]] = {}  # (u', v') -> (weight key, old eid)
@@ -332,13 +340,10 @@ def contract(g: WeightedGraph, h: Iterable[int]) -> Contraction:
     origins = tuple(best[p][1] for p in pairs)
     new_ew = tuple(best[p][0] for p in pairs) if ew is not None else None
 
-    members: dict[int, list[int]] = {}
-    for i in range(g.num_nodes):
-        members.setdefault(node_map[i], []).append(i)
-    new_dummies = frozenset(
-        k for k, ms in members.items() if all(m in g.dummies for m in ms)
-    )
-    graph = WeightedGraph._derive(len(order), new_edges, None, new_ew, new_dummies)
+    # a new node is a dummy when all its old nodes are
+    new_dummies = frozenset(range(count)).difference(
+        k for i, k in enumerate(node_map) if i not in g.dummies)
+    graph = WeightedGraph._derive(count, new_edges, None, new_ew, new_dummies)
     return Contraction(graph, node_map, origins)
 
 
@@ -352,24 +357,11 @@ def expand_isolated_minima(g: WeightedGraph) -> WeightedGraph:
     singles = [next(iter(m)) for m in regional_minima(g, "nodes") if len(m) == 1]
     if not singles:
         return g
-    n, e = g.num_nodes, len(g.edges)
-    new_nw = list(nw)
-    new_edges = list(g.edges)
-    new_ew = list(g.edge_weights) if g.edge_weights is not None else None
-    adjacency = list(g.adjacency)
-    for i in singles:
-        new_nw.append(nw[i])
-        new_edges.append((i, n))
-        if new_ew is not None:
-            new_ew.append(nw[i])
-        # the dummy's id exceeds every neighbor of i, so the row stays sorted
-        adjacency[i] += ((n, e),)
-        adjacency.append(((i, e),))
-        n, e = n + 1, e + 1
+    dummies, ew = range(g.num_nodes, g.num_nodes + len(singles)), g.edge_weights
+    twins = tuple(nw[i] for i in singles)  # each dummy's weight and edge weight
     return WeightedGraph._derive(
-        n, tuple(new_edges), tuple(new_nw),
-        tuple(new_ew) if new_ew is not None else None,
-        g.dummies | frozenset(range(g.num_nodes, n)), tuple(adjacency),
+        dummies.stop, g.edges + tuple(zip(singles, dummies)), nw + twins,
+        None if ew is None else ew + twins, g.dummies | frozenset(dummies),
     )
 
 
@@ -380,23 +372,19 @@ def lowest_edge_filter(g: WeightedGraph, mode: str) -> frozenset[int]:
     mode="lowest_nodes": per node keep the edges toward its lowest
     neighboring nodes.  Every non-isolated node retains at least one edge.
     """
-    kept: set[int] = set()
     if mode == "lowest_edges":
         ew = g.require_edge_weights()
-        for i in range(g.num_nodes):
-            adj = g.neighbors(i)
-            if not adj:
-                continue
-            lo = min(ew[eid] for _, eid in adj)
-            kept.update(eid for _, eid in adj if ew[eid] == lo)
-        return frozenset(kept)
-    if mode == "lowest_nodes":
+        seen = list(zip(ew, ew))  # per edge, the values its ends u, v compare
+    elif mode == "lowest_nodes":
         nw = g.require_node_weights()
-        for i in range(g.num_nodes):
-            adj = g.neighbors(i)
-            if not adj:
-                continue
-            lo = min(nw[j] for j, _ in adj)
-            kept.update(eid for j, eid in adj if nw[j] == lo)
-        return frozenset(kept)
-    raise ValueError(f"unknown mode {mode!r}")
+        seen = [(nw[v], nw[u]) for u, v in g.edges]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    lo = [TOP] * g.num_nodes
+    for (u, v), (a, b) in zip(g.edges, seen):
+        if a < lo[u]:
+            lo[u] = a
+        if b < lo[v]:
+            lo[v] = b
+    return frozenset([eid for eid, ((u, v), (a, b)) in enumerate(zip(g.edges, seen))
+                      if a == lo[u] or b == lo[v]])

@@ -14,12 +14,9 @@ always carries the original weights on the surviving carriers.
 
 from __future__ import annotations
 
-from .adjunction import (
-    erode_edges_to_nodes,
-    erode_nodes_to_edges,
-)
-from .flooding import _inherit_minima, _minimum_nodes, minima_of_flooding, zero_minima
-from .graphs import UNSET, WeightedGraph, lowest_edge_filter
+from .flooding import _inherit_minima, _minimum_nodes, _zeroed_weights, minima_of_flooding
+from .graphs import UNSET, WeightedGraph
+from .weights import TOP
 
 
 def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
@@ -43,47 +40,45 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
     The key ``None`` holds the edges inside regional minima, which the
     pruning never touches.  Tracks stop on reaching a minimum node; all
     candidate edges of a node share the node's own weight, so tracks are
-    compared by their tails.
+    compared by their tails.  Each pass runs over the flooding pairs.
     """
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
-    nw = g.node_weights
-    ew = g.edge_weights
-    labels = minima_of_flooding(g).values
-    in_min = [v != UNSET for v in labels]
+    nw, ew = g.node_weights, g.edge_weights
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+
+    def pairs():
+        """(i, j, eid): node i outside the minima floods edge eid to j."""
+        for eid, ((u, v), w) in enumerate(zip(g.edges, ew)):
+            if w == nw[u] and not in_min[u]:
+                yield u, v, eid
+            if w == nw[v] and not in_min[v]:
+                yield v, u, eid
+
+    def lowest(tails):
+        """Per node, the least ``tails[j]`` over its pairs (None if none)."""
+        lo = [None] * g.num_nodes
+        for i, j, _ in pairs():
+            if lo[i] is None or tails[j] < lo[i]:
+                lo[i] = tails[j]
+        return lo
 
     # best[i] = minimal lexicographic tail of a track starting at i with
-    # the current budget; () once inside a minimum or out of budget.
-    best: list[tuple] = [() for _ in range(g.num_nodes)]
+    # the current budget; () once inside a minimum or out of budget.  All
+    # pairs of i share its weight, so they are ranked by their tails.
+    best: list = [()] * g.num_nodes
     for _ in range(k - 1):
-        nxt = []
-        for i in range(g.num_nodes):
-            if in_min[i] or not g.neighbors(i):
-                nxt.append(())
-                continue
-            w = nw[i]
-            lo = None
-            for j, eid in g.neighbors(i):
-                if ew[eid] == w:
-                    cand = (w,) + best[j]
-                    if lo is None or cand < lo:
-                        lo = cand
-            nxt.append(lo if lo is not None else ())
-        best = nxt
+        best = [() if t is None else (w,) + t for w, t in zip(nw, lowest(best))]
+    lo, picked = [None] * g.num_nodes, [None] * g.num_nodes
+    for i, j, eid in pairs():  # the pairs of each node reaching its least tail
+        if lo[i] is None or best[j] < lo[i]:
+            lo[i], picked[i] = best[j], [eid]
+        elif best[j] == lo[i]:
+            picked[i].append(eid)
 
-    out: dict = {}
-    inside = []
-    for eid, (u, v) in enumerate(g.edges):
-        if in_min[u] and in_min[v]:
-            inside.append(eid)
-    out[None] = frozenset(inside)
-    for i in range(g.num_nodes):
-        if in_min[i] or not g.neighbors(i):
-            continue
-        w = nw[i]
-        cands = [(best[j], eid) for j, eid in g.neighbors(i) if ew[eid] == w]
-        lo = min(tail for tail, _ in cands)
-        out[i] = frozenset(eid for tail, eid in cands if tail == lo)
+    out: dict = {None: frozenset([eid for eid, (u, v) in enumerate(g.edges)
+                                  if in_min[u] and in_min[v]])}
+    out.update((i, frozenset(p)) for i, p in enumerate(picked) if p)
     return out
 
 
@@ -97,12 +92,50 @@ def erode_weights(g: WeightedGraph, times: int = 1) -> WeightedGraph:
     """
     out = g
     for _ in range(times):
-        nw = out.require_node_weights()
-        ew = out.require_edge_weights()
-        new_e = erode_nodes_to_edges(out, erode_edges_to_nodes(out, ew))
-        new_n = erode_edges_to_nodes(out, erode_nodes_to_edges(out, nw))
-        out = out.with_weights(node_weights=new_n, edge_weights=new_e)
+        nw, ew = list(out.require_node_weights()), list(out.require_edge_weights())
+        _erode(out.edges, range(len(ew)), nw, ew)
+        out = out.with_weights(node_weights=nw, edge_weights=ew)
     return out
+
+
+def _erode(edges, live, nw: list[int], ew: list[int]) -> None:
+    """``erode_weights`` in place over the edge ids ``live`` only: a node
+    without a live edge takes TOP, a dead edge keeps a stale weight."""
+    low_e, low_n = [TOP] * len(nw), [TOP] * len(nw)
+    for eid in live:
+        u, v = edges[eid]
+        w, n = ew[eid], nw[u] if nw[u] < nw[v] else nw[v]
+        if w < low_e[u]:
+            low_e[u] = w
+        if w < low_e[v]:
+            low_e[v] = w
+        if n < low_n[u]:
+            low_n[u] = n
+        if n < low_n[v]:
+            low_n[v] = n
+    for eid in live:
+        u, v = edges[eid]
+        ew[eid] = low_e[u] if low_e[u] < low_e[v] else low_e[v]
+    nw[:] = low_n
+
+
+def _narrow(edges, live: list[int], nw: list[int], ew: list[int]) -> list[int]:
+    """One local pruning step over the edge ids ``live``: keeps the ids that
+    still tie a node to a lowest live neighbor, then erodes over them."""
+    lo = [TOP] * len(nw)
+    for eid in live:
+        u, v = edges[eid]
+        if nw[v] < lo[u]:
+            lo[u] = nw[v]
+        if nw[u] < lo[v]:
+            lo[v] = nw[u]
+    kept = []
+    for eid in live:
+        u, v = edges[eid]
+        if nw[v] == lo[u] or nw[u] == lo[v]:
+            kept.append(eid)
+    _erode(edges, kept, nw, ew)
+    return kept
 
 
 def local_prune_step(g: WeightedGraph) -> WeightedGraph:
@@ -114,24 +147,30 @@ def local_prune_step(g: WeightedGraph) -> WeightedGraph:
     would leave edges toward higher neighbors looking minimal at plateau
     nodes, so the filter reads the weights before they glide.)
     """
-    kept = lowest_edge_filter(g, "lowest_nodes")
-    return erode_weights(g.partial(kept))
+    nw, ew = list(g.require_node_weights()), list(g.require_edge_weights())
+    kept = _narrow(g.edges, list(range(len(g.edges))), nw, ew)
+    return g.partial(kept).with_weights(node_weights=nw, edge_weights=[ew[e] for e in kept])
+
+
+def _local_survivors(g: WeightedGraph, m: int) -> list[int]:
+    """Edge ids of ``g`` left by ``m`` local steps on its zeroed minima."""
+    if m < 0:
+        raise ValueError("iteration count must be >= 0")
+    nw, ew = _zeroed_weights(g, _minimum_nodes(minima_of_flooding(g)))
+    live = list(range(len(g.edges)))
+    for _ in range(m):
+        live = _narrow(g.edges, live, nw, ew)
+    return live
 
 
 def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:
     """Iterate the local step ``m`` times, then restore original weights.
 
     The surviving edge set equals ``prune_to_steepness(g, m + 1)``;
-    m=0 is the identity.
+    m=0 is the identity.  The steps narrow a list of live edge ids, and
+    the one graph built is the partial graph of the survivors.
     """
-    if m < 0:
-        raise ValueError("iteration count must be >= 0")
-    z = zero_minima(g, _minimum_nodes(minima_of_flooding(g)))
-    for _ in range(m):
-        z = local_prune_step(z)
-    survivors = set(z.edges)
-    kept = [eid for eid, e in enumerate(g.edges) if e in survivors]
-    return g.partial(kept)
+    return g.partial(_local_survivors(g, m))
 
 
 def is_steep(g: WeightedGraph, k: int) -> bool:
@@ -144,4 +183,4 @@ def is_steep(g: WeightedGraph, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
-    return len(local_prune(g, k - 1).edges) == len(g.edges)
+    return len(_local_survivors(g, k - 1)) == len(g.edges)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .flooding import _minimum_nodes, assign_pairs, minima_of_flooding, parse_tie
-from .graphs import Labeling, UNSET, ZONE, WeightedGraph
+from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
 from .steepness import minimal_track_edges
 
 
@@ -88,18 +88,10 @@ def drainage_forest(
                     edges.add(eid)
                     queue.append(j)
 
-    adj: dict[int, list[int]] = {}
-    for eid in edges:
-        u, v = g.edges[eid]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    queue = deque(i for i, lab in enumerate(labels) if lab != UNSET)
-    while queue:
-        i = queue.popleft()
-        for j in adj.get(i, ()):
-            if labels[j] == UNSET:
-                labels[j] = labels[i]
-                queue.append(j)
+    # each tree of the forest holds one minimum and takes its label
+    tree = connected_components(g, edges).values
+    label_of = {tree[i]: lab for i, lab in enumerate(labels) if lab != UNSET}
+    labels = [label_of.get(t, UNSET) for t in tree]
     return SpanningForest(frozenset(edges), Labeling(tuple(labels), "nodes"))
 
 

@@ -385,3 +385,20 @@ def test_flood_reads_back_the_top_it_writes(tmp_path, capsys):
     code, out, err = run_cli(capsys, "watershed", str(flooded))
     assert code == 0 and not err
     assert json.loads(out)["minima"] == [[0, 1], [2]]
+
+
+@pytest.mark.parametrize("algo", ("core", "dijkstra", "hq"))
+def test_pgm_labels_on_a_wgr_is_refused_before_the_watershed(
+        algo, five_path_file, capsys, monkeypatch):
+    from morphograph import geodesics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the watershed ran before the refusal")
+
+    for name in ("core_expanding", "dijkstra_to_minima", "hq_watershed"):
+        monkeypatch.setattr(geodesics, name, refuse)
+    code, out, err = run_cli(
+        capsys, "watershed", five_path_file, "--format", "pgm-labels", "--algo", algo)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "MalformedInput"

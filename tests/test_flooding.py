@@ -171,28 +171,16 @@ def test_erosion_ignores_filtered_edges_exhaustive():
     # every graph on <= 5 nodes, every weight assignment over {0,1,2}
     import itertools
 
-    from morphograph.weights import TOP
-
     for n in range(2, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for r in range(1, len(pairs) + 1):
             for edges in itertools.combinations(pairs, r):
-                adj = [[] for _ in range(n)]
-                for eid, (u, v) in enumerate(edges):
-                    adj[u].append(eid)
-                    adj[v].append(eid)
+                g = WeightedGraph(n, edges)
                 for ef in itertools.product((0, 1, 2), repeat=r):
-                    eroded = [
-                        min((ef[e] for e in a), default=TOP) for a in adj
-                    ]
-                    kept = set()
-                    for i in range(n):
-                        kept.update(e for e in adj[i] if ef[e] == eroded[i])
-                    again = [
-                        min((ef[e] for e in a if e in kept), default=TOP)
-                        for a in adj
-                    ]
-                    assert eroded == again
+                    eg = g.with_weights(edge_weights=ef)
+                    part = eg.partial(lowest_edge_filter(eg, "lowest_edges"))
+                    assert (erode_edges_to_nodes(part, part.edge_weights)
+                            == erode_edges_to_nodes(eg, ef))
 
 
 def test_lowest_nodes_inside_lowest_edges(rng):
