@@ -150,29 +150,27 @@ def zero_minima(g: WeightedGraph, span: Optional[set[int]] = None) -> WeightedGr
     edge-weight minima plus the isolated nodes; a caller holding the
     ``minima_of_flooding`` labeling passes its nodes instead.
     """
+    g.require_node_weights()
     if span is None:
-        g.require_node_weights()
         # the nodes of the edge-weight minima, then the isolated nodes
         span = set().union(*minima_span(regional_minima(g, "edges"), g, "edges"))
         linked = {n for e in g.edges for n in e}  # the nodes of degree > 0
         span.update(i for i in range(g.num_nodes) if i not in linked)
-    return g.with_weights(*_zeroed_weights(g, span))
-
-
-def _zeroed_weights(g: WeightedGraph, span) -> tuple[list[int], list[int]]:
-    """Node and edge weights of ``g`` with the nodes in ``span``, and the
-    edges between them, at 0: the weights ``zero_minima`` gives."""
-    nw = g.require_node_weights()
     ew = g.require_edge_weights()
+    return g.with_weights(
+        node_weights=_zeroed_nodes(g, span),
+        edge_weights=[0 if u in span and v in span else w for (u, v), w in zip(g.edges, ew)],
+    )
+
+
+def _zeroed_nodes(g: WeightedGraph, span) -> list[int]:
+    """Node weights of ``g`` with the nodes in ``span`` at 0, the node
+    weights ``zero_minima`` gives."""
+    nw = g.require_node_weights()
     for i in range(g.num_nodes):
         if i not in span and nw[i] == 0:
             raise ZeroNonMinimum(f"node {i} weighs 0 outside the minima")
-    new_n = [0 if i in span else nw[i] for i in range(g.num_nodes)]
-    new_e = [
-        0 if u in span and v in span else ew[eid]
-        for eid, (u, v) in enumerate(g.edges)
-    ]
-    return new_n, new_e
+    return [0 if i in span else nw[i] for i in range(g.num_nodes)]
 
 
 # ---------------------------------------------------------------------------

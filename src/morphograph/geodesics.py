@@ -27,6 +27,7 @@ import random
 from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
+from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
 from .errors import MorphographError, NoRoots
 from .flooding import minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, WeightedGraph, regional_minima
@@ -210,13 +211,7 @@ def _root_groups(roots) -> list[frozenset[int]]:
 
 def node_erosion(g: WeightedGraph, n: Sequence[int]) -> tuple[int, ...]:
     """Per node, min of its own weight and its neighbors' weights."""
-    out = list(n)
-    for u, v in g.edges:
-        if n[v] < out[u]:
-            out[u] = n[v]
-        if n[u] < out[v]:
-            out[v] = n[u]
-    return tuple(out)
+    return tuple(map(min, n, erode_edges_to_nodes(g, erode_nodes_to_edges(g, n))))
 
 
 def toll_distances(

@@ -5,17 +5,21 @@ Descents are chains of flooding pairs with never-increasing weights.
 adjacent edges that start a depth-k track of minimal lexicographic
 weight (tracks may stop early when they reach a minimum, and a shorter
 track beats every extension of itself).  ``local_prune`` reaches the
-same edge set by iterating a purely local step: drop the edges that no
-longer tie a node to a lowest neighbor, then erode both carriers so the
-next step sees one pair further down each track.  The local route needs
-the minima pinned at 0, which it does internally; the returned graph
-always carries the original weights on the surviving carriers.
+same edge set by iterating a purely local step on the node weights,
+with the minima pinned at 0: each edge is two arcs, one per end, and
+each node keeps only its arcs to its lowest live neighbors, then takes
+their weight, so the next step sees one pair further down each track.
+An edge survives while either of its arcs does; the returned graph
+carries the original weights.  ``local_prune_step`` and
+``erode_weights`` give the first such step as a graph, built from the
+adjunction operators.
 """
 
 from __future__ import annotations
 
-from .flooding import _inherit_minima, _minimum_nodes, _zeroed_weights, minima_of_flooding
-from .graphs import UNSET, WeightedGraph
+from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
+from .flooding import _inherit_minima, _minimum_nodes, _zeroed_nodes, minima_of_flooding
+from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 from .weights import TOP
 
 
@@ -65,10 +69,14 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
 
     # best[i] = minimal lexicographic tail of a track starting at i with
     # the current budget; () once inside a minimum or out of budget.  All
-    # pairs of i share its weight, so they are ranked by their tails.
+    # pairs of i share its weight, so they are ranked by their tails.  A
+    # pass that changes nothing has reached the fixed point of every later one.
     best: list = [()] * g.num_nodes
     for _ in range(k - 1):
-        best = [() if t is None else (w,) + t for w, t in zip(nw, lowest(best))]
+        nxt = [() if t is None else (w,) + t for w, t in zip(nw, lowest(best))]
+        if nxt == best:
+            break
+        best = nxt
     lo, picked = [None] * g.num_nodes, [None] * g.num_nodes
     for i, j, eid in pairs():  # the pairs of each node reaching its least tail
         if lo[i] is None or best[j] < lo[i]:
@@ -92,83 +100,59 @@ def erode_weights(g: WeightedGraph, times: int = 1) -> WeightedGraph:
     """
     out = g
     for _ in range(times):
-        nw, ew = list(out.require_node_weights()), list(out.require_edge_weights())
-        _erode(out.edges, range(len(ew)), nw, ew)
-        out = out.with_weights(node_weights=nw, edge_weights=ew)
+        nw, ew = out.require_node_weights(), out.require_edge_weights()
+        out = out.with_weights(
+            node_weights=erode_edges_to_nodes(out, erode_nodes_to_edges(out, nw)),
+            edge_weights=erode_nodes_to_edges(out, erode_edges_to_nodes(out, ew)),
+        )
     return out
 
 
-def _erode(edges, live, nw: list[int], ew: list[int]) -> None:
-    """``erode_weights`` in place over the edge ids ``live`` only: a node
-    without a live edge takes TOP, a dead edge keeps a stale weight."""
-    low_e, low_n = [TOP] * len(nw), [TOP] * len(nw)
-    for eid in live:
-        u, v = edges[eid]
-        w, n = ew[eid], nw[u] if nw[u] < nw[v] else nw[v]
-        if w < low_e[u]:
-            low_e[u] = w
-        if w < low_e[v]:
-            low_e[v] = w
-        if n < low_n[u]:
-            low_n[u] = n
-        if n < low_n[v]:
-            low_n[v] = n
-    for eid in live:
-        u, v = edges[eid]
-        ew[eid] = low_e[u] if low_e[u] < low_e[v] else low_e[v]
-    nw[:] = low_n
-
-
-def _narrow(edges, live: list[int], nw: list[int], ew: list[int]) -> list[int]:
-    """One local pruning step over the edge ids ``live``: keeps the ids that
-    still tie a node to a lowest live neighbor, then erodes over them."""
-    lo = [TOP] * len(nw)
-    for eid in live:
-        u, v = edges[eid]
-        if nw[v] < lo[u]:
-            lo[u] = nw[v]
-        if nw[u] < lo[v]:
-            lo[v] = nw[u]
-    kept = []
-    for eid in live:
-        u, v = edges[eid]
-        if nw[v] == lo[u] or nw[u] == lo[v]:
-            kept.append(eid)
-    _erode(edges, kept, nw, ew)
-    return kept
-
-
 def local_prune_step(g: WeightedGraph) -> WeightedGraph:
-    """One local pruning step: drop demoted edges, erode both carriers.
+    """The first local pruning step: drop demoted edges, erode both carriers.
 
-    An edge survives only while it still ties a node to one of its lowest
-    neighbors; surviving carriers then take the eroded weights, letting
-    the next step compare descents one pair further down.  (Erosion alone
-    would leave edges toward higher neighbors looking minimal at plateau
-    nodes, so the filter reads the weights before they glide.)
+    An edge survives only while it ties a node to one of its lowest
+    neighbors; surviving carriers then take the eroded weights.  This is
+    the first step only: iterating it is not ``local_prune``, since an
+    eroded graph no longer records which end of an edge dropped it, and
+    an end may take back an edge it dropped once its neighbor glides down.
     """
-    nw, ew = list(g.require_node_weights()), list(g.require_edge_weights())
-    kept = _narrow(g.edges, list(range(len(g.edges))), nw, ew)
-    return g.partial(kept).with_weights(node_weights=nw, edge_weights=[ew[e] for e in kept])
+    return erode_weights(g.partial(lowest_edge_filter(g, "lowest_nodes")))
 
 
-def _local_survivors(g: WeightedGraph, m: int) -> list[int]:
-    """Edge ids of ``g`` left by ``m`` local steps on its zeroed minima."""
+def _local_survivors(g: WeightedGraph, m: int) -> set[int]:
+    """Edge ids of ``g`` left by ``m`` local steps on its zeroed minima.
+
+    Each edge is two arcs, one from each end.  A step keeps the arcs from
+    a node to its lowest live heads and lowers the node to that head's
+    weight, so after t steps a node weighs the t-th weight down its
+    minimal tracks; an edge survives while either of its arcs does.  The
+    loop leaves at its fixed point: a step that keeps every arc and
+    lowers no node would repeat forever.
+    """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    nw, ew = _zeroed_weights(g, _minimum_nodes(minima_of_flooding(g)))
-    live = list(range(len(g.edges)))
+    nw = _zeroed_nodes(g, _minimum_nodes(minima_of_flooding(g)))
+    live = [(u, v, eid) for eid, (u, v) in enumerate(g.edges)]
+    live += [(v, u, eid) for u, v, eid in live]
     for _ in range(m):
-        live = _narrow(g.edges, live, nw, ew)
-    return live
+        lo = [TOP] * g.num_nodes  # per tail, its lowest live head
+        for i, j, _ in live:
+            if nw[j] < lo[i]:
+                lo[i] = nw[j]
+        kept = [arc for arc in live if nw[arc[1]] == lo[arc[0]]]
+        if len(kept) == len(live) and lo == nw:
+            break
+        live, nw = kept, lo  # a node with no arc is never a head
+    return {eid for _, _, eid in live}
 
 
 def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:
-    """Iterate the local step ``m`` times, then restore original weights.
+    """Iterate the local step ``m`` times on arcs, keep the original weights.
 
     The surviving edge set equals ``prune_to_steepness(g, m + 1)``;
-    m=0 is the identity.  The steps narrow a list of live edge ids, and
-    the one graph built is the partial graph of the survivors.
+    m=0 is the identity.  The steps narrow a list of live arcs, and the
+    one graph built is the partial graph of the survivors.
     """
     return g.partial(_local_survivors(g, m))
 

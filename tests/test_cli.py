@@ -402,3 +402,19 @@ def test_pgm_labels_on_a_wgr_is_refused_before_the_watershed(
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("prune", "--steepness"), ("watershed", "--depth"), ("waterfall", "--depth"), ("mst", "--depth"),
+])
+def test_a_huge_depth_stops_at_the_fixed_point(command, flag, tmp_path, capsys):
+    # no track is longer than the graph has nodes, so depth n + 1 already
+    # gives the fixed point, and the passes stop there
+    path = tmp_path / "four.pgm"
+    path.write_bytes(b"P2 4 1 9\n1 5 1 5\n")
+    code, out, _ = run_cli(capsys, "flood", str(path))
+    assert code == 0
+    k = parse_wgr(out).num_nodes + 1
+    code, want, _ = run_cli(capsys, command, str(path), flag, str(k))
+    assert code == 0
+    assert run_cli(capsys, command, str(path), flag, str(10**12)) == (0, want, "")

@@ -1,8 +1,8 @@
 """Whole-graph passes run over the edge list and never need the adjacency.
 
 The adjunction operators and the lowest-edge filters are checked against
-naive per-node references; the pruning kernel against repeated local
-steps; and a PGM run of ``flood`` and ``prune`` against a topology whose
+naive per-node references; the local pruning kernel against depth
+pruning; and a PGM run of ``flood`` and ``prune`` against a topology whose
 adjacency rows refuse to be built.
 """
 
@@ -18,12 +18,12 @@ from morphograph import (
     erode_nodes_to_edges,
     is_steep,
     local_prune,
-    local_prune_step,
+    prune_to_steepness,
     zero_minima,
 )
 from morphograph import graphs
 from morphograph.cli import main
-from morphograph.flooding import as_flooding, minima_of_flooding
+from morphograph.flooding import as_flooding
 from morphograph.formats import image_to_graph, write_pgm, write_wgr
 from morphograph.graphs import lowest_edge_filter
 from morphograph.weights import BOTTOM, TOP
@@ -92,16 +92,15 @@ def test_local_prune_builds_one_partial_and_matches_repeated_steps(m, monkeypatc
 
     for _ in range(40):
         fg = random_flooding(rng, 12)
-        span = {i for i, v in enumerate(minima_of_flooding(fg).values) if v}
-        z = zero_minima(fg, span)
-        for _ in range(m):
-            z = local_prune_step(z)
+        # repeated local_prune_step is no oracle: an eroded graph forgets
+        # which end dropped an edge
+        want = prune_to_steepness(fg, m + 1).edges
         calls.clear()
         monkeypatch.setattr(WeightedGraph, "partial", counted)
         got = local_prune(fg, m)
         monkeypatch.undo()
         assert len(calls) == 1
-        assert got.edges == tuple(e for e in fg.edges if e in set(z.edges))
+        assert got.edges == want
 
 
 def test_is_steep_builds_no_graph(monkeypatch):

@@ -5,6 +5,8 @@ sha256 of what it writes (plus the ``.legend.json`` sidecar of
 ``pgm-labels``) with a digest recorded before the flooding graph learned
 to cache its validation and minima.  A refactor that keeps behaviour
 keeps every digest; a deliberate output change must re-record them.
+The ``prune`` digests are also checked against depth pruning, computed
+by the library's independent route.
 """
 
 import hashlib
@@ -14,7 +16,9 @@ import random
 import pytest
 
 from morphograph.cli import main
-from morphograph.formats import write_pgm
+from morphograph.flooding import as_flooding
+from morphograph.formats import image_to_graph, parse_wgr, write_pgm, write_wgr
+from morphograph.steepness import prune_to_steepness
 
 SIZE = 64
 
@@ -111,7 +115,7 @@ GOLDEN = {
     "grid:mst":
         "78082724216bcb0a92fd9114e8a724e273f05f5cabbc95b00b056c5d6d692a72",
     "grid:prune --steepness 3":
-        "57715885445e294b0909633902fddcbbf873d3978284e868955b0ef139e37b87",
+        "b2f6c80a8bcc919fb4456da52eaf82c6ab99f4198191bac96ebe168824f2f8ec",
     "grid:waterfall":
         "72ecb38df4858122ec3c460a74cf89421fa7146562da7cb317d3c80f19825a87",
     "grid:watershed --algo core --format dot":
@@ -165,7 +169,7 @@ GOLDEN = {
     "relief4:mst":
         "af48f895113ada7885fcd7b549976758efefb7efc06ccbf2c616f277c9579d65",
     "relief4:prune --steepness 3":
-        "eb7b6f6d37e341062523acf8687e8c53e9a9c16a1943d06cf65fb2694a63a2f1",
+        "670c3e28928ac017a7a15ba0893a36578f9910e8cbd2244e10faf935879bfa91",
     "relief4:waterfall":
         "9481cd583b794383d5dce0c10d6d78949a637b2968db6b315ab2212cc9d6356d",
     "relief4:watershed --algo core --format dot":
@@ -196,3 +200,17 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case, input_dir):
     assert run_case(case, input_dir) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][1][0] == "prune"))
+def test_golden_prune_is_depth_pruning(case, input_dir):
+    # the CLI prunes locally; prune_to_steepness ranks whole tracks
+    name, args = CASES[case]
+    fname, _, flags, _ = INPUTS[name]
+    data = (input_dir / fname).read_bytes()
+    if fname.endswith(".wgr"):
+        g = parse_wgr(data.decode())
+    else:
+        g = image_to_graph(data, int(flags[flags.index("--connectivity") + 1]))
+    depth = write_wgr(prune_to_steepness(as_flooding(g), int(args[-1])))
+    assert run_case(case, input_dir) == hashlib.sha256(depth.encode()).hexdigest() == GOLDEN[case]

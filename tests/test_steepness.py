@@ -1,6 +1,10 @@
+import math
+import random
+
 from morphograph import (
     WeightedGraph,
     erode_weights,
+    flooding_from_edges,
     flooding_from_nodes,
     is_steep,
     local_prune,
@@ -13,7 +17,7 @@ from morphograph.flooding import minima_of_flooding
 from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import UNSET, lowest_edge_filter
 from morphograph.steepness import minimal_track_edges
-from conftest import random_flooding
+from conftest import random_edge_weighted, random_flooding
 
 
 def test_prune_depth_one_is_identity(rng):
@@ -237,3 +241,55 @@ def test_local_prune_reuses_the_cached_minima(rng, monkeypatch):
         labels = flooding.minima_of_flooding(fg).values
         span = {i for i, v in enumerate(labels) if v != UNSET}
         assert zero_minima(fg, span) == zero_minima(fg)
+
+
+def _voronoi_flooding(rng):
+    """A quantized Voronoi relief of 10-24 px a side, 4- or 8-connected."""
+    w, h = rng.randint(10, 24), rng.randint(10, 24)
+    sites = [(rng.randrange(w), rng.randrange(h)) for _ in range(rng.randint(2, 6))]
+    pixels = [min(7, math.isqrt(min((x - a) ** 2 + (y - b) ** 2 for a, b in sites))
+                  + rng.randrange(2)) for y in range(h) for x in range(w)]
+    return flooding_from_nodes(image_to_graph(write_pgm(w, h, pixels, 7), rng.choice((4, 8))))
+
+
+def _pruning_corpus():
+    rng = random.Random(7)
+    for _ in range(3000):
+        yield random_flooding(rng, rng.choice((8, 12, 20)))
+    for _ in range(1000):
+        yield flooding_from_edges(random_edge_weighted(rng, 14))
+    for _ in range(40):
+        yield _voronoi_flooding(rng)
+
+
+def test_local_pruning_is_depth_pruning_on_a_corpus():
+    bad = []
+    for n, fg in enumerate(_pruning_corpus()):
+        for m in range(6):
+            depth = prune_to_steepness(fg, m + 1).edges
+            if local_prune(fg, m).edges != depth:
+                bad.append(("local_prune", n, m))
+            if is_steep(fg, m + 1) != (len(depth) == len(fg.edges)):
+                bad.append(("is_steep", n, m))
+    assert bad == []
+
+
+def test_an_end_never_takes_back_an_edge_it_dropped():
+    # node 0 drops (0, 6) at the first step; after it, nodes 1, 6, 7 and 8
+    # all weigh 1, and an undirected step would give (0, 6) back to node 0
+    rng = random.Random(102)
+    for _ in range(15):
+        fg = random_flooding(rng, 12)
+    assert fg.node_weights == (1, 6, 5, 4, 1, 6, 3, 6, 1, 0, 0)
+    assert (0, 6) in fg.edges and (0, 6) not in local_prune(fg, 2).edges
+    assert local_prune(fg, 2).edges == prune_to_steepness(fg, 3).edges
+
+
+def test_pruning_stops_at_its_fixed_point(rng):
+    # a step that changes nothing ends the loop, so a huge depth is cheap
+    for _ in range(30):
+        fg = random_flooding(rng, 12)
+        k = fg.num_nodes + 1
+        assert local_prune(fg, 10**12) == local_prune(fg, k - 1)
+        assert prune_to_steepness(fg, 10**12) == prune_to_steepness(fg, k)
+        assert is_steep(fg, 10**12) == is_steep(fg, k)
