@@ -14,7 +14,6 @@ frozen, so the cache never goes stale.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -27,6 +26,7 @@ from .graphs import (
     Labeling,
     UNSET,
     WeightedGraph,
+    _zone_walk,
     expand_isolated_minima,
     lowest_edge_filter,
     minima_span,
@@ -139,23 +139,22 @@ def minima_sets(labeling: Labeling) -> list[frozenset[int]]:
     return [ids for _, ids in sorted(labeling.label_sets().items())]
 
 
-def zero_minima(g: WeightedGraph, span: Optional[set[int]] = None) -> WeightedGraph:
+def zero_minima(g: WeightedGraph) -> WeightedGraph:
     """Re-weight every regional minimum (nodes and internal edges) to 0.
 
     Keeps "edge = max of endpoints" valid everywhere; "node = min of
     adjacent edges" may fail afterwards on minima that are isolated
     nodes, which is harmless for every descent-based computation.
     Raises ZeroNonMinimum if a node outside the minima already weighs 0.
-    ``span``, the nodes of the minima, defaults to the node spans of the
-    edge-weight minima plus the isolated nodes; a caller holding the
-    ``minima_of_flooding`` labeling passes its nodes instead.
+    The minima's nodes are the node spans of the edge-weight minima plus
+    the isolated nodes, so a graph that is not a flooding graph (or a
+    zeroed one, whose node identity may fail) needs no certificate.
     """
     g.require_node_weights()
-    if span is None:
-        # the nodes of the edge-weight minima, then the isolated nodes
-        span = set().union(*minima_span(regional_minima(g, "edges"), g, "edges"))
-        linked = {n for e in g.edges for n in e}  # the nodes of degree > 0
-        span.update(i for i in range(g.num_nodes) if i not in linked)
+    # the nodes of the edge-weight minima, then the isolated nodes
+    span = set().union(*minima_span(regional_minima(g, "edges"), g, "edges"))
+    linked = {n for e in g.edges for n in e}  # the nodes of degree > 0
+    span.update(i for i in range(g.num_nodes) if i not in linked)
     ew = g.require_edge_weights()
     return g.with_weights(
         node_weights=_zeroed_nodes(g, span),
@@ -189,67 +188,47 @@ def parse_tie(tie: Union[str, random.Random, None]) -> Optional[random.Random]:
     raise ValueError(f"unknown tie policy {tie!r}")
 
 
-def assign_pairs(
-    g: WeightedGraph,
-    inside_minima: frozenset[int],
-    rng: Optional[random.Random] = None,
-) -> dict[int, int]:
+def assign_pairs(g: WeightedGraph, rng: Optional[random.Random] = None) -> dict[int, int]:
     """One-to-one map node -> adjacent equal-weight edge, outside the minima.
 
-    Plateaus are resolved by a breadth-first spanning tree grown from
-    their exit nodes (nodes with a strictly lower neighbor); each plateau
-    node pairs with its tree-parent edge, each exit with an edge to a
-    strictly lower neighbor.  Choices default to the smallest node id;
-    with ``rng`` they are drawn uniformly instead.
+    The plateaus are the flat zones that are not regional minima, taken
+    from the one union-find walk behind ``flat_zones`` and
+    ``regional_minima``.  Each is resolved by a breadth-first spanning
+    tree grown from its exit nodes (nodes with a strictly lower
+    neighbor): each plateau node pairs with its tree-parent edge, each
+    exit with an edge to a strictly lower neighbor.  Choices default to
+    the smallest node id; with ``rng`` they are drawn uniformly instead.
+    ``g`` must be a flooding graph: the callers certify it first.
     """
     nw = g.require_node_weights()
     g.require_edge_weights()
+    zone_of, lowest = _zone_walk(g, "nodes")
+    plateaus: dict[int, list[int]] = {z: [] for z, low in enumerate(lowest, 1) if not low}
+    for i, z in enumerate(zone_of):
+        if z in plateaus:
+            plateaus[z].append(i)
     pairs: dict[int, int] = {}
-    visited = [False] * g.num_nodes
-    for start in range(g.num_nodes):
-        if visited[start] or start in inside_minima:
-            continue
-        level = nw[start]
-        # plateau = equal-weight node zone around start, outside the minima
-        zone = {start}
-        queue = deque([start])
-        visited[start] = True
-        while queue:
-            i = queue.popleft()
-            for j, _ in g.neighbors(i):
-                if not visited[j] and j not in inside_minima and nw[j] == level:
-                    visited[j] = True
-                    zone.add(j)
-                    queue.append(j)
-        exits = {}
-        for s in sorted(zone):
+    for z, zone in plateaus.items():
+        level, frontier = nw[zone[0]], []
+        for s in zone:
             lower = [(t, eid) for t, eid in g.neighbors(s) if nw[t] < level]
             if lower:
-                exits[s] = rng.choice(lower)[1] if rng else lower[0][1]
-        if not exits:
-            raise InvalidFloodingGraph(f"plateau at level {level} has no exit")
-        for s, eid in exits.items():
-            pairs[s] = eid
-        frontier = sorted(exits)
-        seen = set(frontier)
+                pairs[s] = rng.choice(lower)[1] if rng else lower[0][1]
+                frontier.append(s)
         while frontier:
             reachable: dict[int, list[int]] = {}
             for p in frontier:
                 for j, eid in g.neighbors(p):
-                    if j in zone and j not in seen:
+                    if zone_of[j] == z and j not in pairs:
                         reachable.setdefault(j, []).append(eid)
-            nxt = []
-            for j in sorted(reachable):
+            frontier = sorted(reachable)
+            for j in frontier:
                 cands = sorted(reachable[j])
                 pairs[j] = rng.choice(cands) if rng else cands[0]
-                seen.add(j)
-                nxt.append(j)
-            frontier = nxt
-        if seen != zone:
-            raise InvalidFloodingGraph(f"plateau at level {level} not spanned")
     return pairs
 
 
 def flooding_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
     """Deterministic (node, edge_id) pairing for every node outside minima."""
-    return sorted(assign_pairs(g, _minimum_nodes(minima_of_flooding(g))).items())
+    minima_of_flooding(g)  # raises unless g is a flooding graph
+    return sorted(assign_pairs(g).items())

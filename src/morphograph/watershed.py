@@ -48,7 +48,7 @@ def unique_drain(
     by the pairing is cut, leaving one and only one descent per node.
     """
     inside = _minimum_nodes(minima_of_flooding(g))
-    pairs = assign_pairs(g, inside, parse_tie(tie))
+    pairs = assign_pairs(g, parse_tie(tie))
     kept = set(pairs.values())
     for eid, (u, v) in enumerate(g.edges):
         if u in inside and v in inside:
@@ -68,7 +68,7 @@ def drainage_forest(
     the tie policy.
     """
     labeling = minima_of_flooding(g)
-    pairs = assign_pairs(g, _minimum_nodes(labeling), parse_tie(tie))
+    pairs = assign_pairs(g, parse_tie(tie))
     edges: set[int] = set(pairs.values())
     labels = list(labeling.values)
     # One breadth-first search spans every minimum: adjacent minimum

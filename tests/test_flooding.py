@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from morphograph import (
@@ -8,11 +10,13 @@ from morphograph import (
     flooding_from_nodes,
     flooding_pairs,
     minima_of_flooding,
+    prune_to_steepness,
     validate_flooding,
     zero_minima,
 )
 from morphograph.adjunction import erode_edges_to_nodes, is_invariant
-from morphograph.flooding import minima_sets
+from morphograph.flooding import assign_pairs, minima_sets, parse_tie
+from morphograph.formats import pixel_graph
 from morphograph.graphs import UNSET, lowest_edge_filter
 from conftest import random_edge_weighted, random_flooding
 
@@ -236,3 +240,65 @@ def test_from_nodes_constant_field_makes_one_wide_minimum():
     assert fg.num_nodes == 4  # non-isolated minimum, no dummies
     assert fg.edge_weights == (4, 4, 4)
     assert minima_of_flooding(fg).values == (1, 1, 1, 1)
+
+
+def _pairing_corpus():
+    """Flooding graphs pruned at k = 1, 2 and 4: random ones of 8, 12 or
+    20 nodes, and pixel graphs of 2-4 gray levels, 4- or 8-connected."""
+    rng = random.Random(11)
+    graphs = [random_flooding(rng, rng.choice((8, 12, 20))) for _ in range(300)]
+    for _ in range(40):
+        w, h, levels = rng.randint(6, 24), rng.randint(6, 24), rng.randint(2, 4)
+        pixels = [rng.randrange(levels) for _ in range(w * h)]
+        graphs.append(flooding_from_nodes(pixel_graph(w, h, pixels, rng.choice((4, 8)))))
+    return [prune_to_steepness(fg, k) for fg in graphs for k in (1, 2, 4)]
+
+
+def _plateau_layers(g):
+    """Per node outside the minima, its breadth-first distance to the
+    exits of its plateau (0 on an exit); found without the library."""
+    nw = g.node_weights
+    rows = [[] for _ in range(g.num_nodes)]
+    for eid, (u, v) in enumerate(g.edges):
+        rows[u].append((v, eid))
+        rows[v].append((u, eid))
+    dist, done = {}, set()
+    for start in range(g.num_nodes):
+        if start in done:
+            continue
+        zone, stack = {start}, [start]
+        while stack:
+            for j, _ in rows[stack.pop()]:
+                if nw[j] == nw[start] and j not in zone:
+                    zone.add(j)
+                    stack.append(j)
+        done |= zone
+        layer = [i for i in zone if any(nw[j] < nw[i] for j, _ in rows[i])]
+        d = 0
+        while layer:  # an empty first layer: the zone is a minimum
+            dist.update((i, d) for i in layer)
+            layer = {j for i in layer for j, _ in rows[i] if j in zone and j not in dist}
+            d += 1
+    return rows, dist
+
+
+def test_pairs_descend_layer_by_layer_toward_the_exits():
+    for g in _pairing_corpus():
+        rows, dist = _plateau_layers(g)
+        nw = g.node_weights
+        for tie in ("min-label", "seed:5"):
+            pairs = assign_pairs(g, parse_tie(tie))
+            assert set(pairs) == set(dist)
+            assert len(set(pairs.values())) == len(pairs)
+            for i, eid in pairs.items():
+                u, v = g.edges[eid]
+                assert i in (u, v)
+                t = u + v - i
+                if dist[i] == 0:
+                    lower = [j for j, _ in rows[i] if nw[j] < nw[i]]
+                    assert nw[t] < nw[i]
+                    assert tie != "min-label" or t == min(lower)
+                else:
+                    up = [e for j, e in rows[i] if nw[j] == nw[i] and dist.get(j) == dist[i] - 1]
+                    assert nw[t] == nw[i] and dist[t] == dist[i] - 1
+                    assert tie != "min-label" or eid == min(up)

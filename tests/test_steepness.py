@@ -240,7 +240,7 @@ def test_local_prune_reuses_the_cached_minima(rng, monkeypatch):
         # the labeling's nodes are the span zero_minima finds on its own
         labels = flooding.minima_of_flooding(fg).values
         span = {i for i, v in enumerate(labels) if v != UNSET}
-        assert zero_minima(fg, span) == zero_minima(fg)
+        assert span == {i for i, w in enumerate(zero_minima(fg).node_weights) if w == 0}
 
 
 def _voronoi_flooding(rng):

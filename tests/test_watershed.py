@@ -1,10 +1,14 @@
+import pytest
+
 from morphograph import (
+    InvalidFloodingGraph,
     UNSET,
     WeightedGraph,
     ZONE,
     basins_with_zones,
     drainage_forest,
     flooding_from_nodes,
+    flooding_pairs,
     forest_weight,
     partition,
     unique_drain,
@@ -198,3 +202,12 @@ def test_seeded_partition_reproducible(five_path_flooding):
     a = partition(five_path_flooding, 2, "seed:7")
     b = partition(five_path_flooding, 2, "seed:7")
     assert a.values == b.values
+
+
+def test_drainage_refuses_a_graph_that_is_not_flooding():
+    # node 1 weighs 1, but its lowest adjacent edge weighs 3
+    g = WeightedGraph(3, ((0, 1), (1, 2)), (1, 1, 2), (3, 3))
+    for op in (flooding_pairs, unique_drain, drainage_forest,
+               lambda g: partition(g, 2), lambda g: basins_with_zones(g, 2)):
+        with pytest.raises(InvalidFloodingGraph):
+            op(g)
