@@ -207,18 +207,19 @@ def assign_pairs(g: WeightedGraph, rng: Optional[random.Random] = None) -> dict[
     for i, z in enumerate(zone_of):
         if z in plateaus:
             plateaus[z].append(i)
+    adj = g.adjacency
     pairs: dict[int, int] = {}
     for z, zone in plateaus.items():
         level, frontier = nw[zone[0]], []
         for s in zone:
-            lower = [(t, eid) for t, eid in g.neighbors(s) if nw[t] < level]
+            lower = [(t, eid) for t, eid in adj[s] if nw[t] < level]
             if lower:
                 pairs[s] = rng.choice(lower)[1] if rng else lower[0][1]
                 frontier.append(s)
         while frontier:
             reachable: dict[int, list[int]] = {}
             for p in frontier:
-                for j, eid in g.neighbors(p):
+                for j, eid in adj[p]:
                     if zone_of[j] == z and j not in pairs:
                         reachable.setdefault(j, []).append(eid)
             frontier = sorted(reachable)

@@ -36,8 +36,9 @@ ZERO: LexWeight = None
 UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
-# 7-10 s at 400 nodes with dense loops; on sparse rows they take
-# 1.2-1.4 s on 20x19 relief images (388-389 nodes, depth 3).
+# 7-10 s at 400 nodes with dense loops; on sparse rows, with closure
+# chaining only the entries that changed, they take 0.5-0.9 s on 20x19
+# relief images (388-389 nodes, depth 3).
 MAX_DENSE_NODES = 400
 
 
@@ -252,26 +253,45 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
     """Repeated squaring of (identity + a) until it is stationary.
 
     Squaring chains truncated prefixes, so it runs on the tail-tracked
-    elements, one per entry: on a window tie the larger tail wins.  On a
-    flooding graph (the only input ``distances_to_minima`` gives it), each
-    (i, j) with
-    j in a regional minimum then holds the minimal depth-k weight over all
-    walks from i to j.  On a general graph an entry may be larger, or
-    ZERO, where the kept element beat one with a larger window and a
-    larger tail that a later factor needed: on edges (0,1) (0,2) (0,5)
-    (1,2) (1,5) (2,4) (3,4) weighing 6 6 3 3 3 5 6 at k = 2, entry (1, 4)
-    is ZERO though the walk 1-0-2-4 weighs (6, 6).  ``linear_solve`` with
-    ``method="jordan"`` keeps every such element and is exact.
+    elements, one per entry: on a window tie the larger tail wins.  Only
+    the first round squares in full; each later round min-merges
+    ``D (x) M (+) M (x) D`` into M, where D holds the entries the previous
+    round changed, and the loop ends when D is empty.  Every entry equals
+    plain squaring's: a product of two unchanged factors was already a
+    candidate for the current entry, which is itself a candidate through
+    the UNIT diagonal, and ``exact_min``'s order is total.
+
+    On a flooding graph (the only input ``distances_to_minima`` gives it),
+    each (i, j) with j in a regional minimum then holds the minimal
+    depth-k weight over all walks from i to j.  On a general graph an
+    entry may be larger, or ZERO, where the kept element beat one with a
+    larger window and a larger tail that a later factor needed: on edges
+    (0,1) (0,2) (0,5) (1,2) (1,5) (2,4) (3,4) weighing 6 6 3 3 3 5 6 at
+    k = 2, entry (1, 4) is ZERO though the walk 1-0-2-4 weighs (6, 6).
+    ``linear_solve`` with ``method="jordan"`` keeps every such element
+    and is exact.
     """
     n = len(a)
     # the rows of identity + a: UNIT wins every diagonal
     m = [_by_head({**{j: lift(x) for j, x in row.items()}, i: UNIT_T})
          for i, row in enumerate(_rows(a))]
-    while True:
-        m2 = _mul_tracked_rows([r.items() for r in m], m, k)
-        if m2 == m:
-            return _dense(m, n, lambda x: x[0])
-        m = m2
+    delta = m  # every entry is new: the first round is M (x) M
+    while any(delta):
+        left = _mul_tracked_rows([d.items() for d in delta], m, k)
+        right = [{}] * n if delta is m else _mul_tracked_rows(
+            [r.items() for r in m], [_by_head(d) for d in delta], k)
+        delta = []
+        for i, row in enumerate(m):
+            d: dict = {}
+            for j, (w, t) in (*left[i].items(), *right[i].items()):
+                old = d.get(j) or row.get(j)
+                # exact_min: smaller window, then larger tail
+                if old is None or w < old[0] or w == old[0] and t > old[1]:
+                    d[j] = (w, t)
+            delta.append(d)
+            if d:  # an unchanged row keeps its head order
+                m[i] = _by_head({**row, **d})
+    return _dense(m, n, lambda x: x[0])
 
 
 # ---------------------------------------------------------------------------

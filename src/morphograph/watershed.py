@@ -74,7 +74,7 @@ def drainage_forest(
     # One breadth-first search spans every minimum: adjacent minimum
     # nodes share their minimum, and each tree grows from the smallest
     # node of its minimum, the first one the scan meets.
-    seen = [False] * g.num_nodes
+    adj, seen = g.adjacency, [False] * g.num_nodes
     for start, lab in enumerate(labels):
         if lab == UNSET or seen[start]:
             continue
@@ -82,7 +82,7 @@ def drainage_forest(
         queue = deque([start])
         while queue:
             i = queue.popleft()
-            for j, eid in g.neighbors(i):
+            for j, eid in adj[i]:
                 if labels[j] != UNSET and not seen[j]:
                     seen[j] = True
                     edges.add(eid)

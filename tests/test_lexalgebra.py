@@ -187,6 +187,42 @@ def test_closure_is_stationary(rng):
         assert [[x if x is None else x[0] for x in row] for row in m2] == closure(a, k)
 
 
+def _plain_squaring_closure(a, k):
+    """The reference: square the tracked (identity + a) until it is stationary."""
+    from morphograph.lexalgebra import _mat_mul_tracked, lift
+
+    if not a:
+        return []
+    m = [[lift(x) for x in row] for row in mat_add(identity_matrix(len(a)), a)]
+    while True:
+        m2 = _mat_mul_tracked(m, m, k)
+        if m2 == m:
+            return [[x if x is None else x[0] for x in row] for row in m]
+        m = m2
+
+
+def test_closure_equals_plain_squaring(rng):
+    # closure squares once, then chains only the entries that changed;
+    # every entry must equal the plain squaring loop's
+    from morphograph.flooding import as_flooding
+    from morphograph.formats import pixel_graph
+
+    cases = [(zero_matrix(n), k) for n in range(5) for k in (1, 3)]
+    cases += [([[ZERO]], 2), ([[(4,)]], 1), ([[UNIT]], 3)]
+    for i in range(1000):
+        g = random_edge_weighted(rng, 14, w_max=rng.choice((2, 6, 20)),
+                                 edge_prob=rng.choice((0.2, 0.4, 0.7)))
+        k = 1 + i % 4
+        cases.append((incidence_matrix(g, k), k))
+    for connectivity in (4, 8):
+        for levels, k in ((4, 2), (8, 3)):
+            pixels = [rng.randrange(levels) for _ in range(64)]
+            fg = as_flooding(pixel_graph(8, 8, pixels, connectivity))
+            cases.append((incidence_matrix(fg, k), k))
+    for a, k in cases:
+        assert closure(a, k) == _plain_squaring_closure(a, k)
+
+
 def test_closure_matches_walk_enumeration(rng):
     for _ in range(15):
         g = random_edge_weighted(rng, 5)
