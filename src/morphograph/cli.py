@@ -98,14 +98,6 @@ def _emit(output: Optional[str], result: Output) -> None:
         sys.stdout.write(result)
 
 
-def _geodesic(fg: WeightedGraph, name: str, args: argparse.Namespace):
-    """Distances and labeling from the graph-native solver ``name``."""
-    if name == "dijkstra":
-        return geodesics.dijkstra_to_minima(fg, args.depth, args.tie)
-    dists, labeling, _ = geodesics.core_expanding(fg, args.depth, args.tie)
-    return dists, labeling
-
-
 def _flood(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
     return formats.write_wgr(flooding.as_flooding(g))
 
@@ -118,10 +110,7 @@ def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Outp
     fg = flooding.as_flooding(g)  # its input errors outrank the refusal below
     if args.fmt == "pgm-labels" and shape is None:
         raise MalformedInput("pgm-labels output needs a PGM input")
-    if args.algo == "hq":
-        labeling = geodesics.hq_watershed(fg)
-    else:
-        _, labeling = _geodesic(fg, args.algo, args)
+    labeling = geodesics.basin_labels(fg, args.depth, args.algo, args.tie)
     if args.fmt == "pgm-labels":
         data, legend = formats.labels_to_pgm(shape[0], shape[1], labeling)
         if args.output:
@@ -169,8 +158,10 @@ def _mst(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
 
 def _dist(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
     fg = flooding.as_flooding(g)
-    if args.method in ("dijkstra", "core"):
-        dists, labeling = _geodesic(fg, args.method, args)
+    if args.method == "dijkstra":
+        dists, labeling = geodesics.dijkstra_to_minima(fg, args.depth, args.tie)
+    elif args.method == "core":
+        dists, labeling, _ = geodesics.core_expanding(fg, args.depth, args.tie)
     elif fg.num_nodes > lexalgebra.MAX_DENSE_NODES:
         raise MalformedInput(
             f"--method {args.method} takes at most {lexalgebra.MAX_DENSE_NODES} "

@@ -14,6 +14,11 @@ propagate labels along the geodesics:
   queue; FIFO order within a bucket divides plateaus from their lower
   boundary inwards.
 
+The first two queue on integer keys built from the depth-(k-1) track
+ranks of ``steepness``, keep a parent per node, and chain the distance
+tuples from the parents only when they return them; ``basin_labels``
+gives the labels of any of the three and builds no tuple.
+
 Also here: additive toll/topographic distances on node-weighted graphs
 and the decomposition of a node field into local tolls whose integration
 along steepest descents recovers the field.
@@ -32,6 +37,7 @@ from .errors import MorphographError, NoRoots
 from .flooding import minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, WeightedGraph, regional_minima
 from .lexalgebra import LexWeight, UNIT, ZERO, lex_chain
+from .steepness import track_ranks
 
 
 class HierarchicalQueue:
@@ -67,17 +73,94 @@ class HierarchicalQueue:
 
 
 def _seed_minima(g: WeightedGraph):
-    labeling = minima_of_flooding(g)
+    """Labels, parents (-1 in a minimum, None elsewhere) and the minima."""
+    labels = list(minima_of_flooding(g).values)
+    parent: list = [None if lab == UNSET else -1 for lab in labels]
+    return labels, parent, [i for i, p in enumerate(parent) if p is not None]
+
+
+def _settle_dijkstra(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
+    """Labels, parents and settle order of ``dijkstra_to_minima``: j
+    flooding l is estimated by ``nw[j] * stride + rank[l]``, which orders
+    as chaining ``nw[j]`` in front of l's distance does."""
+    labels, parent, order = _seed_minima(g)
+    settled = [p is not None for p in parent]
+    rank = track_ranks(g, k - 1)
+    stride = max(rank, default=0) + 1
+    nw, ew, adj = g.node_weights, g.edge_weights, g.adjacency
+
+    best: dict[int, int] = {}
+    ties: dict[int, int] = {}
+    counter = itertools.count()
+    heap: list = []
+
+    def relax(l: int) -> None:
+        for j, eid in adj[l]:
+            if settled[j] or ew[eid] != nw[j]:
+                continue  # only pairs (j, jl) flood the domain
+            est = nw[j] * stride + rank[l]
+            cur = best.get(j)
+            if cur is None or est < cur:
+                best[j] = est
+                labels[j], parent[j] = labels[l], l
+                ties[j] = 1
+                heapq.heappush(heap, (est, next(counter), j))
+            elif est == cur and labels[l] != labels[j]:
+                ties[j] += 1
+                if rng is None:
+                    if labels[l] < labels[j]:
+                        labels[j] = labels[l]
+                elif rng.random() < 1.0 / ties[j]:
+                    labels[j] = labels[l]
+
+    for m in order:  # the minima: only the loop below appends
+        relax(m)
+    while heap:
+        est, _, j = heapq.heappop(heap)
+        if settled[j] or est != best[j]:
+            continue
+        settled[j] = True
+        order.append(j)
+        relax(j)
+    return labels, parent, order
+
+
+def _settle_core(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
+    """Labels, parents and settle order of ``core_expanding``: a node is
+    queued by its track rank, which orders as its distance's first k-1
+    levels do."""
+    labels, parent, order = _seed_minima(g)
+    rank = track_ranks(g, k - 1)
+    nw, ew, adj = g.node_weights, g.edge_weights, g.adjacency
+
+    counter = itertools.count()
+    heap: list = []
+
+    def push(t: int) -> None:
+        sub = rng.random() if rng is not None else 0.0
+        heapq.heappush(heap, (rank[t], sub, next(counter), t))
+
+    for m in order:
+        push(m)
+    while heap:
+        t = heapq.heappop(heap)[3]
+        for s, eid in adj[t]:
+            if parent[s] is not None or ew[eid] != nw[s]:
+                continue  # s must flood t
+            parent[s], labels[s] = t, labels[t]
+            order.append(s)
+            push(s)
+    return labels, parent, order
+
+
+def _chain(g: WeightedGraph, k: int, parent: list, order: list) -> list[LexWeight]:
+    """Distances chained from the parents in settle order; ZERO if unsettled."""
+    nw = g.node_weights
     dist: list[LexWeight] = [ZERO] * g.num_nodes
-    labels = list(labeling.values)
-    settled = [False] * g.num_nodes
-    inside = []
-    for i, lab in enumerate(labeling.values):
-        if lab != UNSET:
-            dist[i] = UNIT
-            settled[i] = True
-            inside.append(i)
-    return dist, labels, settled, inside
+    for i in order:
+        p = parent[i]
+        dist[i] = UNIT if p < 0 else lex_chain((nw[i],), dist[p], k)
+    return dist
 
 
 def dijkstra_to_minima(
@@ -90,46 +173,8 @@ def dijkstra_to_minima(
     estimate is final.  Equal estimates with different labels resolve by
     the tie policy.
     """
-    dist, labels, settled, inside = _seed_minima(g)
-    rng = parse_tie(tie)
-    nw = g.node_weights
-    ew = g.edge_weights
-
-    best: dict[int, LexWeight] = {}
-    ties: dict[int, int] = {}
-    counter = itertools.count()
-    heap: list = []
-
-    def relax(l: int) -> None:
-        for j, eid in g.neighbors(l):
-            if settled[j] or ew[eid] != nw[j]:
-                continue  # only pairs (j, jl) flood the domain
-            est = lex_chain((nw[j],), dist[l], k)
-            cur = best.get(j)
-            if cur is None or est < cur:
-                best[j] = est
-                labels[j] = labels[l]
-                ties[j] = 1
-                heapq.heappush(heap, (est, next(counter), j))
-            elif est == cur and labels[l] != labels[j]:
-                ties[j] += 1
-                if rng is None:
-                    if labels[l] < labels[j]:
-                        labels[j] = labels[l]
-                elif rng.random() < 1.0 / ties[j]:
-                    labels[j] = labels[l]
-
-    for m in inside:
-        relax(m)
-    while heap:
-        est, _, j = heapq.heappop(heap)
-        if settled[j] or est != best.get(j):
-            continue
-        settled[j] = True
-        dist[j] = est
-        relax(j)
-
-    return dist, Labeling(tuple(labels), "nodes")
+    labels, parent, order = _settle_dijkstra(g, k, parse_tie(tie))
+    return _chain(g, k, parent, order), Labeling(tuple(labels), "nodes")
 
 
 def core_expanding(
@@ -140,35 +185,26 @@ def core_expanding(
     Returns (distances, labeling, enqueue_count); the count equals the
     number of nodes, each entering the queue exactly once.
     """
-    dist, labels, settled, inside = _seed_minima(g)
-    rng = parse_tie(tie)
-    nw = g.node_weights
-    ew = g.edge_weights
+    labels, parent, order = _settle_core(g, k, parse_tie(tie))
+    return _chain(g, k, parent, order), Labeling(tuple(labels), "nodes"), len(order)
 
-    counter = itertools.count()
-    heap: list = []
-    enqueued = 0
 
-    def push(t: int) -> None:
-        nonlocal enqueued
-        key = dist[t][:k - 1]
-        sub = rng.random() if rng is not None else 0.0
-        heapq.heappush(heap, (key, sub, next(counter), t))
-        enqueued += 1
+def basin_labels(
+    g: WeightedGraph, k: int, algo: str = "core",
+    tie: Union[str, random.Random, None] = "min-label",
+) -> Labeling:
+    """The catchment labels of watershed ``algo``, with no distance built.
 
-    for m in inside:
-        push(m)
-    while heap:
-        _, _, _, t = heapq.heappop(heap)
-        for s, eid in g.neighbors(t):
-            if settled[s] or ew[eid] != nw[s]:
-                continue  # s must flood t
-            settled[s] = True
-            dist[s] = lex_chain((nw[s],), dist[t][:k - 1], k)
-            labels[s] = labels[t]
-            push(s)
-
-    return dist, Labeling(tuple(labels), "nodes"), enqueued
+    ``algo`` is ``core`` or ``dijkstra`` (the labels of
+    ``core_expanding`` and ``dijkstra_to_minima`` at depth ``k``) or
+    ``hq`` (``hq_watershed``, which takes neither depth nor tie).
+    """
+    if algo == "hq":
+        return hq_watershed(g)
+    settle = {"core": _settle_core, "dijkstra": _settle_dijkstra}.get(algo)
+    if settle is None:
+        raise ValueError(f"unknown watershed algorithm {algo!r}")
+    return Labeling(tuple(settle(g, k, parse_tie(tie))[0]), "nodes")
 
 
 def hq_watershed(g: WeightedGraph) -> Labeling:
@@ -179,13 +215,11 @@ def hq_watershed(g: WeightedGraph) -> Labeling:
     FIFO within a bucket assigns plateau nodes to the wavefront that
     reaches them first (from the plateau's lower boundary inwards).
     """
-    labeling = minima_of_flooding(g)
-    labels = list(labeling.values)
+    labels, _, inside = _seed_minima(g)
     nw = [w if labels[i] == UNSET else 0 for i, w in enumerate(g.node_weights)]
     hq = HierarchicalQueue()
-    for i, lab in enumerate(labeling.values):
-        if lab != UNSET:
-            hq.push(nw[i], i)
+    for i in inside:
+        hq.push(nw[i], i)
     while hq:
         _, j = hq.pop()
         for i, _ in g.neighbors(j):

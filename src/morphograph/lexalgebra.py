@@ -207,10 +207,10 @@ def _by_head(row: dict) -> dict:
 def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
     """Tracked product of sparse rows; ``a`` yields (col, entry) pairs.
 
-    Rows of ``b`` must be in head order (``_by_head``), and so are the
-    rows returned: a left factor with a non-empty window stops at the
-    first head above its tail.  A left window that already holds k levels
-    is the window of every product it starts.
+    Rows of ``b`` must be in head order (``_by_head``), so that a left
+    factor with a non-empty window stops at the first head above its
+    tail; the rows returned are in no particular order.  A left window
+    that already holds k levels is the window of every product it starts.
     """
     out = []
     for row in a:
@@ -231,7 +231,7 @@ def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
                 # exact_min: smaller window, then larger tail
                 if old is None or w < old[0] or w == old[0] and tb > old[1]:
                     acc[j] = (w, tb)
-        out.append(_by_head(acc))
+        out.append(acc)
     return out
 
 

@@ -4,7 +4,9 @@ Descents are chains of flooding pairs with never-increasing weights.
 ``prune_to_steepness`` keeps, per node outside the minima, exactly the
 adjacent edges that start a depth-k track of minimal lexicographic
 weight (tracks may stop early when they reach a minimum, and a shorter
-track beats every extension of itself).  ``local_prune`` reaches the
+track beats every extension of itself).  Tracks are never built: each
+node holds an integer rank that orders them (``track_ranks``), refined
+one pair deeper per pass until it repeats.  ``local_prune`` reaches the
 same edge set by iterating a purely local step on the node weights,
 with the minima pinned at 0: each edge is two arcs, one per end, and
 each node keeps only its arcs to its lowest live neighbors, then takes
@@ -16,6 +18,8 @@ adjunction operators.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
 from .flooding import _inherit_minima, _minimum_nodes, _zeroed_nodes, minima_of_flooding
@@ -38,55 +42,97 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     return _inherit_minima(g.partial(kept), g)
 
 
+def _flooding_pairs(g: WeightedGraph, in_min: list) -> tuple[list, list, list]:
+    """Flat parallel lists (tails, heads, edge ids): node ``tails[p]``
+    outside the minima floods edge ``eids[p]`` down to ``heads[p]``.  The
+    ids are a machine-int array, so no int object is kept per pair."""
+    free = [None if m else w for w, m in zip(g.node_weights, in_min)]
+    tails, heads, eids = [], [], array("i")
+    tail, head, edge = tails.append, heads.append, eids.append
+    for eid, ((u, v), w) in enumerate(zip(g.edges, g.edge_weights)):
+        if w == free[u]:
+            tail(u)
+            head(v)
+            edge(eid)
+        if w == free[v]:
+            tail(v)
+            head(u)
+            edge(eid)
+    return tails, heads, eids
+
+
+def _least(rank: list, tails: list, heads: list, none: int) -> list:
+    """Per node, the least rank over its pair heads (``none`` if no pair)."""
+    lo = [none] * len(rank)
+    for i, j in zip(tails, heads):
+        r = rank[j]
+        if r < lo[i]:
+            lo[i] = r
+    return lo
+
+
+def _refined(nw, in_min: list, pairs: tuple, depth: int) -> list[int]:
+    """``track_ranks`` over the lists of ``_flooding_pairs``."""
+    if depth < 1:
+        return [0] * len(nw)
+    rank = [0 if m else w + 1 for w, m in zip(nw, in_min)]  # depth 1
+    stride = max(rank, default=0) + 1
+    tails, heads, _ = pairs
+    for _ in range(depth - 1):
+        lo = _least(rank, tails, heads, stride)
+        keys = [w * stride + r if r < stride else -1 for w, r in zip(nw, lo)]
+        dense = {key: r for r, key in enumerate(sorted(set(keys)))}
+        nxt = [dense[key] for key in keys]
+        if nxt == rank:
+            break
+        rank, stride = nxt, len(dense)
+    return rank
+
+
+def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
+    """Per node, an integer that orders the minimal depth-``depth`` tracks.
+
+    A node's minimal track starts with its own weight and follows its
+    flooding pairs to the least track of depth ``depth`` - 1, stopping
+    on a minimum; ranks compare as these tuples do, and a minimum ranks 0.
+    Depth 1 ranks by weight alone.  Each deeper pass keys a node by its
+    weight, then the least rank over its pair heads, and re-ranks the
+    distinct keys densely: the rank refinement of prefix-doubling suffix
+    sorting.  A pass refines the order of the one before, so once the
+    ranks repeat every later pass repeats them, and a huge depth costs
+    only the passes to that fixed point.
+    """
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+    pairs = _flooding_pairs(g, in_min) if depth > 1 else ((), (), ())
+    return _refined(g.node_weights, in_min, pairs, depth)
+
+
+def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> list[tuple[int, int, int]]:
+    """The flooding pairs (tail, head, edge id) that start minimal depth-k
+    tracks: those whose head has the least depth-(k-1) rank of its tail's."""
+    pairs = tails, heads, eids = _flooding_pairs(g, in_min)
+    rank = _refined(g.node_weights, in_min, pairs, k - 1)
+    lo = _least(rank, tails, heads, max(rank, default=0) + 1)
+    return [(i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i]]
+
+
 def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
     """Per node outside the minima, the edges starting its minimal tracks.
 
     The key ``None`` holds the edges inside regional minima, which the
     pruning never touches.  Tracks stop on reaching a minimum node; all
-    candidate edges of a node share the node's own weight, so tracks are
-    compared by their tails.  Each pass runs over the flooding pairs.
+    candidate edges of a node share the node's own weight, so a node
+    picks the pairs whose head has the least track rank.
     """
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
-    nw, ew = g.node_weights, g.edge_weights
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
-
-    def pairs():
-        """(i, j, eid): node i outside the minima floods edge eid to j."""
-        for eid, ((u, v), w) in enumerate(zip(g.edges, ew)):
-            if w == nw[u] and not in_min[u]:
-                yield u, v, eid
-            if w == nw[v] and not in_min[v]:
-                yield v, u, eid
-
-    def lowest(tails):
-        """Per node, the least ``tails[j]`` over its pairs (None if none)."""
-        lo = [None] * g.num_nodes
-        for i, j, _ in pairs():
-            if lo[i] is None or tails[j] < lo[i]:
-                lo[i] = tails[j]
-        return lo
-
-    # best[i] = minimal lexicographic tail of a track starting at i with
-    # the current budget; () once inside a minimum or out of budget.  All
-    # pairs of i share its weight, so they are ranked by their tails.  A
-    # pass that changes nothing has reached the fixed point of every later one.
-    best: list = [()] * g.num_nodes
-    for _ in range(k - 1):
-        nxt = [() if t is None else (w,) + t for w, t in zip(nw, lowest(best))]
-        if nxt == best:
-            break
-        best = nxt
-    lo, picked = [None] * g.num_nodes, [None] * g.num_nodes
-    for i, j, eid in pairs():  # the pairs of each node reaching its least tail
-        if lo[i] is None or best[j] < lo[i]:
-            lo[i], picked[i] = best[j], [eid]
-        elif best[j] == lo[i]:
-            picked[i].append(eid)
-
+    picked: dict = {}
+    for i, _, eid in _minimal_pairs(g, k, in_min):
+        picked.setdefault(i, []).append(eid)
     out: dict = {None: frozenset([eid for eid, (u, v) in enumerate(g.edges)
                                   if in_min[u] and in_min[v]])}
-    out.update((i, frozenset(p)) for i, p in enumerate(picked) if p)
+    out.update((i, frozenset(picked[i])) for i in sorted(picked))
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Union
 
 from .flooding import _minimum_nodes, assign_pairs, minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
-from .steepness import minimal_track_edges
+from .steepness import _minimal_pairs
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,10 @@ def forest_weight(g: WeightedGraph, forest: SpanningForest) -> int:
 def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
     # Pruning keeps the minima and the endpoints of every minimal track
     # edge, so the tracks of g itself serve: no pruned graph is built.
-    cand = minimal_track_edges(g, k)
     labels = list(minima_of_flooding(g).values)
-
-    # nodes whose candidate edges lead to each node
-    rev: dict[int, list[int]] = {}
-    for i, eids in cand.items():
-        if i is None:
-            continue
-        for eid in eids:
-            u, v = g.edges[eid]
-            rev.setdefault(v if u == i else u, []).append(i)
+    rev: dict[int, list[int]] = {}  # the nodes whose minimal tracks start toward each node
+    for i, j, _ in _minimal_pairs(g, k, [lab != UNSET for lab in labels]):
+        rev.setdefault(j, []).append(i)
 
     # Each wavefront takes its labels from the previous one: a newly
     # reached node looks at the previous-wavefront nodes its minimal

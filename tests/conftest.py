@@ -6,6 +6,7 @@ import pytest
 
 from morphograph import WeightedGraph, flooding_from_edges, flooding_from_nodes
 from morphograph.flooding import minima_of_flooding, minima_sets
+from morphograph.formats import image_to_graph, write_pgm
 
 
 # -- fixed fixtures ----------------------------------------------------------
@@ -77,6 +78,16 @@ def random_node_weighted(rng, max_nodes=10, w_max=9, edge_prob=0.4):
     return WeightedGraph(
         n, tuple(sorted(edges)), tuple(rng.randint(0, w_max) for _ in range(n)), None
     )
+
+
+def quantized_pixel_floodings(rng, count):
+    """Tie-heavy floodings: ``count`` random 2-9 px images at 4 gray levels,
+    4- and then 8-connected."""
+    for conn in (4, 8):
+        for _ in range(count):
+            w, h = rng.randint(2, 9), rng.randint(2, 9)
+            pixels = [rng.randrange(4) for _ in range(w * h)]
+            yield flooding_from_nodes(image_to_graph(write_pgm(w, h, pixels, 3), conn))
 
 
 def random_flooding(rng, max_nodes=10, w_max=6, connected=False):

@@ -207,7 +207,7 @@ def test_value_error_from_a_bug_is_not_an_input_error(five_path_file, monkeypatc
     def broken(*args, **kwargs):
         raise ValueError("bug")
 
-    monkeypatch.setattr(geodesics, "core_expanding", broken)
+    monkeypatch.setattr(geodesics, "basin_labels", broken)
     with pytest.raises(ValueError, match="bug"):
         main(["watershed", five_path_file, "--algo", "core"])
 
@@ -395,8 +395,7 @@ def test_pgm_labels_on_a_wgr_is_refused_before_the_watershed(
     def refuse(*args, **kwargs):
         raise AssertionError("the watershed ran before the refusal")
 
-    for name in ("core_expanding", "dijkstra_to_minima", "hq_watershed"):
-        monkeypatch.setattr(geodesics, name, refuse)
+    monkeypatch.setattr(geodesics, "basin_labels", refuse)
     code, out, err = run_cli(
         capsys, "watershed", five_path_file, "--format", "pgm-labels", "--algo", algo)
     assert code == 2 and out == ""
@@ -418,3 +417,22 @@ def test_a_huge_depth_stops_at_the_fixed_point(command, flag, tmp_path, capsys):
     code, want, _ = run_cli(capsys, command, str(path), flag, str(k))
     assert code == 0
     assert run_cli(capsys, command, str(path), flag, str(10**12)) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("watershed",), ("watershed", "--algo", "dijkstra"), ("mst",), ("waterfall",),
+])
+def test_a_huge_depth_on_a_ramp_gives_the_fixed_point(argv, tmp_path, capsys):
+    # each pair of an x + y ramp descends one level, so its tracks run
+    # across the whole image, yet the track ranks repeat within a few
+    # passes; no track is longer than the graph has nodes
+    side = 16
+    path = tmp_path / "ramp.pgm"
+    path.write_bytes(b"P5 %d %d 65535\n" % (side, side) + b"".join(
+        (x + y).to_bytes(2, "big") for y in range(side) for x in range(side)))
+    code, out, _ = run_cli(capsys, "flood", str(path))
+    assert code == 0
+    k = parse_wgr(out).num_nodes + 1
+    code, want, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--depth", str(k))
+    assert code == 0 and want
+    assert run_cli(capsys, argv[0], str(path), *argv[1:], "--depth", str(10**6)) == (0, want, "")

@@ -1,3 +1,7 @@
+import heapq
+import itertools
+import random
+
 import pytest
 
 from morphograph import (
@@ -13,10 +17,15 @@ from morphograph import (
     toll_distances,
 )
 from morphograph.flooding import minima_of_flooding, minima_sets
-from morphograph.geodesics import node_erosion, parse_tie
+from morphograph.geodesics import basin_labels, node_erosion, parse_tie
 from morphograph.graphs import UNSET
-from morphograph.lexalgebra import distances_to_minima
-from conftest import constrained_msf_weight, random_flooding, random_node_weighted
+from morphograph.lexalgebra import distances_to_minima, lex_chain
+from conftest import (
+    constrained_msf_weight,
+    quantized_pixel_floodings,
+    random_flooding,
+    random_node_weighted,
+)
 
 
 def test_hierarchical_queue_fifo_within_bucket():
@@ -300,3 +309,79 @@ def test_reconstruct_roundtrip_random(rng):
         assert all(
             d is None or d == g.node_weights[i] for i, d in enumerate(dists)
         )
+
+
+def _tuple_keyed(g, k, tie, core):
+    """``core_expanding`` (core=True) or ``dijkstra_to_minima`` as they ran
+    before track ranks, heaping on distance tuples; kept as their oracle.
+    Returns (distances, labels, enqueue count)."""
+    labels = list(minima_of_flooding(g).values)
+    dist = [None if lab == UNSET else UNIT for lab in labels]
+    settled = [lab != UNSET for lab in labels]
+    inside = [i for i, s in enumerate(settled) if s]
+    rng = parse_tie(tie)
+    nw, ew = g.node_weights, g.edge_weights
+    counter, heap, pushes = itertools.count(), [], []
+    if core:
+        def push(t):
+            sub = rng.random() if rng is not None else 0.0
+            heapq.heappush(heap, (dist[t][:k - 1], sub, next(counter), t))
+            pushes.append(t)
+
+        for m in inside:
+            push(m)
+        while heap:
+            t = heapq.heappop(heap)[3]
+            for s, eid in g.neighbors(t):
+                if not settled[s] and ew[eid] == nw[s]:
+                    settled[s] = True
+                    dist[s] = lex_chain((nw[s],), dist[t][:k - 1], k)
+                    labels[s] = labels[t]
+                    push(s)
+        return dist, labels, len(pushes)
+
+    best, ties = {}, {}
+
+    def relax(l):
+        for j, eid in g.neighbors(l):
+            if settled[j] or ew[eid] != nw[j]:
+                continue
+            est = lex_chain((nw[j],), dist[l], k)
+            cur = best.get(j)
+            if cur is None or est < cur:
+                best[j], labels[j], ties[j] = est, labels[l], 1
+                heapq.heappush(heap, (est, next(counter), j))
+            elif est == cur and labels[l] != labels[j]:
+                ties[j] += 1
+                if rng is None:
+                    labels[j] = min(labels[j], labels[l])
+                elif rng.random() < 1.0 / ties[j]:
+                    labels[j] = labels[l]
+
+    for m in inside:
+        relax(m)
+    while heap:
+        est, _, j = heapq.heappop(heap)
+        if not settled[j] and est == best[j]:
+            settled[j], dist[j] = True, est
+            relax(j)
+    return dist, labels, None
+
+
+def test_basin_labels_are_the_labels_of_the_distance_solvers():
+    rng = random.Random(41)
+    corpus = [random_flooding(rng, rng.choice((8, 12, 20))) for _ in range(120)]
+    corpus += quantized_pixel_floodings(rng, 20)
+    for fg in corpus:
+        hq = hq_watershed(fg)
+        for k in range(1, 6):
+            for tie in ("min-label", f"seed:{rng.randrange(2**32)}"):
+                dist, labeling, enqueued = core_expanding(fg, k, tie)
+                assert (dist, list(labeling.values), enqueued) == _tuple_keyed(fg, k, tie, True)
+                assert basin_labels(fg, k, "core", tie) == labeling
+                dist, labeling = dijkstra_to_minima(fg, k, tie)
+                assert (dist, list(labeling.values), None) == _tuple_keyed(fg, k, tie, False)
+                assert basin_labels(fg, k, "dijkstra", tie) == labeling
+                assert basin_labels(fg, k, "hq", tie) == hq
+    with pytest.raises(ValueError, match="unknown watershed algorithm"):
+        basin_labels(corpus[0], 2, "prim")

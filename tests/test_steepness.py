@@ -16,8 +16,8 @@ from morphograph import (
 from morphograph.flooding import minima_of_flooding
 from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import UNSET, lowest_edge_filter
-from morphograph.steepness import minimal_track_edges
-from conftest import random_edge_weighted, random_flooding
+from morphograph.steepness import minimal_track_edges, track_ranks
+from conftest import quantized_pixel_floodings, random_edge_weighted, random_flooding
 
 
 def test_prune_depth_one_is_identity(rng):
@@ -90,20 +90,12 @@ def test_prune_nesting_and_composition(rng):
             assert lhs == sets[max(k, l)]
 
 
-def _quantized_pixel_floodings(rng, count):
-    for conn in (4, 8):
-        for _ in range(count):
-            w, h = rng.randint(2, 9), rng.randint(2, 9)
-            pixels = [rng.randrange(4) for _ in range(w * h)]
-            yield flooding_from_nodes(image_to_graph(write_pgm(w, h, pixels, 3), conn))
-
-
 def test_pruning_keeps_minima_and_minimal_track_endpoints(rng):
     # prune_to_steepness hands its minima to the pruned graph and the
     # watershed propagates along the tracks of the unpruned graph; both
     # rest on these two facts, checked here on an uncached copy.
     samples = [random_flooding(rng) for _ in range(60)]
-    samples += _quantized_pixel_floodings(rng, 8)
+    samples += quantized_pixel_floodings(rng, 8)
     for fg in samples:
         for k in range(1, 6):
             p = prune_to_steepness(fg, k)
@@ -293,3 +285,66 @@ def test_pruning_stops_at_its_fixed_point(rng):
         assert local_prune(fg, 10**12) == local_prune(fg, k - 1)
         assert prune_to_steepness(fg, 10**12) == prune_to_steepness(fg, k)
         assert is_steep(fg, 10**12) == is_steep(fg, k)
+
+
+def _tuple_track_edges(g, k):
+    """The tuple recurrence that ``minimal_track_edges`` ran before track
+    ranks, kept as its oracle: each pass grows every node's least tail by
+    one level.  Returns the picked edges and the tails after k - 1 passes."""
+    nw, ew = g.node_weights, g.edge_weights
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+
+    def pairs():
+        for eid, ((u, v), w) in enumerate(zip(g.edges, ew)):
+            if w == nw[u] and not in_min[u]:
+                yield u, v, eid
+            if w == nw[v] and not in_min[v]:
+                yield v, u, eid
+
+    def lowest(tails):
+        lo = [None] * g.num_nodes
+        for i, j, _ in pairs():
+            if lo[i] is None or tails[j] < lo[i]:
+                lo[i] = tails[j]
+        return lo
+
+    best = [()] * g.num_nodes
+    for _ in range(k - 1):
+        nxt = [() if t is None else (w,) + t for w, t in zip(nw, lowest(best))]
+        if nxt == best:
+            break
+        best = nxt
+    lo, picked = [None] * g.num_nodes, [None] * g.num_nodes
+    for i, j, eid in pairs():
+        if lo[i] is None or best[j] < lo[i]:
+            lo[i], picked[i] = best[j], [eid]
+        elif best[j] == lo[i]:
+            picked[i].append(eid)
+    out = {None: frozenset([eid for eid, (u, v) in enumerate(g.edges)
+                            if in_min[u] and in_min[v]])}
+    out.update((i, frozenset(p)) for i, p in enumerate(picked) if p)
+    return out, best
+
+
+def test_track_ranks_follow_the_tuple_recurrence():
+    rng = random.Random(23)
+    corpus = [random_flooding(rng, rng.choice((8, 12, 20))) for _ in range(200)]
+    corpus += quantized_pixel_floodings(rng, 30)
+    for fg in corpus:
+        n = fg.num_nodes
+        for k in [*range(1, 9), n, n + 1, n + 5]:
+            want, tails = _tuple_track_edges(fg, k)
+            got = minimal_track_edges(fg, k)
+            assert list(got.items()) == list(want.items())
+            # the ranks order every two nodes as their truncated tracks do
+            ranks = track_ranks(fg, k - 1)
+            order = sorted(set(zip(tails, ranks)))
+            assert all(t < u and r < s for (t, r), (u, s) in zip(order, order[1:]))
+            assert all(r == 0 for t, r in order if t == ())
+
+
+def test_track_ranks_at_depth_zero_and_one(five_path_flooding):
+    fg = five_path_flooding  # weights 0 1 2 1 0, and two dummies in the minima
+    assert track_ranks(fg, 0) == [0] * 7
+    assert track_ranks(fg, 1) == [0, 2, 3, 2, 0, 0, 0]  # weight + 1 outside the minima
+    assert track_ranks(fg, 2) == [0, 1, 2, 1, 0, 0, 0]  # dense from depth 2 on
