@@ -55,6 +55,7 @@ from .steepness import (
     local_prune,
     local_prune_step,
     prune_to_steepness,
+    track_ranks,
 )
 from .lexalgebra import (
     UNIT,
@@ -69,6 +70,7 @@ from .lexalgebra import (
 )
 from .geodesics import (
     HierarchicalQueue,
+    basin_labels,
     core_expanding,
     dijkstra_to_minima,
     hq_watershed,

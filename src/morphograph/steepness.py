@@ -20,6 +20,7 @@ adjunction operators.
 from __future__ import annotations
 
 from array import array
+from typing import Iterator
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
 from .flooding import _inherit_minima, _minimum_nodes, _zeroed_nodes, minima_of_flooding
@@ -107,13 +108,13 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
     return _refined(g.node_weights, in_min, pairs, depth)
 
 
-def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> list[tuple[int, int, int]]:
+def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> Iterator[tuple[int, int, int]]:
     """The flooding pairs (tail, head, edge id) that start minimal depth-k
     tracks: those whose head has the least depth-(k-1) rank of its tail's."""
     pairs = tails, heads, eids = _flooding_pairs(g, in_min)
     rank = _refined(g.node_weights, in_min, pairs, k - 1)
     lo = _least(rank, tails, heads, max(rank, default=0) + 1)
-    return [(i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i]]
+    return ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
 
 
 def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
