@@ -69,7 +69,6 @@ from .lexalgebra import (
     linear_solve,
 )
 from .geodesics import (
-    HierarchicalQueue,
     basin_labels,
     core_expanding,
     dijkstra_to_minima,

@@ -3,21 +3,23 @@
 All of them grow a settled domain from the labeled regional minima and
 propagate labels along the geodesics:
 
-* ``dijkstra_to_minima`` keeps re-estimating boundary nodes and settles
-  the smallest estimate (for depth 1 this is exactly Prim's forest
-  growth from the minima).
+* ``dijkstra_to_minima`` estimates boundary nodes and settles the
+  smallest estimate (for depth 1 this is exactly Prim's forest growth
+  from the minima).
 * ``core_expanding`` exploits the structure of lexicographic distances:
   the settled boundary node with the lowest depth-(k-1) valuation may
   immediately settle every unsettled neighbor that floods it, so each
   node enters the queue exactly once.
-* ``hq_watershed`` is the depth-2 special case driven by a hierarchical
-  queue; FIFO order within a bucket divides plateaus from their lower
-  boundary inwards.
+* ``hq_watershed`` is depth-2 core expansion: its hierarchical queue is
+  the heap on depth-1 ranks, whose counter keeps each bucket first in,
+  first out, so plateaus divide from their lower boundary inwards.
 
-The first two queue on integer keys built from the depth-(k-1) track
-ranks of ``steepness``, keep a parent per node, and chain the distance
-tuples from the parents only when they return them; ``basin_labels``
-gives the labels of any of the three and builds no tuple.
+They walk one set of rows, memoised on the graph by ``steepness``: per
+node, the tails of the minimal depth-k flooding pairs it heads, with
+the depth-(k-1) track ranks they queue on.  They keep a parent per node
+and chain the distance tuples from the parents only when they return
+them; ``basin_labels`` gives the labels of any of the three and builds
+no tuple.
 
 Also here: additive toll/topographic distances on node-weighted graphs
 and the decomposition of a node field into local tolls whose integration
@@ -29,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
@@ -37,39 +38,7 @@ from .errors import MorphographError, NoRoots
 from .flooding import minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, WeightedGraph, regional_minima
 from .lexalgebra import LexWeight, UNIT, ZERO, lex_chain
-from .steepness import track_ranks
-
-
-class HierarchicalQueue:
-    """FIFO buckets indexed by integer priority.
-
-    Extraction returns, among the entries of lowest priority, the one
-    introduced first.
-    """
-
-    def __init__(self):
-        self._buckets: dict[int, deque] = {}
-        self._levels: list[int] = []
-
-    def push(self, priority: int, item) -> None:
-        bucket = self._buckets.get(priority)
-        if bucket is None:
-            bucket = self._buckets[priority] = deque()
-            heapq.heappush(self._levels, priority)
-        bucket.append(item)
-
-    def pop(self) -> tuple[int, object]:
-        while self._levels:
-            level = self._levels[0]
-            bucket = self._buckets.get(level)
-            if bucket:
-                return level, bucket.popleft()
-            heapq.heappop(self._levels)
-            self._buckets.pop(level, None)
-        raise IndexError("pop from empty queue")
-
-    def __bool__(self) -> bool:
-        return any(self._buckets.values())
+from .steepness import _upstream
 
 
 def _seed_minima(g: WeightedGraph):
@@ -82,30 +51,28 @@ def _seed_minima(g: WeightedGraph):
 def _settle_dijkstra(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
     """Labels, parents and settle order of ``dijkstra_to_minima``: j
     flooding l is estimated by ``nw[j] * stride + rank[l]``, which orders
-    as chaining ``nw[j]`` in front of l's distance does."""
+    as chaining ``nw[j]`` in front of l's distance does.  Only minimal
+    heads relax j, and they share one rank, so the first fixes j's
+    estimate and each later one ties it."""
     labels, parent, order = _seed_minima(g)
     settled = [p is not None for p in parent]
-    rank = track_ranks(g, k - 1)
+    rank, rows = _upstream(g, k)
     stride = max(rank, default=0) + 1
-    nw, ew, adj = g.node_weights, g.edge_weights, g.adjacency
+    nw = g.node_weights
 
-    best: dict[int, int] = {}
     ties: dict[int, int] = {}
     counter = itertools.count()
     heap: list = []
 
     def relax(l: int) -> None:
-        for j, eid in adj[l]:
-            if settled[j] or ew[eid] != nw[j]:
-                continue  # only pairs (j, jl) flood the domain
-            est = nw[j] * stride + rank[l]
-            cur = best.get(j)
-            if cur is None or est < cur:
-                best[j] = est
+        for j in rows[l]:
+            if settled[j]:
+                continue
+            if parent[j] is None:
                 labels[j], parent[j] = labels[l], l
                 ties[j] = 1
-                heapq.heappush(heap, (est, next(counter), j))
-            elif est == cur and labels[l] != labels[j]:
+                heapq.heappush(heap, (nw[j] * stride + rank[l], next(counter), j))
+            elif labels[l] != labels[j]:
                 ties[j] += 1
                 if rng is None:
                     if labels[l] < labels[j]:
@@ -116,9 +83,7 @@ def _settle_dijkstra(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
     for m in order:  # the minima: only the loop below appends
         relax(m)
     while heap:
-        est, _, j = heapq.heappop(heap)
-        if settled[j] or est != best[j]:
-            continue
+        j = heapq.heappop(heap)[2]
         settled[j] = True
         order.append(j)
         relax(j)
@@ -128,10 +93,10 @@ def _settle_dijkstra(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
 def _settle_core(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
     """Labels, parents and settle order of ``core_expanding``: a node is
     queued by its track rank, which orders as its distance's first k-1
-    levels do."""
+    levels do, so the first head of a node to leave the queue is one of
+    its minimal heads and settles it."""
     labels, parent, order = _seed_minima(g)
-    rank = track_ranks(g, k - 1)
-    nw, ew, adj = g.node_weights, g.edge_weights, g.adjacency
+    rank, rows = _upstream(g, k)
 
     counter = itertools.count()
     heap: list = []
@@ -144,12 +109,11 @@ def _settle_core(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
         push(m)
     while heap:
         t = heapq.heappop(heap)[3]
-        for s, eid in adj[t]:
-            if parent[s] is not None or ew[eid] != nw[s]:
-                continue  # s must flood t
-            parent[s], labels[s] = t, labels[t]
-            order.append(s)
-            push(s)
+        for s in rows[t]:
+            if parent[s] is None:
+                parent[s], labels[s] = t, labels[t]
+                order.append(s)
+                push(s)
     return labels, parent, order
 
 
@@ -210,23 +174,14 @@ def basin_labels(
 def hq_watershed(g: WeightedGraph) -> Labeling:
     """Classical watershed: hierarchical-queue flood from the minima.
 
-    Depth-2 core expansion with node weights as bucket priorities, the
-    minima first pinned to 0 so every source starts flooding at once;
-    FIFO within a bucket assigns plateau nodes to the wavefront that
-    reaches them first (from the plateau's lower boundary inwards).
+    This is depth-2 core expansion under ``min-label``: on a flooding
+    graph the depth-1 ranks (0 in a minimum, else weight + 1) order the
+    nodes as buckets of their weights with the minima pinned to 0, and
+    the heap counter keeps each bucket first in, first out, so plateau
+    nodes go to the wavefront that reaches them first (from the
+    plateau's lower boundary inwards).
     """
-    labels, _, inside = _seed_minima(g)
-    nw = [w if labels[i] == UNSET else 0 for i, w in enumerate(g.node_weights)]
-    hq = HierarchicalQueue()
-    for i in inside:
-        hq.push(nw[i], i)
-    while hq:
-        _, j = hq.pop()
-        for i, _ in g.neighbors(j):
-            if labels[i] == UNSET:
-                labels[i] = labels[j]
-                hq.push(nw[i], i)
-    return Labeling(tuple(labels), "nodes")
+    return Labeling(tuple(_settle_core(g, 2, None)[0]), "nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,31 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
     return _refined(g.node_weights, in_min, pairs, depth)
 
 
-def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> Iterator[tuple[int, int, int]]:
-    """The flooding pairs (tail, head, edge id) that start minimal depth-k
-    tracks: those whose head has the least depth-(k-1) rank of its tail's."""
+def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> tuple[list, Iterator]:
+    """The depth-(k-1) track ranks, and the flooding pairs (tail, head,
+    edge id) that start minimal depth-k tracks: those whose head has the
+    least depth-(k-1) rank of its tail's."""
     pairs = tails, heads, eids = _flooding_pairs(g, in_min)
     rank = _refined(g.node_weights, in_min, pairs, k - 1)
     lo = _least(rank, tails, heads, max(rank, default=0) + 1)
-    return ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
+    return rank, ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
+
+
+def _upstream(g: WeightedGraph, k: int) -> tuple[list, list]:
+    """The depth-(k-1) track ranks and, per node, the ascending tails of
+    the minimal depth-k pairs it heads: the rows every watershed labeler
+    walks upward from the minima.  Memoised on ``g`` for the last ``k``."""
+    memo = vars(g).get("_upstream")
+    if memo is None or memo[0] != k:
+        in_min = [v != UNSET for v in minima_of_flooding(g).values]
+        rank, pairs = _minimal_pairs(g, k, in_min)
+        rows: list = [[] for _ in range(g.num_nodes)]
+        for i, j, _ in pairs:
+            rows[j].append(i)
+        for row in rows:
+            row.sort()  # the order of the edge list is the input's
+        memo = vars(g)["_upstream"] = (k, rank, rows)
+    return memo[1], memo[2]
 
 
 def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
@@ -129,7 +147,7 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
         raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
     picked: dict = {}
-    for i, _, eid in _minimal_pairs(g, k, in_min):
+    for i, _, eid in _minimal_pairs(g, k, in_min)[1]:
         picked.setdefault(i, []).append(eid)
     out: dict = {None: frozenset([eid for eid, (u, v) in enumerate(g.edges)
                                   if in_min[u] and in_min[v]])}

@@ -20,7 +20,7 @@ from typing import Union
 
 from .flooding import _minimum_nodes, assign_pairs, minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
-from .steepness import _minimal_pairs
+from .steepness import _upstream
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,7 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
     # Pruning keeps the minima and the endpoints of every minimal track
     # edge, so the tracks of g itself serve: no pruned graph is built.
     labels = list(minima_of_flooding(g).values)
-    rev: dict[int, list[int]] = {}  # the nodes whose minimal tracks start toward each node
-    for i, j, _ in _minimal_pairs(g, k, [lab != UNSET for lab in labels]):
-        rev.setdefault(j, []).append(i)
+    _, rows = _upstream(g, k)  # the nodes whose minimal tracks start toward each node
 
     # Each wavefront takes its labels from the previous one: a newly
     # reached node looks at the previous-wavefront nodes its minimal
@@ -121,7 +119,7 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
     while frontier:
         sources: dict[int, list[int]] = {}
         for f in frontier:
-            for i in rev.get(f, ()):
+            for i in rows[f]:
                 if labels[i] == UNSET:
                     sources.setdefault(i, []).append(f)
         frontier = sorted(sources)

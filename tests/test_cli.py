@@ -213,9 +213,9 @@ def test_value_error_from_a_bug_is_not_an_input_error(five_path_file, monkeypatc
 
 
 def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, capsys):
-    from morphograph import flooding
+    from morphograph import flooding, steepness
 
-    calls = {"validate": 0, "minima": 0}
+    calls = {"validate": 0, "minima": 0, "pairs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -225,12 +225,21 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
 
     monkeypatch.setattr(flooding, "validate_flooding", counted("validate", flooding.validate_flooding))
     monkeypatch.setattr(flooding, "regional_minima", counted("minima", flooding.regional_minima))
+    monkeypatch.setattr(steepness, "_flooding_pairs", counted("pairs", steepness._flooding_pairs))
     for fmt in ("json", "dot"):
-        calls.update(validate=0, minima=0)
+        calls.update(validate=0, minima=0, pairs=0)
         code, _, _ = run_cli(capsys, "watershed", five_path_file, "--format", fmt)
         assert code == 0
         # one validation; one minima labeling from the node minima
-        assert calls == {"validate": 1, "minima": 1}
+        assert calls["validate"] == calls["minima"] == 1
+    # the labels and the zones walk the same memoised minimal-pair rows;
+    # at depth 3 the depth-2 ranks need the pairs too
+    for algo in ("core", "dijkstra"):
+        calls.update(validate=0, minima=0, pairs=0)
+        code, out, _ = run_cli(capsys, "watershed", five_path_file, "--depth", "3",
+                               "--algo", algo)
+        assert code == 0 and "zones" in json.loads(out)
+        assert calls == {"validate": 1, "minima": 1, "pairs": 1}
 
 
 def test_pgm_input_is_parsed_once(tmp_path, monkeypatch, capsys):

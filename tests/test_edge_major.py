@@ -2,8 +2,9 @@
 
 The adjunction operators and the lowest-edge filters are checked against
 naive per-node references; the local pruning kernel against depth
-pruning; and a PGM run of ``flood`` and ``prune`` against a topology whose
-adjacency rows refuse to be built.
+pruning; and PGM runs of ``flood``, ``prune``, ``watershed`` and ``dist
+--method core|dijkstra`` against a topology whose adjacency rows refuse
+to be built.
 """
 
 import random
@@ -163,7 +164,13 @@ def test_flood_and_prune_commands_never_build_the_adjacency(tmp_path, capsys, mo
     path = tmp_path / "t.pgm"
     path.write_bytes(write_pgm(12, 10, _terrain(random.Random(1), 12, 10), 4))
     _refuse_adjacency(monkeypatch)
-    for argv in (["flood"], ["prune", "--steepness", "3"], ["prune", "--steepness", "1"]):
+    # the watershed labelers and the distance solvers walk the minimal-pair rows
+    watersheds = [["watershed", "--algo", algo, "--format", fmt, "--depth", depth]
+                  for algo in ("core", "dijkstra", "hq")
+                  for fmt in ("json", "dot", "pgm-labels") for depth in ("2", "3")]
+    dists = [["dist", "--method", method, "--depth", "3"] for method in ("core", "dijkstra")]
+    for argv in (["flood"], ["prune", "--steepness", "3"], ["prune", "--steepness", "1"],
+                 *watersheds, *dists):
         assert main([argv[0], str(path), *argv[1:]]) == 0
         out = capsys.readouterr()
         assert out.out and not out.err

@@ -1,11 +1,11 @@
 import heapq
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from morphograph import (
-    HierarchicalQueue,
     NoRoots,
     UNIT,
     WeightedGraph,
@@ -26,23 +26,6 @@ from conftest import (
     random_flooding,
     random_node_weighted,
 )
-
-
-def test_hierarchical_queue_fifo_within_bucket():
-    hq = HierarchicalQueue()
-    hq.push(2, "c")
-    hq.push(1, "a")
-    hq.push(1, "b")
-    hq.push(0, "z")
-    assert hq.pop() == (0, "z")
-    assert hq.pop() == (1, "a")
-    hq.push(1, "d")
-    assert hq.pop() == (1, "b")
-    assert hq.pop() == (1, "d")
-    assert hq.pop() == (2, "c")
-    assert not hq
-    with pytest.raises(IndexError):
-        hq.pop()
 
 
 def test_parse_tie():
@@ -101,14 +84,45 @@ def test_core_expanding_matches_dijkstra(rng):
         assert enqueued == fg.num_nodes
 
 
+def _bucket_queue_hq(g):
+    """``hq_watershed`` as it ran before it became depth-2 core expansion,
+    kept as its oracle: FIFO buckets keyed by node weight with the minima
+    pinned to 0, each extracted node labeling every unlabeled neighbor."""
+    labels = list(minima_of_flooding(g).values)
+    nw = [w if labels[i] == UNSET else 0 for i, w in enumerate(g.node_weights)]
+    buckets, levels = {}, []
+
+    def push(i):
+        if nw[i] not in buckets:
+            buckets[nw[i]] = deque()
+            heapq.heappush(levels, nw[i])
+        buckets[nw[i]].append(i)
+
+    for i, lab in enumerate(labels):
+        if lab != UNSET:
+            push(i)
+    while levels:
+        bucket = buckets[levels[0]]
+        if not bucket:
+            del buckets[heapq.heappop(levels)]
+            continue
+        j = bucket.popleft()
+        for i, _ in g.neighbors(j):
+            if labels[i] == UNSET:
+                labels[i] = labels[j]
+                push(i)
+    return tuple(labels)
+
+
 def test_core_expanding_depth2_matches_hq(rng):
-    for _ in range(60):
-        fg = random_flooding(rng, connected=True)
+    corpus = [random_flooding(rng, 12, connected=c) for c in (True, False) for _ in range(60)]
+    corpus += quantized_pixel_floodings(rng, 30)
+    for fg in corpus:
         _, labeling, _ = core_expanding(fg, 2)
         hq = hq_watershed(fg)
-        # agreement wherever the nearest minimum is unique; on the shared
-        # FIFO traversal used here the full labelings coincide
-        assert labeling.values == hq.values
+        # the bucket queue of the old loop orders nodes as the depth-1
+        # ranks and the heap counter do, so the full labelings coincide
+        assert hq.values == labeling.values == _bucket_queue_hq(fg)
 
 
 def test_label_agreement_where_distance_unique(rng):

@@ -16,7 +16,7 @@ from morphograph import (
 from morphograph.flooding import minima_of_flooding
 from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import UNSET, lowest_edge_filter
-from morphograph.steepness import minimal_track_edges, track_ranks
+from morphograph.steepness import _upstream, minimal_track_edges, track_ranks
 from conftest import quantized_pixel_floodings, random_edge_weighted, random_flooding
 
 
@@ -348,3 +348,23 @@ def test_track_ranks_at_depth_zero_and_one(five_path_flooding):
     assert track_ranks(fg, 0) == [0] * 7
     assert track_ranks(fg, 1) == [0, 2, 3, 2, 0, 0, 0]  # weight + 1 outside the minima
     assert track_ranks(fg, 2) == [0, 1, 2, 1, 0, 0, 0]  # dense from depth 2 on
+
+
+def test_upstream_rows_hold_the_minimal_pairs_by_head():
+    rng = random.Random(29)
+    corpus = [random_flooding(rng, rng.choice((8, 12, 20))) for _ in range(80)]
+    corpus += quantized_pixel_floodings(rng, 10)
+    for fg in corpus:
+        # the same graph with its edge list reversed: rows do not follow it
+        back = WeightedGraph(fg.num_nodes, fg.edges[::-1], fg.node_weights,
+                             fg.edge_weights[::-1], fg.dummies)
+        for k in (1, 2, 3, fg.num_nodes + 1):
+            rank, rows = _upstream(fg, k)
+            assert rank == track_ranks(fg, k - 1)
+            want = [[] for _ in range(fg.num_nodes)]
+            for i, eids in minimal_track_edges(fg, k).items():
+                for eid in eids if i is not None else ():
+                    want[sum(fg.edges[eid]) - i].append(i)
+            assert rows == [sorted(row) for row in want]
+            assert _upstream(back, k) == (rank, rows)
+            assert _upstream(fg, k)[1] is rows  # memoised for the last depth
