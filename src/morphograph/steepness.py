@@ -37,10 +37,17 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     The result is a flooding graph with the same regional minima, so it
     inherits the cached minima of ``g``, its flooding certificate.
     """
-    kept = set()
-    for cands in minimal_track_edges(g, k).values():
-        kept.update(cands)
+    if k < 1:
+        raise ValueError("steepness depth must be >= 1")
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+    _, picked = _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))
+    kept = _inner_edges(g, in_min) + [eid for _, _, eid in picked]
     return _inherit_minima(g.partial(kept), g)
+
+
+def _inner_edges(g: WeightedGraph, in_min: list) -> list[int]:
+    """Ids of the edges inside the minima, which pruning never touches."""
+    return [eid for eid, (u, v) in enumerate(g.edges) if in_min[u] and in_min[v]]
 
 
 def _flooding_pairs(g: WeightedGraph, in_min: list) -> tuple[list, list, list]:
@@ -108,11 +115,12 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
     return _refined(g.node_weights, in_min, pairs, depth)
 
 
-def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> tuple[list, Iterator]:
+def _minimal_pairs(g: WeightedGraph, k: int, in_min: list,
+                   pairs: tuple) -> tuple[list, Iterator]:
     """The depth-(k-1) track ranks, and the flooding pairs (tail, head,
-    edge id) that start minimal depth-k tracks: those whose head has the
-    least depth-(k-1) rank of its tail's."""
-    pairs = tails, heads, eids = _flooding_pairs(g, in_min)
+    edge id) of ``_flooding_pairs`` that start minimal depth-k tracks:
+    those whose head has the least depth-(k-1) rank of its tail's."""
+    tails, heads, eids = pairs
     rank = _refined(g.node_weights, in_min, pairs, k - 1)
     lo = _least(rank, tails, heads, max(rank, default=0) + 1)
     return rank, ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
@@ -121,18 +129,22 @@ def _minimal_pairs(g: WeightedGraph, k: int, in_min: list) -> tuple[list, Iterat
 def _upstream(g: WeightedGraph, k: int) -> tuple[list, list]:
     """The depth-(k-1) track ranks and, per node, the ascending tails of
     the minimal depth-k pairs it heads: the rows every watershed labeler
-    walks upward from the minima.  Memoised on ``g`` for the last ``k``."""
+    walks upward from the minima.  Memoised on ``g``: the flooding pairs,
+    which do not depend on ``k``, and the ranks and rows of the last ``k``."""
     memo = vars(g).get("_upstream")
-    if memo is None or memo[0] != k:
+    if memo is None:
         in_min = [v != UNSET for v in minima_of_flooding(g).values]
-        rank, pairs = _minimal_pairs(g, k, in_min)
-        rows: list = [[] for _ in range(g.num_nodes)]
-        for i, j, _ in pairs:
+        memo = (in_min, _flooding_pairs(g, in_min), None, None, None)
+    in_min, pairs, last, rank, rows = memo
+    if last != k:
+        rank, picked = _minimal_pairs(g, k, in_min, pairs)
+        rows = [[] for _ in range(g.num_nodes)]
+        for i, j, _ in picked:
             rows[j].append(i)
         for row in rows:
             row.sort()  # the order of the edge list is the input's
-        memo = vars(g)["_upstream"] = (k, rank, rows)
-    return memo[1], memo[2]
+        vars(g)["_upstream"] = (in_min, pairs, k, rank, rows)
+    return rank, rows
 
 
 def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
@@ -147,10 +159,9 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
         raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
     picked: dict = {}
-    for i, _, eid in _minimal_pairs(g, k, in_min)[1]:
+    for i, _, eid in _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[1]:
         picked.setdefault(i, []).append(eid)
-    out: dict = {None: frozenset([eid for eid, (u, v) in enumerate(g.edges)
-                                  if in_min[u] and in_min[v]])}
+    out: dict = {None: frozenset(_inner_edges(g, in_min))}
     out.update((i, frozenset(picked[i])) for i in sorted(picked))
     return out
 

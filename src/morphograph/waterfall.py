@@ -70,27 +70,35 @@ def build_hierarchy(
     while True:
         pruned = prune_to_steepness(cur_flood, k)
         forest = drainage_forest(pruned, rng)
-        forest_full_ids = [
-            cur_full.edge_id(*pruned.edges[eid]) for eid in forest.edges
-        ]
-        base_ids = frozenset(to_base_edge[eid] for eid in forest_full_ids)
-        part = Labeling(
-            tuple(forest.labels.values[to_region[b]] for b in range(base.num_nodes)),
-            "nodes",
-        )
+        full_ids = _ids_within(pruned, cur_full)
+        forest_full_ids = [full_ids[eid] for eid in forest.edges]
+        base_ids = frozenset([to_base_edge[eid] for eid in forest_full_ids])
+        labels = forest.labels.values
+        part = Labeling(tuple([labels[r] for r in to_region]), "nodes")
         contraction = contract(cur_full, forest_full_ids)
         levels.append(
             HierarchyLevel(base_ids, part, forest.num_trees, contraction.graph)
         )
         if contraction.graph.num_nodes <= 1:
             return Hierarchy(base, tuple(levels))
-        to_region = [contraction.node_map[to_region[b]] for b in range(base.num_nodes)]
-        to_base_edge = [
-            to_base_edge[contraction.edge_origins[e]]
-            for e in range(len(contraction.graph.edges))
-        ]
+        node_map = contraction.node_map
+        to_region = [node_map[r] for r in to_region]
+        to_base_edge = [to_base_edge[eid] for eid in contraction.edge_origins]
         cur_full = contraction.graph
         cur_flood = flooding_from_edges(cur_full)
+
+
+def _ids_within(part: WeightedGraph, whole: WeightedGraph) -> list[int]:
+    """Per edge of ``part``, its id in ``whole``.  ``part`` is a partial
+    graph of ``whole``, or one of its partial graphs, and ``partial``
+    keeps the order of the edges, so one walk matches them up."""
+    ids, edges = [], iter(part.edges)
+    want = next(edges, None)
+    for eid, edge in enumerate(whole.edges):
+        if edge == want:
+            ids.append(eid)
+            want = next(edges, None)
+    return ids
 
 
 def merge_levels(h: Hierarchy) -> tuple[int, ...]:
@@ -100,12 +108,14 @@ def merge_levels(h: Hierarchy) -> tuple[int, ...]:
     merge when level m+1 is built gets m.  Along the emergent tree these
     values give an ultrametric on the level-1 regions.
     """
+    parts = [level.partition.values for level in h.levels]
     out = []
-    for (u, v) in h.base.edges:
+    for u, v in h.base.edges:
         lvl = 0
-        for m, level in enumerate(h.levels, start=1):
-            if level.partition.values[u] != level.partition.values[v]:
-                lvl = m
+        for labels in parts:  # partitions coarsen: once joined, always joined
+            if labels[u] == labels[v]:
+                break
+            lvl += 1
         out.append(lvl)
     return tuple(out)
 

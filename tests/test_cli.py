@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -212,6 +213,51 @@ def test_value_error_from_a_bug_is_not_an_input_error(five_path_file, monkeypatc
         main(["watershed", five_path_file, "--algo", "core"])
 
 
+@pytest.mark.parametrize("exit_", ["0", "2-flag", "2-file", "3", "raise"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_gives_it_back(
+        exit_, enabled, five_path_file, tmp_path, monkeypatch, capsys):
+    from morphograph import geodesics
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(geodesics, "basin_labels", broken)
+    img = tmp_path / "grid.pgm"
+    img.write_bytes(write_pgm(24, 24, [(x * y) % 7 for y in range(24) for x in range(24)], 9))
+    two = tmp_path / "two.wgr"
+    two.write_text("node 0\nnode 1\nnode 2\nnode 3\nedge 0 1 2\nedge 2 3 5\n")
+    argv = {
+        "0": ["waterfall", str(img)],
+        "2-flag": ["watershed", five_path_file, "--depth", "0"],
+        "2-file": ["watershed", str(tmp_path / "missing.wgr")],
+        "3": ["waterfall", str(two)],  # DisconnectedInput
+        "raise": ["watershed", five_path_file],
+    }[exit_]
+    passes = []
+
+    def count(phase, info):
+        passes.append(phase)
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(count)
+    try:
+        if exit_ == "raise":
+            with pytest.raises(ValueError, match="bug"):
+                main(argv)
+        else:
+            code = main(argv)
+            during = len(passes)  # allocates no container, so starts no pass
+            assert code == int(exit_[0])
+            assert during == 0  # no collector pass ran during the call
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
 def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, capsys):
     from morphograph import flooding, steepness
 
@@ -233,8 +279,9 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
         # one validation; one minima labeling from the node minima
         assert calls["validate"] == calls["minima"] == 1
     # the labels and the zones walk the same memoised minimal-pair rows;
-    # at depth 3 the depth-2 ranks need the pairs too
-    for algo in ("core", "dijkstra"):
+    # at depth 3 the depth-2 ranks need the pairs too, and hq, which labels
+    # at depth 2, takes its zones' depth-3 rows from the same pairs
+    for algo in ("core", "dijkstra", "hq"):
         calls.update(validate=0, minima=0, pairs=0)
         code, out, _ = run_cli(capsys, "watershed", five_path_file, "--depth", "3",
                                "--algo", algo)

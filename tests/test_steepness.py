@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from morphograph import (
     WeightedGraph,
     erode_weights,
@@ -368,3 +370,30 @@ def test_upstream_rows_hold_the_minimal_pairs_by_head():
             assert rows == [sorted(row) for row in want]
             assert _upstream(back, k) == (rank, rows)
             assert _upstream(fg, k)[1] is rows  # memoised for the last depth
+
+
+def _union_prune(g, k):
+    """``prune_to_steepness`` as it ran before it read the minimal pairs
+    directly, kept as its oracle: the partial graph on the union of the
+    per-node edge sets of ``minimal_track_edges``."""
+    kept = set()
+    for cands in minimal_track_edges(g, k).values():
+        kept.update(cands)
+    return g.partial(kept)
+
+
+def test_prune_keeps_the_union_of_the_minimal_track_edges():
+    rng = random.Random(31)
+    corpus = [random_flooding(rng, rng.choice((8, 12, 20)), connected=c)
+              for c in (False, True) for _ in range(60)]
+    corpus += quantized_pixel_floodings(rng, 20)
+    for fg in corpus:
+        for k in range(1, 7):
+            pruned = prune_to_steepness(fg, k)
+            assert pruned == _union_prune(fg, k)
+            assert minima_of_flooding(pruned) is minima_of_flooding(fg)
+
+
+def test_prune_refuses_depth_zero(five_path_flooding):
+    with pytest.raises(ValueError, match="steepness depth"):
+        prune_to_steepness(five_path_flooding, 0)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from morphograph import (
@@ -8,9 +10,14 @@ from morphograph import (
     emergent_tree,
     merge_levels,
 )
-from morphograph.graphs import connected_components
-from morphograph.waterfall import Hierarchy
-from conftest import kruskal_mst, random_edge_weighted
+from morphograph.flooding import as_flooding, flooding_from_edges, parse_tie
+from morphograph.graphs import Labeling, connected_components, contract
+from morphograph.steepness import prune_to_steepness
+from morphograph.watershed import drainage_forest
+from morphograph.waterfall import Hierarchy, HierarchyLevel
+from conftest import (
+    kruskal_mst, quantized_pixel_floodings, random_edge_weighted, random_flooding,
+)
 
 PROFILE = WeightedGraph(
     7, tuple((i, i + 1) for i in range(6)), (1, 5, 2, 7, 1, 6, 3), None
@@ -190,3 +197,60 @@ def test_hierarchy_accepts_flooding_graph_directly(five_path_flooding):
     h = build_hierarchy(five_path_flooding, 2)
     assert [lvl.region_count for lvl in h.levels] == [2, 1]
     assert len(emergent_tree(h)) == five_path_flooding.num_nodes - 1
+
+
+def _edge_id_hierarchy(g, k, tie):
+    """``build_hierarchy`` as it ran before it matched the edges of its
+    partial graphs by one walk, kept as its oracle: each forest edge is
+    looked up in the current graph by its end nodes."""
+    rng = parse_tie(tie)
+    flood = as_flooding(g)
+    base = g if g.has_edge_weights else flood
+    levels, cur_full, cur_flood = [], base, flood
+    to_region = list(range(base.num_nodes))
+    to_base_edge = list(range(len(base.edges)))
+    while True:
+        pruned = prune_to_steepness(cur_flood, k)
+        forest = drainage_forest(pruned, rng)
+        full_ids = [cur_full.edge_id(*pruned.edges[eid]) for eid in forest.edges]
+        part = Labeling(
+            tuple(forest.labels.values[to_region[b]] for b in range(base.num_nodes)), "nodes")
+        contraction = contract(cur_full, full_ids)
+        levels.append(HierarchyLevel(frozenset(to_base_edge[eid] for eid in full_ids), part,
+                                     forest.num_trees, contraction.graph))
+        if contraction.graph.num_nodes <= 1:
+            return Hierarchy(base, tuple(levels))
+        to_region = [contraction.node_map[to_region[b]] for b in range(base.num_nodes)]
+        to_base_edge = [to_base_edge[contraction.edge_origins[e]]
+                        for e in range(len(contraction.graph.edges))]
+        cur_full = contraction.graph
+        cur_flood = flooding_from_edges(cur_full)
+
+
+def _all_levels_merge(h):
+    """``merge_levels`` as it ran before it stopped at the first level
+    that joins an edge's sides, kept as its oracle: the last level, over
+    all of them, at which the two sides differ."""
+    out = []
+    for (u, v) in h.base.edges:
+        lvl = 0
+        for m, level in enumerate(h.levels, start=1):
+            if level.partition.values[u] != level.partition.values[v]:
+                lvl = m
+        out.append(lvl)
+    return tuple(out)
+
+
+def test_hierarchy_and_merge_levels_match_their_oracles():
+    rng = random.Random(37)
+    corpus = [random_connected(rng, rng.choice((6, 10, 16))) for _ in range(40)]
+    corpus += [random_flooding(rng, rng.choice((6, 10, 16)), connected=True) for _ in range(60)]
+    corpus += quantized_pixel_floodings(rng, 10)
+    for g in corpus:
+        if connected_components(g).num_labels != 1:
+            continue  # flooding an edge-weighted graph may cut it apart
+        for k in range(1, 7):
+            for tie in ("min-label", f"seed:{rng.randrange(2**32)}"):
+                h = build_hierarchy(g, k, tie)
+                assert h == _edge_id_hierarchy(g, k, tie)
+                assert merge_levels(h) == _all_levels_merge(h)
