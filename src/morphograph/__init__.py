@@ -24,6 +24,7 @@ from .graphs import (
     UNSET,
     WeightedGraph,
     ZONE,
+    collapse,
     connected_components,
     contract,
     expand_isolated_minima,

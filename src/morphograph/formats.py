@@ -16,6 +16,8 @@ from .errors import MalformedImage, MalformedInput
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
 from .weights import TOP, W_MAX
 
+PGM_MAXVAL = 65535  # the largest gray level the PGM format allows
+
 
 def _level(token: str, lineno: int, top_ok: bool = False) -> int:
     value = int(token)
@@ -134,8 +136,10 @@ def parse_pgm(data: bytes) -> tuple[int, int, int, list[int]]:
         width, height, maxval = int(token()), int(token()), int(token())
     except (ValueError, MalformedImage):
         raise MalformedImage("bad PGM header") from None
-    if width <= 0 or height <= 0 or maxval <= 0:
+    if width <= 0 or height <= 0:
         raise MalformedImage("bad PGM dimensions")
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise MalformedImage(f"PGM maxval {maxval} outside [1, {PGM_MAXVAL}]")
     count = width * height
     if magic == b"P2":
         try:
@@ -162,8 +166,15 @@ def parse_pgm(data: bytes) -> tuple[int, int, int, list[int]]:
 
 
 def write_pgm(width: int, height: int, pixels: list[int], maxval: int = 255) -> bytes:
+    """Binary P5 image; pixels above ``maxval`` are clipped to it, and a
+    maxval above 255 takes two big-endian bytes per pixel."""
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise ValueError(f"PGM maxval {maxval} outside [1, {PGM_MAXVAL}]")
     header = f"P5 {width} {height} {maxval}\n".encode()
-    return header + bytes(min(p, maxval) for p in pixels)
+    clipped = [min(p, maxval) for p in pixels]
+    if maxval > 255:
+        return header + b"".join([p.to_bytes(2, "big") for p in clipped])
+    return header + bytes(clipped)
 
 
 def image_to_graph(data: bytes, connectivity: int = 4) -> WeightedGraph:

@@ -321,9 +321,18 @@ def contract(g: WeightedGraph, h: Iterable[int]) -> Contraction:
     constituent old id.  Node weights do not survive contraction: the
     result is an edge-weighted (or unweighted) graph.
     """
-    # components are labeled from 1 in order of their smallest node id
-    node_map = tuple([lab - 1 for lab in connected_components(g, h).values])
-    count = max(node_map, default=-1) + 1
+    return collapse(g, connected_components(g, h).values)
+
+
+def collapse(g: WeightedGraph, labels: Sequence[int]) -> Contraction:
+    """Merge the nodes that share a label (one label per node) into one node;
+    new ids are dense, ordered by each group's smallest old id, and edges,
+    weights and dummies follow the rules of :func:`contract`."""
+    if len(labels) != g.num_nodes:
+        raise ValueError("collapse needs one label per node")
+    new_id: dict[int, int] = {}
+    node_map = tuple([new_id.setdefault(lab, len(new_id)) for lab in labels])
+    count = len(new_id)
 
     ew = g.edge_weights
     best: dict[tuple[int, int], tuple[int, int]] = {}  # (u', v') -> (weight key, old eid)

@@ -19,7 +19,7 @@ from typing import Union
 
 from .errors import DisconnectedInput, IncompleteHierarchy
 from .flooding import as_flooding, flooding_from_edges, parse_tie
-from .graphs import Labeling, WeightedGraph, connected_components, contract
+from .graphs import Labeling, WeightedGraph, collapse
 from .steepness import prune_to_steepness
 from .watershed import drainage_forest
 
@@ -54,8 +54,6 @@ def build_hierarchy(
     rng = parse_tie(tie)
     flood = as_flooding(g)
     base = g if g.has_edge_weights else flood
-    if base.num_nodes > 1 and connected_components(base).num_labels != 1:
-        raise DisconnectedInput("waterfall needs a connected graph")
     if base.num_nodes <= 1:
         lone = Labeling((1,) * base.num_nodes, "nodes")
         level = HierarchyLevel(frozenset(), lone, base.num_nodes, base)
@@ -75,12 +73,14 @@ def build_hierarchy(
         base_ids = frozenset([to_base_edge[eid] for eid in forest_full_ids])
         labels = forest.labels.values
         part = Labeling(tuple([labels[r] for r in to_region]), "nodes")
-        contraction = contract(cur_full, forest_full_ids)
+        contraction = collapse(cur_full, labels)  # one node per tree
         levels.append(
             HierarchyLevel(base_ids, part, forest.num_trees, contraction.graph)
         )
         if contraction.graph.num_nodes <= 1:
             return Hierarchy(base, tuple(levels))
+        if not contraction.graph.edges:  # the base graph was disconnected
+            raise DisconnectedInput("waterfall needs a connected graph")
         node_map = contraction.node_map
         to_region = [node_map[r] for r in to_region]
         to_base_edge = [to_base_edge[eid] for eid in contraction.edge_origins]

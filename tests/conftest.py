@@ -91,6 +91,12 @@ def quantized_pixel_floodings(rng, count):
 
 
 def random_flooding(rng, max_nodes=10, w_max=6, connected=False):
+    """A random flooding graph, from edge or node weights at even odds.
+
+    ``connected=True`` connects the graph before it is flooded; on the
+    edge-weighted branch ``flooding_from_edges`` keeps only each node's
+    lowest edges and may cut it apart again.
+    """
     if rng.random() < 0.5:
         return flooding_from_edges(
             random_edge_weighted(rng, max_nodes, w_max, connected=connected)

@@ -370,6 +370,10 @@ CORPUS = {
         )
         for conn in (4, 8)
     },
+    # gray levels past the PGM format's 65535, up to TOP itself
+    "huge-maxval": ("huge.pgm", b"P2 2 1 99999999999999999999\n9223372036854775807 0\n", [],
+                    "MalformedImage"),
+    "maxval-65536": ("wide.pgm", b"P2 2 1 65536\n65536 0\n", [], "MalformedImage"),
     "two-components": ("two.wgr", b"node 0\nnode 1\nnode 2\nnode 3\nedge 0 1 2\nedge 2 3 5\n", [], {
         "waterfall": "DisconnectedInput",
         "waterfall --format dot": "DisconnectedInput",

@@ -83,6 +83,35 @@ def test_pgm_rejects_malformed(data):
         parse_pgm(data)
 
 
+@pytest.mark.parametrize("data", [
+    b"P2 2 1 99999999999999999999\n9223372036854775807 0\n",  # a pixel at TOP
+    b"P2 2 1 65536\n65536 0\n",
+    b"P5 2 1 65536\n" + bytes(4),
+    b"P2 2 1 0\n0 0\n",
+    b"P2 2 1 -1\n0 0\n",
+])
+def test_pgm_maxval_outside_the_format_is_refused(data):
+    with pytest.raises(MalformedImage, match="maxval"):
+        parse_pgm(data)
+
+
+@pytest.mark.parametrize("maxval", [1, 9, 255, 256, 65535])
+def test_pgm_roundtrip_at_every_sample_width(maxval):
+    pixels = [0, maxval, maxval // 2, 1, maxval - 1, maxval // 3]
+    data = write_pgm(3, 2, pixels, maxval)
+    assert len(data) == len(f"P5 3 2 {maxval}\n") + len(pixels) * (2 if maxval > 255 else 1)
+    assert parse_pgm(data) == (3, 2, maxval, pixels)
+
+
+def test_write_pgm_clips_and_refuses_a_maxval_outside_the_format():
+    assert parse_pgm(write_pgm(2, 1, [3, 0], 1000)) == (2, 1, 1000, [3, 0])
+    assert parse_pgm(write_pgm(2, 1, [300, 70000], 65535)) == (2, 1, 65535, [300, 65535])
+    assert parse_pgm(write_pgm(2, 1, [300, 0], 255)) == (2, 1, 255, [255, 0])
+    for maxval in (0, -1, 65536):
+        with pytest.raises(ValueError, match="maxval"):
+            write_pgm(2, 1, [0, 0], maxval)
+
+
 def test_pgm_non_numeric_pixel_is_malformed_image():
     with pytest.raises(MalformedImage):
         parse_pgm(b"P2 2 1 9\n1 x\n")
@@ -122,6 +151,7 @@ def test_parse_pgm_fuzz_raises_only_package_errors(data):
     except MorphographError:
         return
     assert len(pixels) == width * height
+    assert 1 <= maxval <= 65535
     assert all(0 <= p <= maxval for p in pixels)
 
 

@@ -5,6 +5,7 @@ import pytest
 from morphograph import (
     MissingWeights,
     WeightedGraph,
+    collapse,
     connected_components,
     contract,
     expand_isolated_minima,
@@ -177,6 +178,36 @@ def test_contract_keeps_minimum_parallel_weight(rng):
             assert res.graph.edge_weights[new_eid] == min(parallels)
 
 
+def test_collapse_merges_nodes_by_label_not_by_edges(path4):
+    # nodes 0 and 2 share a label without sharing an edge
+    res = collapse(path4, (7, 5, 7, 5))
+    assert res.node_map == (0, 1, 0, 1)
+    assert res.graph.edges == ((0, 1),)
+    assert res.graph.edge_weights == (1,)  # the lowest of three parallels
+    assert res.edge_origins == (0,)
+    with pytest.raises(ValueError):
+        collapse(path4, (1, 1, 2))
+
+
+def _relabel(labels, rng):
+    """The same partition under shuffled label values that do not start at 1."""
+    values = sorted(set(labels))
+    fresh = dict(zip(values, rng.sample(range(100, 100 + 3 * len(values)), len(values))))
+    return [fresh[lab] for lab in labels]
+
+
+def test_collapse_by_components_is_contract(rng):
+    graphs = _sample_graphs(rng)
+    graphs += [expand_isolated_minima(g) for g in graphs if g.has_node_weights]
+    for g in graphs:
+        h = [e for e in range(len(g.edges)) if rng.random() < 0.5]
+        labels = connected_components(g, h).values
+        want = contract(g, h)
+        assert collapse(g, labels) == want
+        assert collapse(g, _relabel(labels, rng)) == want
+        assert collapse(g, [-lab for lab in labels]) == want
+
+
 # -- expansion ---------------------------------------------------------------
 
 
@@ -329,6 +360,7 @@ def test_derived_graphs_match_a_fresh_construction(rng):
         keep = [e for e in range(len(g.edges)) if rng.random() < 0.6]
         _same_as_fresh(g.partial(keep))
         _same_as_fresh(contract(g, keep).graph)
+        _same_as_fresh(collapse(g, [rng.randrange(4) for _ in range(g.num_nodes)]).graph)
         shifted = [w + 1 for w in g.node_weights or g.edge_weights]
         if g.has_node_weights:
             _same_as_fresh(g.with_weights(node_weights=shifted))

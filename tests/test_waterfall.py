@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from morphograph.watershed import drainage_forest
 from morphograph.waterfall import Hierarchy, HierarchyLevel
 from conftest import (
     kruskal_mst, quantized_pixel_floodings, random_edge_weighted, random_flooding,
+    random_node_weighted,
 )
 
 PROFILE = WeightedGraph(
@@ -169,10 +171,55 @@ def test_node_weighted_input_hides_dummies():
     assert [lvl.region_count for lvl in h.levels] == [2, 1]
 
 
+def _side_by_side(a, b):
+    """Disjoint union of two graphs weighted on the same carriers."""
+    n = a.num_nodes
+    nw = None if a.node_weights is None else a.node_weights + b.node_weights
+    ew = None if a.edge_weights is None else a.edge_weights + b.edge_weights
+    return WeightedGraph(
+        n + b.num_nodes, a.edges + tuple((u + n, v + n) for u, v in b.edges), nw, ew)
+
+
+def _disconnected_corpus(rng):
+    for _ in range(15):
+        yield _side_by_side(random_connected(rng, 8), random_connected(rng, 8))
+    for _ in range(15):  # isolated nodes, which flood to TOP
+        lone = WeightedGraph(rng.randint(1, 3), (), None, ())
+        yield _side_by_side(random_connected(rng, 10), lone)
+    for _ in range(15):  # node-weighted: isolated minima get dummies
+        yield _side_by_side(random_node_weighted(rng, 8), random_node_weighted(rng, 8))
+    for n in range(2, 6):
+        yield WeightedGraph(n, (), None, ())
+        yield WeightedGraph(n, (), tuple(rng.randint(0, 9) for _ in range(n)), None)
+
+
 def test_disconnected_input_rejected():
-    g = WeightedGraph(4, ((0, 1), (2, 3)), None, (1, 2))
-    with pytest.raises(DisconnectedInput):
-        build_hierarchy(g, 2)
+    rng = random.Random(41)
+    corpus = [WeightedGraph(4, ((0, 1), (2, 3)), None, (1, 2)), *_disconnected_corpus(rng)]
+    for g in corpus:
+        for k in range(1, 5):
+            for tie in ("min-label", f"seed:{rng.randrange(2**32)}"):
+                with pytest.raises(DisconnectedInput, match="^waterfall needs a connected graph$"):
+                    build_hierarchy(g, k, tie)
+
+
+def test_one_labeling_per_level_inside_the_drainage_forest(monkeypatch):
+    # the forest's trees give each level's regions, and the level loop
+    # itself finds a disconnected graph: no pass over the base graph
+    original, callers = connected_components, []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("morphograph") and vars(module).get("connected_components") is original:
+            monkeypatch.setattr(module, "connected_components", counted)
+    rng = random.Random(43)
+    for g in [PROFILE, *(random_connected(rng, 16) for _ in range(20))]:
+        callers.clear()
+        h = build_hierarchy(g, 2)
+        assert callers == ["drainage_forest"] * len(h.levels)
 
 
 def test_incomplete_hierarchy_rejected():
@@ -247,10 +294,13 @@ def test_hierarchy_and_merge_levels_match_their_oracles():
     corpus += [random_flooding(rng, rng.choice((6, 10, 16)), connected=True) for _ in range(60)]
     corpus += quantized_pixel_floodings(rng, 10)
     for g in corpus:
-        if connected_components(g).num_labels != 1:
-            continue  # flooding an edge-weighted graph may cut it apart
+        connected = connected_components(g).num_labels == 1
         for k in range(1, 7):
             for tie in ("min-label", f"seed:{rng.randrange(2**32)}"):
+                if not connected:  # flooding an edge-weighted graph may cut it apart
+                    with pytest.raises(DisconnectedInput):
+                        build_hierarchy(g, k, tie)
+                    continue  # the oracle has no refusal: it would never end
                 h = build_hierarchy(g, k, tie)
                 assert h == _edge_id_hierarchy(g, k, tie)
                 assert merge_levels(h) == _all_levels_merge(h)
