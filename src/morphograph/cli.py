@@ -132,19 +132,15 @@ def _waterfall(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Outp
     if args.fmt == "dot":
         return "".join(formats.to_dot(lvl.contracted) for lvl in h.levels)
     real = [b for b in range(h.base.num_nodes) if b not in h.base.dummies]
-    return {
-        "levels": [
-            {
-                "regions": lvl.region_count,
-                "labels": [lvl.partition.values[b] for b in real],
-            }
-            for lvl in h.levels
-        ],
-        "edge_levels": [
-            {"edge": list(h.base.edges[eid]), "level": lvl}
-            for eid, lvl in enumerate(waterfall.merge_levels(h))
-        ],
-    }
+    levels = [
+        {"regions": lvl.region_count, "labels": [lvl.partition.values[b] for b in real]}
+        for lvl in h.levels
+    ]
+    # the bytes of json.dumps(payload, sort_keys=True), with one record per
+    # base edge formatted directly; "edge_levels" sorts before "levels"
+    records = ", ".join([f'{{"edge": [{u}, {v}], "level": {lvl}}}'
+                         for (u, v), lvl in zip(h.base.edges, waterfall.merge_levels(h))])
+    return f'{{"edge_levels": [{records}], "levels": {json.dumps(levels, sort_keys=True)}}}\n'
 
 
 def _mst(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:

@@ -27,59 +27,63 @@ def _level(token: str, lineno: int, top_ok: bool = False) -> int:
 
 
 def parse_wgr(text: str) -> WeightedGraph:
+    """One pass over the lines; the first bad line raises ``MalformedInput``."""
     nodes: dict[int, Optional[int]] = {}
     edges: list[tuple[int, int]] = []
     edge_w: list[Optional[int]] = []
     dummies: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if raw.strip().startswith("# dummy"):
-                parts = raw.strip().split()
-                if len(parts) == 3 and parts[2].isdecimal():
-                    dummies.add(int(parts[2]))
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "node" and len(parts) in (2, 3):
+    try:  # every ValueError below is a line that does not parse
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+            if len(parts) == 4 and parts[0] == "edge":  # the commonest line first
+                _, u, v, w = parts
+                edges.append((int(u), int(v)))
+                w = int(w)
+                if not 0 <= w <= W_MAX:
+                    raise MalformedInput(f"line {lineno}: weight {w} outside [0, {W_MAX}]")
+                edge_w.append(w)
+            elif not parts:
+                if raw.strip().startswith("# dummy"):
+                    parts = raw.split()
+                    if len(parts) == 3 and parts[2].isdecimal():
+                        dummies.add(int(parts[2]))
+            elif parts[0] == "edge" and len(parts) == 3:
+                edges.append((int(parts[1]), int(parts[2])))
+                edge_w.append(None)
+            elif parts[0] == "node" and 2 <= len(parts) <= 3:
                 nid = int(parts[1])
                 if nid in nodes:
                     raise MalformedInput(f"line {lineno}: duplicate node {nid}")
                 nodes[nid] = _level(parts[2], lineno, top_ok=True) if len(parts) == 3 else None
-            elif parts[0] == "edge" and len(parts) in (3, 4):
-                edges.append((int(parts[1]), int(parts[2])))
-                edge_w.append(_level(parts[3], lineno) if len(parts) == 4 else None)
             else:
                 raise ValueError
-        except MalformedInput:
-            raise
-        except ValueError:
-            raise MalformedInput(f"line {lineno}: cannot parse {raw!r}") from None
-    if not nodes:
+    except ValueError:
+        raise MalformedInput(f"line {lineno}: cannot parse {raw!r}") from None
+    n = len(nodes)
+    if not n:
         raise MalformedInput("input graph has no nodes")
-    if sorted(nodes) != list(range(len(nodes))):
+    if min(nodes) != 0 or max(nodes) != n - 1:  # n distinct ids
         raise MalformedInput("node ids must be dense 0..N-1")
-    node_vals = [nodes[i] for i in range(len(nodes))]
-    weighted_nodes = [v is not None for v in node_vals]
-    if any(weighted_nodes) and not all(weighted_nodes):
+    node_vals = list(map(nodes.__getitem__, range(n)))
+    if 0 < node_vals.count(None) < n:
         raise MalformedInput("either all nodes carry a weight or none")
-    weighted_edges = [v is not None for v in edge_w]
-    if any(weighted_edges) and not all(weighted_edges):
+    if 0 < edge_w.count(None) < len(edge_w):
         raise MalformedInput("either all edges carry a weight or none")
+    edges_weighted = bool(edge_w) and edge_w[0] is not None
     # TOP, the empty infimum, is what ``flood`` and ``prune`` write on a
     # node no edge touches; anywhere else it could reach an edge weight
     if TOP in node_vals:
         touched = {i for e in edges for i in e}
         for i, w in enumerate(node_vals):
-            if w == TOP and (i in touched or not any(weighted_edges)):
+            if w == TOP and (i in touched or not edges_weighted):
                 raise MalformedInput(f"node {i}: weight {TOP} only if no edge touches it "
                                      "and the edges are weighted")
     try:
         return WeightedGraph(
-            len(nodes),
+            n,
             tuple(edges),
-            tuple(node_vals) if node_vals and node_vals[0] is not None else None,
-            tuple(edge_w) if edge_w and edge_w[0] is not None else None,
+            tuple(node_vals) if node_vals[0] is not None else None,
+            tuple(edge_w) if edges_weighted else None,
             frozenset(dummies),
         )
     except ValueError as exc:

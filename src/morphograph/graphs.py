@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import MissingWeights
@@ -86,9 +87,9 @@ class WeightedGraph:
     dummies: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        edges = tuple(
-            (u, v) if u < v else (v, u) for (u, v) in self.edges
-        )
+        # an edge already sorted keeps its tuple
+        edges = tuple([(v, u) if u > v else e if type(e) is tuple else (u, v)
+                       for e in self.edges for u, v in (e,)])
         object.__setattr__(self, "edges", edges)
         if self.node_weights is not None:
             object.__setattr__(self, "node_weights", tuple(self.node_weights))
@@ -96,15 +97,20 @@ class WeightedGraph:
             object.__setattr__(self, "edge_weights", tuple(self.edge_weights))
         object.__setattr__(self, "dummies", frozenset(self.dummies))
         object.__setattr__(self, "_topology", _Topology(self.num_nodes, edges))
-        seen = set()
-        for (u, v) in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValueError(f"edge ({u},{v}) leaves node range")
-            if (u, v) in seen:
-                raise ValueError(f"parallel edge ({u},{v})")
-            seen.add((u, v))
+        # checked in bulk; only a failing check walks the edges to name the
+        # first offending one
+        us, vs = zip(*edges) if edges else ((), ())
+        if (len(set(edges)) < len(edges) or not all(map(lt, us, vs))
+                or min(us, default=0) < 0 or max(vs, default=-1) >= self.num_nodes):
+            seen = set()
+            for (u, v) in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at node {u}")
+                if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+                    raise ValueError(f"edge ({u},{v}) leaves node range")
+                if (u, v) in seen:
+                    raise ValueError(f"parallel edge ({u},{v})")
+                seen.add((u, v))
         self._check_weights()
         if any(not 0 <= d < self.num_nodes for d in self.dummies):
             raise ValueError("dummy flag outside node range")

@@ -1,11 +1,14 @@
+import argparse
 import gc
 import json
 
 import pytest
 
-from morphograph.cli import main
-from morphograph.formats import parse_wgr, write_pgm
+from morphograph import WeightedGraph, build_hierarchy, merge_levels
+from morphograph.cli import _waterfall, main
+from morphograph.formats import parse_wgr, write_pgm, write_wgr
 from morphograph.flooding import validate_flooding
+from conftest import random_edge_weighted
 
 FIVE_PATH_WGR = """\
 node 0 0
@@ -99,6 +102,56 @@ def test_waterfall_profile(tmp_path, capsys):
     payload = json.loads(out)
     assert [lvl["regions"] for lvl in payload["levels"]] == [4, 2, 1]
     assert len(payload["levels"][0]["labels"]) == 7
+
+
+def _dict_payload(h):
+    """The waterfall JSON payload as one dict per record, as ``waterfall``
+    built it before it formatted the edge records itself."""
+    real = [b for b in range(h.base.num_nodes) if b not in h.base.dummies]
+    return {
+        "levels": [
+            {
+                "regions": lvl.region_count,
+                "labels": [lvl.partition.values[b] for b in real],
+            }
+            for lvl in h.levels
+        ],
+        "edge_levels": [
+            {"edge": list(h.base.edges[eid]), "level": lvl}
+            for eid, lvl in enumerate(merge_levels(h))
+        ],
+    }
+
+
+def test_waterfall_and_mst_json_are_the_bytes_of_json_dumps(rng, tmp_path, capsys):
+    graphs = [random_edge_weighted(rng, 12, connected=True) for _ in range(20)]
+    for _ in range(20):  # node weights on connected edges: isolated minima get dummies
+        g = random_edge_weighted(rng, 12, connected=True)
+        graphs.append(WeightedGraph(g.num_nodes, g.edges,
+                                    tuple(rng.randint(0, 6) for _ in range(g.num_nodes))))
+    with_dummies = 0
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.wgr"
+        path.write_text(write_wgr(g))
+        for k in (1, 2, 3, 4):
+            for tie in ("min-label", "seed:7"):
+                h = build_hierarchy(parse_wgr(path.read_text()), k, tie)
+                with_dummies += bool(h.base.dummies)
+                code, out, _ = run_cli(capsys, "waterfall", str(path),
+                                       "--depth", str(k), "--tie", tie)
+                assert code == 0
+                assert out == json.dumps(_dict_payload(h), sort_keys=True) + "\n"
+                code, out, _ = run_cli(capsys, "mst", str(path), "--depth", str(k), "--tie", tie)
+                assert code == 0 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert with_dummies >= 40
+    # the one graph whose payload has no edge records: a lone node with no edges
+    lone = WeightedGraph(1, (), None, ())
+    for k in (1, 2, 3, 4):
+        for tie in ("min-label", "seed:7"):
+            args = argparse.Namespace(depth=k, tie=tie, fmt="json")
+            want = json.dumps(_dict_payload(build_hierarchy(lone, k, tie)), sort_keys=True)
+            assert _waterfall(args, lone, None) == want + "\n"
+            assert '"edge_levels": []' in want
 
 
 def test_dist_methods_agree(five_path_file, capsys):
@@ -382,6 +435,9 @@ CORPUS = {
     "not-flooding": ("bad.wgr", b"node 0 1\nnode 1 1\nedge 0 1 5\n", [], "InvalidFloodingGraph"),
     "unweighted": ("plain.wgr", b"node 0\nnode 1\nedge 0 1\n", [], "MissingWeights"),
     "comment-only": ("comment.wgr", b"# no graph here\n", [], "MalformedInput"),
+    # a dummy id past int()'s digit limit: a bad line, not a ValueError traceback
+    "huge-dummy": ("dummy.wgr", b"node 0 1\nnode 1 2\nedge 0 1 2\n# dummy " + b"9" * 5000 + b"\n",
+                   [], "MalformedInput"),
     "empty": ("empty.wgr", b"", [], "MalformedInput"),
 }
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from morphograph.formats import (
     write_pgm,
     write_wgr,
 )
-from morphograph.graphs import Labeling, regional_minima
+from morphograph.graphs import Labeling, WeightedGraph, regional_minima
+from morphograph.weights import TOP, W_MAX
 
 
 def test_wgr_roundtrip(five_path_flooding):
@@ -172,6 +175,7 @@ def _wgr_text(draw):
 
 @settings(max_examples=400, deadline=None)
 @example("node 0 1\n# dummy \u00b2\n")
+@example("node 0 1\nnode 1 2\nedge 0 1 2\n# dummy " + "9" * 5000 + "\n")  # past int()'s limit
 @given(_wgr_text())
 def test_parse_wgr_fuzz_raises_only_package_errors(text):
     try:
@@ -181,6 +185,191 @@ def test_parse_wgr_fuzz_raises_only_package_errors(text):
     again = parse_wgr(write_wgr(g))
     assert (again.num_nodes, again.edges, again.dummies) == (g.num_nodes, g.edges, g.dummies)
     assert (again.node_weights, again.edge_weights) == (g.node_weights, g.edge_weights)
+
+
+def test_a_dummy_id_past_the_int_limit_is_a_bad_line():
+    text = "node 0 1\nnode 1 2\nedge 0 1 2\n# dummy " + "9" * 5000
+    with pytest.raises(MalformedInput, match=r"^line 4: cannot parse '# dummy 999"):
+        parse_wgr(text)
+
+
+# -- the line parser parse_wgr replaced, kept as its oracle ------------------
+
+
+def _oracle_level(token, lineno, top_ok=False):
+    value = int(token)
+    if not (0 <= value <= W_MAX or top_ok and value == TOP):
+        raise MalformedInput(f"line {lineno}: weight {value} outside [0, {W_MAX}]")
+    return value
+
+
+def _oracle_parse_wgr(text):
+    """One split, one strip and one try per line, then checks over whole
+    lists.  The one change: a ``# dummy`` id that ``int`` refuses is a bad
+    line, where this parser let the ``ValueError`` out."""
+    nodes, edges, edge_w, dummies = {}, [], [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        try:
+            if not line:
+                if raw.strip().startswith("# dummy"):
+                    parts = raw.strip().split()
+                    if len(parts) == 3 and parts[2].isdecimal():
+                        dummies.add(int(parts[2]))
+                continue
+            parts = line.split()
+            if parts[0] == "node" and len(parts) in (2, 3):
+                nid = int(parts[1])
+                if nid in nodes:
+                    raise MalformedInput(f"line {lineno}: duplicate node {nid}")
+                nodes[nid] = (_oracle_level(parts[2], lineno, top_ok=True)
+                              if len(parts) == 3 else None)
+            elif parts[0] == "edge" and len(parts) in (3, 4):
+                edges.append((int(parts[1]), int(parts[2])))
+                edge_w.append(_oracle_level(parts[3], lineno) if len(parts) == 4 else None)
+            else:
+                raise ValueError
+        except MalformedInput:
+            raise
+        except ValueError:
+            raise MalformedInput(f"line {lineno}: cannot parse {raw!r}") from None
+    if not nodes:
+        raise MalformedInput("input graph has no nodes")
+    if sorted(nodes) != list(range(len(nodes))):
+        raise MalformedInput("node ids must be dense 0..N-1")
+    node_vals = [nodes[i] for i in range(len(nodes))]
+    weighted_nodes = [v is not None for v in node_vals]
+    if any(weighted_nodes) and not all(weighted_nodes):
+        raise MalformedInput("either all nodes carry a weight or none")
+    weighted_edges = [v is not None for v in edge_w]
+    if any(weighted_edges) and not all(weighted_edges):
+        raise MalformedInput("either all edges carry a weight or none")
+    if TOP in node_vals:
+        touched = {i for e in edges for i in e}
+        for i, w in enumerate(node_vals):
+            if w == TOP and (i in touched or not any(weighted_edges)):
+                raise MalformedInput(f"node {i}: weight {TOP} only if no edge touches it "
+                                     "and the edges are weighted")
+    try:
+        return WeightedGraph(
+            len(nodes),
+            tuple(edges),
+            tuple(node_vals) if node_vals and node_vals[0] is not None else None,
+            tuple(edge_w) if edge_w and edge_w[0] is not None else None,
+            frozenset(dummies),
+        )
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from None
+
+
+def _outcome(parse, text):
+    """The graph's fields, or the type and message of what ``parse`` raised."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.num_nodes, g.edges, g.node_weights, g.edge_weights, g.dummies
+
+
+@settings(max_examples=400, deadline=None)
+@example("node 0 1\nnode 1 2\nedge 0 1 2\n# dummy " + "9" * 5000 + "\n")
+@given(_wgr_text())
+def test_parse_wgr_matches_the_line_parser_on_fuzzed_text(text):
+    assert _outcome(parse_wgr, text) == _outcome(_oracle_parse_wgr, text)
+
+
+def _grid_wgr(rng, w, h, node_weights, edge_weights):
+    lines = [f"node {i} {rng.randint(0, 9)}" if node_weights else f"node {i}"
+             for i in range(w * h)]
+    pairs = [(i, i + 1) for i in range(w * h) if (i + 1) % w]
+    pairs += [(i, i + w) for i in range(w * h - w)]
+    lines += [f"edge {u} {v} {rng.randint(0, 9)}" if edge_weights else f"edge {u} {v}"
+              for u, v in pairs]
+    return lines
+
+
+def _mutate(rng, lines):
+    """One seeded edit of a list of .wgr lines, kept in place."""
+    nodes = [i for i, line in enumerate(lines) if line.startswith("node")]
+    edges = [i for i, line in enumerate(lines) if line.startswith("edge")]
+    n = len(nodes)
+    at = rng.randrange(len(lines) + 1)
+    kind = rng.randrange(19)
+    if kind == 0:
+        lines.insert(at, rng.choice(["", "   ", "\t"]))
+    elif kind == 1:
+        lines.insert(at, rng.choice(["# comment", "#", "  # edge 0 1", "#node 0"]))
+    elif kind == 2 and lines:
+        i = rng.randrange(len(lines))
+        lines[i] += rng.choice([" # trailing", "#", "\t# x y z", " #dummy 1"])
+    elif kind == 3 and lines:
+        i = rng.randrange(len(lines))
+        lines[i] = lines[i].replace(" ", rng.choice(["\t", "  ", " \t "]))
+    elif kind == 4:
+        dummy = rng.choice([str(rng.randrange(n + 2)), "-1", "x", "\u00b2", "\u0663",
+                            "9" * 5000, "1 2", ""])
+        lines.insert(at, rng.choice(["# dummy ", "  # dummy ", "# dummyX ", "#  dummy "])
+                     + dummy)
+    elif kind == 5 and edges:
+        i = rng.choice(edges)
+        head, u, v, *rest = lines[i].split()
+        lines[i] = " ".join([head, v, u, *rest])
+    elif kind == 6 and edges:
+        line = lines[rng.choice(edges)].split()
+        line[1], line[2] = (line[2], line[1]) if rng.random() < 0.5 else (line[1], line[2])
+        lines.insert(at, " ".join(line))
+    elif kind == 7:
+        u = rng.randrange(max(n, 1))
+        lines.insert(at, rng.choice([f"edge {u} {u} 3", f"edge {u} {u}"]))
+    elif kind == 8:
+        end = rng.choice([n, n + 5, -1, 10**30])
+        lines.insert(at, rng.choice([f"edge 0 {end} 1", f"edge {end} 0", f"edge {end} 0 2"]))
+    elif kind == 9 and nodes:
+        lines.insert(at, lines[rng.choice(nodes)])
+    elif kind == 10 and nodes:
+        del lines[rng.choice(nodes)]
+    elif kind == 11 and lines:
+        i = rng.randrange(len(lines))
+        parts = lines[i].split()  # drop the weight column, or add one
+        weighted = parts[:1] == ["node"] and len(parts) == 3 or len(parts) == 4
+        lines[i] = " ".join(parts[:-1]) if weighted else lines[i] + " 4"
+    elif kind == 12 and nodes:
+        i = rng.choice(nodes)
+        lines[i] = " ".join(lines[i].split()[:2] + [str(TOP)])
+    elif kind == 13:
+        lines.insert(at, f"node {n} {TOP}")
+    elif kind == 14 and lines:
+        i = rng.randrange(len(lines))
+        parts = lines[i].split()
+        if len(parts) >= 3:
+            parts[-1] = str(rng.choice([0, W_MAX, W_MAX + 1, -1, TOP, TOP + 1]))
+            lines[i] = " ".join(parts)
+    elif kind == 15:
+        lines.insert(at, rng.choice(["junk", "node", "edge 1", "node 0 1 2", "edge 0 1 2 3",
+                                     "node x", "edge 0 1 2.5", "NODE 0", "node +1", "node 1_0"]))
+    elif kind == 16:
+        lines.insert(at, f"node {n + rng.randint(0, 3)}")
+    elif kind == 17 and lines:
+        i = rng.randrange(len(lines))
+        lines[i] = rng.choice(["\u00a0", " ", "\t"]) + lines[i] + rng.choice(["\u00a0", " "])
+    elif kind == 18:
+        rng.shuffle(lines)
+
+
+def test_parse_wgr_matches_the_line_parser_on_mutated_grids():
+    rng = random.Random(15)
+    faults = 0
+    for case in range(600):
+        lines = _grid_wgr(rng, rng.randint(1, 5), rng.randint(1, 4),
+                          rng.random() < 0.5, rng.random() < 0.7)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            _mutate(rng, lines)
+        end = rng.choice(["\n", "\r\n", "\r"])
+        text = end.join(lines) + rng.choice(["", end])
+        want = _outcome(_oracle_parse_wgr, text)
+        assert _outcome(parse_wgr, text) == want, text
+        faults += want[0] is MalformedInput
+    assert 100 < faults < 500  # the corpus holds both kinds of text
 
 
 def test_image_to_graph_line():

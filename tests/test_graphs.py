@@ -400,3 +400,59 @@ def test_public_constructor_rejects_bad_ids_and_lengths():
         WeightedGraph(3, ((0, 1),), (1, 2), None)
     with pytest.raises(ValueError):
         WeightedGraph(3, ((0, 1),), None, None, frozenset({3}))
+
+
+def _per_edge_check(num_nodes, edges):
+    """The constructor's edge check before the bulk one, kept as its oracle:
+    the normalised edges, or the message of the first offending edge."""
+    edges = tuple((u, v) if u < v else (v, u) for (u, v) in edges)
+    seen = set()
+    for (u, v) in edges:
+        if u == v:
+            return f"self-loop at node {u}"
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            return f"edge ({u},{v}) leaves node range"
+        if (u, v) in seen:
+            return f"parallel edge ({u},{v})"
+        seen.add((u, v))
+    return edges
+
+
+def test_bulk_edge_check_names_the_same_first_fault(rng):
+    faults = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            kind, at = rng.randrange(3), rng.randint(0, len(edges))
+            if kind == 0:
+                u = rng.randrange(-1, n + 1)
+                edges.insert(at, (u, u))
+            elif kind == 1:
+                u, v = rng.randrange(n), rng.choice([-2, -1, n, n + 3])
+                edges.insert(at, (u, v) if rng.random() < 0.5 else (v, u))
+            elif edges:
+                u, v = rng.choice(edges)
+                edges.insert(at, (u, v) if rng.random() < 0.5 else (v, u))
+        want = _per_edge_check(n, edges)
+        if isinstance(want, str):
+            faults += 1
+            with pytest.raises(ValueError) as exc:
+                WeightedGraph(n, tuple(edges))
+            assert str(exc.value) == want, edges
+        else:
+            g = WeightedGraph(n, tuple(edges))
+            assert g.edges == want
+            # an edge already sorted keeps its tuple
+            assert all(e is f for e, f in zip(edges, g.edges) if e[0] < e[1])
+    assert 1000 < faults < 2500
+
+
+def test_constructor_takes_edges_as_any_pairs():
+    g = WeightedGraph(3, [[1, 0], [1, 2]], None, [4, 5])
+    assert g.edges == ((0, 1), (1, 2)) and all(type(e) is tuple for e in g.edges)
+    assert g == WeightedGraph(3, ((0, 1), (1, 2)), None, (4, 5))
+    with pytest.raises(ValueError):
+        WeightedGraph(3, ((0, 1, 2),))
