@@ -45,7 +45,7 @@ def parse_wgr(text: str) -> WeightedGraph:
             elif not parts:
                 if raw.strip().startswith("# dummy"):
                     parts = raw.split()
-                    if len(parts) == 3 and parts[2].isdecimal():
+                    if len(parts) == 3 and parts[1] == "dummy" and parts[2].isdecimal():
                         dummies.add(int(parts[2]))
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((int(parts[1]), int(parts[2])))

@@ -14,11 +14,11 @@ Square matrices over this structure give shortest lexicographic path
 weights through powers of the incidence matrix; the classical linear
 solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination)
 all compute the smallest solution of ``Y = A (x) Y (+) B``, which is
-``closure(A) (x) B`` wherever ``closure`` is exact (see its docstring).
-Dense matrices here are the oracle path, kept to modest sizes; they are
-lists of lists at the interface, and the solvers run on sparse rows
-``{col: entry}`` holding only the non-ZERO entries.  The graph-native
-algorithms live in ``geodesics``.
+``closure(A) (x) B``.  Dense matrices here are the oracle path, kept to
+modest sizes; they are lists of lists at the public edges (``closure``,
+``linear_solve``, ``incidence_matrix``), and everything inside runs on
+sparse rows ``{col: entry}`` holding only the non-ZERO entries.  The
+graph-native algorithms live in ``geodesics``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
 # 7-10 s at 400 nodes with dense loops; on sparse rows, with closure
-# chaining only the entries that changed, they take 0.5-0.9 s on 20x19
-# relief images (388-389 nodes, depth 3).
+# reading Jordan's fronts, they take 0.5-0.9 s on 20x19 relief images
+# (384 nodes, depth 3), closure and Jordan 0.25-0.4 s each.
 MAX_DENSE_NODES = 400
 
 
@@ -94,7 +94,7 @@ def lex_chain(a: LexWeight, b: LexWeight, k: int) -> LexWeight:
 # Tail-tracked elements: (window, true last element of the underlying
 # sequence).  Truncating first_k hides the sequence's tail, yet the tail
 # still decides whether a further suffix may be chained; tracking it keeps
-# the product associative, which matrix squaring silently relies on.
+# the product associative, which chaining accumulated paths relies on.
 Tracked = Optional[tuple[tuple[int, ...], int]]
 
 UNIT_T: Tracked = ((), 0)
@@ -140,43 +140,32 @@ def exact_min(a: Tracked, b: Tracked) -> Tracked:
 LexMatrix = list  # list[list[LexWeight]], rows of equal length
 
 
-def zero_matrix(rows: int, cols: Optional[int] = None) -> LexMatrix:
-    cols = rows if cols is None else cols
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity_matrix(n: int) -> LexMatrix:
-    m = zero_matrix(n)
-    for i in range(n):
-        m[i][i] = UNIT
-    return m
-
-
-def incidence_matrix(g: WeightedGraph, k: int) -> LexMatrix:
-    """Symmetric matrix with the one-edge weight on every edge slot."""
+def _incidence_rows(g: WeightedGraph, k: int) -> list[dict]:
+    """Sparse rows of the symmetric one-edge weights."""
     if g.num_nodes > MAX_DENSE_NODES:
         raise DimensionMismatch(
             f"dense algebra capped at {MAX_DENSE_NODES} nodes; "
             "use the graph-native algorithms"
         )
     ew = g.require_edge_weights()
-    a = zero_matrix(g.num_nodes)
+    rows: list[dict] = [{} for _ in range(g.num_nodes)]
     for eid, (u, v) in enumerate(g.edges):
-        w = lex_weight((ew[eid],), k)
-        a[u][v] = w
-        a[v][u] = w
-    return a
+        rows[u][v] = rows[v][u] = lex_weight((ew[eid],), k)
+    return rows
 
 
-def mat_add(a: LexMatrix, b: LexMatrix) -> LexMatrix:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise DimensionMismatch("matrix shapes differ")
-    return [[lex_min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def incidence_matrix(g: WeightedGraph, k: int) -> LexMatrix:
+    """Symmetric matrix with the one-edge weight on every edge slot."""
+    return _dense(_incidence_rows(g, k), g.num_nodes)
 
 
 def _rows(m: LexMatrix) -> list[dict]:
     """Sparse rows ``{col: entry}`` of a dense matrix, ZERO entries dropped."""
     return [{j: x for j, x in enumerate(row) if x is not None} for row in m]
+
+
+def _dense(rows: list[dict], cols: int) -> LexMatrix:
+    return [[row.get(j) for j in range(cols)] for row in rows]
 
 
 def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
@@ -191,12 +180,6 @@ def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
                     acc[j] = lex_min(acc.get(j), z)
         out.append(acc)
     return out
-
-
-def mat_mul(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    if a and len(a[0]) != len(b):
-        raise DimensionMismatch("matrix shapes do not chain")
-    return _dense(_mul_rows(_rows(a), _rows(b), k), len(b[0]) if b else 0)
 
 
 def _by_head(row: dict) -> dict:
@@ -235,107 +218,19 @@ def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
     return out
 
 
-def _dense(rows: list[dict], cols: int, entry=lambda x: x) -> LexMatrix:
-    out = zero_matrix(len(rows), cols)
-    for row, row_out in zip(rows, out):
-        for j, x in row.items():
-            row_out[j] = entry(x)
-    return out
+def _fronts(rows: list[dict], k: int) -> list[dict]:
+    """Per-row ``{j: front}``: the walks i -> j of A as a Pareto front of
+    tracked elements, by Floyd-Warshall pivoting; the diagonal is UNIT.
 
-
-def _mat_mul_tracked(a, b, k):
-    """Tracked product of dense matrices."""
-    b_rows = [_by_head(row) for row in _rows(b)]
-    return _dense(_mul_tracked_rows([r.items() for r in _rows(a)], b_rows, k), len(b[0]))
-
-
-def closure(a: LexMatrix, k: int) -> LexMatrix:
-    """Repeated squaring of (identity + a) until it is stationary.
-
-    Squaring chains truncated prefixes, so it runs on the tail-tracked
-    elements, one per entry: on a window tie the larger tail wins.  Only
-    the first round squares in full; each later round min-merges
-    ``D (x) M (+) M (x) D`` into M, where D holds the entries the previous
-    round changed, and the loop ends when D is empty.  Every entry equals
-    plain squaring's: a product of two unchanged factors was already a
-    candidate for the current entry, which is itself a candidate through
-    the UNIT diagonal, and ``exact_min``'s order is total.
-
-    On a flooding graph (the only input ``distances_to_minima`` gives it),
-    each (i, j) with j in a regional minimum then holds the minimal
-    depth-k weight over all walks from i to j.  On a general graph an
-    entry may be larger, or ZERO, where the kept element beat one with a
-    larger window and a larger tail that a later factor needed: on edges
-    (0,1) (0,2) (0,5) (1,2) (1,5) (2,4) (3,4) weighing 6 6 3 3 3 5 6 at
-    k = 2, entry (1, 4) is ZERO though the walk 1-0-2-4 weighs (6, 6).
-    ``linear_solve`` with ``method="jordan"`` keeps every such element
-    and is exact.
+    Pivoting chains accumulated (truncated) paths, so one element per
+    entry is not enough: one is dropped only for another with a window
+    <= and a tail >= its own, which chains with every suffix it does, no
+    worse.  A single representative would drop i->p as (200,) tail 180
+    for (190,) tail 100 and lose p->j at 170.  Cycles never beat the path
+    they interrupt, so pivoting skips the diagonal.
     """
-    n = len(a)
-    # the rows of identity + a: UNIT wins every diagonal
-    m = [_by_head({**{j: lift(x) for j, x in row.items()}, i: UNIT_T})
-         for i, row in enumerate(_rows(a))]
-    delta = m  # every entry is new: the first round is M (x) M
-    while any(delta):
-        left = _mul_tracked_rows([d.items() for d in delta], m, k)
-        right = [{}] * n if delta is m else _mul_tracked_rows(
-            [r.items() for r in m], [_by_head(d) for d in delta], k)
-        delta = []
-        for i, row in enumerate(m):
-            d: dict = {}
-            for j, (w, t) in (*left[i].items(), *right[i].items()):
-                old = d.get(j) or row.get(j)
-                # exact_min: smaller window, then larger tail
-                if old is None or w < old[0] or w == old[0] and t > old[1]:
-                    d[j] = (w, t)
-            delta.append(d)
-            if d:  # an unchanged row keeps its head order
-                m[i] = _by_head({**row, **d})
-    return _dense(m, n, lambda x: x[0])
-
-
-# ---------------------------------------------------------------------------
-# linear solvers for Y = A (x) Y (+) B
-# ---------------------------------------------------------------------------
-
-
-def _solve_jacobi(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    rows, b_rows = _rows(a), _rows(b)
-    y: list[dict] = [{} for _ in b]
-    while True:
-        y2 = _mul_rows(rows, y, k, b_rows)
-        if y2 == y:
-            return _dense(y, len(b[0]))
-        y = y2
-
-
-def _solve_gauss_seidel(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    # strictly-lower part uses the previous sweep, strictly-upper the
-    # current one: rows are updated bottom-up within a sweep.
-    rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(_rows(a))]
-    b_rows = _rows(b)
-    y: list[dict] = [{} for _ in b]
-    while True:
-        changed = False
-        for i in range(len(b) - 1, -1, -1):
-            row = _mul_rows([rows[i]], y, k, [b_rows[i]])[0]
-            if row != y[i]:
-                y[i] = row
-                changed = True
-        if not changed:
-            return _dense(y, len(b[0]))
-
-
-def _solve_jordan(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
-    # Floyd-Warshall pivoting chains accumulated (truncated) paths, so each
-    # entry keeps a Pareto front of tracked elements: one is dropped only
-    # for another with a window <= and a tail >= its own, which chains with
-    # every suffix it does, no worse.  A single representative would drop
-    # i->p as (200,) tail 180 for (190,) tail 100 and lose p->j at 170.
-    # Cycles never beat the path they interrupt, so pivoting skips the
-    # diagonal, which ends as UNIT.
-    n = len(a)
-    c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(_rows(a))]
+    n = len(rows)
+    c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(rows)]
     for p in range(n):
         for i in range(n):
             front_ip = c[i].get(p)
@@ -365,35 +260,82 @@ def _solve_jordan(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
                                 *(e for e in front if e[0] < w or e[1] > t), (w, t))
     for i in range(n):
         c[i][i] = (UNIT_T,)
-    pairs = [((j, x) for j, front in row.items() for x in front) for row in c]
-    bt = [_by_head(row) for row in _rows([[lift(x) for x in row] for row in b])]
-    return _dense(_mul_tracked_rows(pairs, bt, k), len(b[0]), lambda x: x[0])
+    return c
 
 
-def _solve_gondran(a: LexMatrix, b: LexMatrix, k: int) -> LexMatrix:
+def _closure_rows(a: list[dict], k: int) -> list[dict]:
+    """The least window of each front."""
+    return [{j: min(front)[0] for j, front in row.items()} for row in _fronts(a, k)]
+
+
+def closure(a: LexMatrix, k: int) -> LexMatrix:
+    """A* = I (+) A (+) A^2 (+) ...: entry (i, j) is the minimal depth-k
+    weight over all walks from i to j, UNIT on the diagonal.
+
+    It reads the Pareto fronts of Jordan's elimination (``_fronts``), so
+    it is exact on every graph, general or flooding.
+    """
+    return _dense(_closure_rows(_rows(a), k), len(a))
+
+
+# ---------------------------------------------------------------------------
+# linear solvers for Y = A (x) Y (+) B, on sparse rows
+# ---------------------------------------------------------------------------
+
+
+def _solve_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    y: list[dict] = [{} for _ in b]
+    while True:
+        y2 = _mul_rows(a, y, k, b)
+        if y2 == y:
+            return y
+        y = y2
+
+
+def _solve_gauss_seidel(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    # strictly-lower part uses the previous sweep, strictly-upper the
+    # current one: rows are updated bottom-up within a sweep.
+    rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(a)]
+    y: list[dict] = [{} for _ in b]
+    while True:
+        changed = False
+        for i in range(len(b) - 1, -1, -1):
+            row = _mul_rows([rows[i]], y, k, [b[i]])[0]
+            if row != y[i]:
+                y[i] = row
+                changed = True
+        if not changed:
+            return y
+
+
+def _solve_jordan(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    pairs = [((j, x) for j, front in row.items() for x in front) for row in _fronts(a, k)]
+    bt = [_by_head({j: lift(x) for j, x in row.items()}) for row in b]
+    return [{j: w for j, (w, _) in row.items()} for row in _mul_tracked_rows(pairs, bt, k)]
+
+
+def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
     # greedy elimination: the smallest remaining b entry is already the
     # solution for its row; substitute and shrink the system.
-    n, cols = len(b), len(b[0])
-    column = _rows(list(zip(*a)))  # column[j]: the non-ZERO a[i][j] by i
-    y = zero_matrix(n, cols)
-    for c in range(cols):
-        work = [b[i][c] for i in range(n)]
-        settled = [False] * n
-        for _ in range(n):
-            i0 = None
-            for i in range(n):
-                if not settled[i] and (
-                    i0 is None or lex_compare(work[i], work[i0]) < 0
-                ):
-                    i0 = i
-            settled[i0] = True
-            y[i0][c] = work[i0]
-            if work[i0] is None:
-                continue
-            for i, x in column[i0].items():
-                if not settled[i]:
-                    work[i] = lex_min(work[i], lex_chain(x, work[i0], k))
-        # unreachable rows keep ZERO
+    column: list[dict] = [{} for _ in a]  # column[j]: the a[i][j] by i
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            column[j][i] = x
+    b_columns: dict = {}
+    for i, row in enumerate(b):
+        for c, x in row.items():
+            b_columns.setdefault(c, {})[i] = x
+    y: list[dict] = [{} for _ in b]
+    for c, work in b_columns.items():
+        while work:  # rows left out of work are unreachable and keep ZERO
+            x, i0 = min((x, i) for i, x in work.items())
+            del work[i0]
+            y[i0][c] = x
+            for i, w in column[i0].items():
+                if c not in y[i]:
+                    z = lex_chain(w, x, k)
+                    if z is not None:
+                        work[i] = lex_min(work.get(i), z)
     return y
 
 
@@ -405,18 +347,20 @@ _SOLVERS = {
 }
 
 
+def _solver(method: str):
+    try:
+        return _SOLVERS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+
+
 def linear_solve(a: LexMatrix, b: LexMatrix, k: int, method: str = "jacobi") -> LexMatrix:
-    """Smallest solution of ``Y = A (x) Y (+) B``; equals closure(A) (x) B
-    wherever closure is exact."""
+    """Smallest solution of ``Y = A (x) Y (+) B``, which is closure(A) (x) B."""
     if len(a) != len(b):
         raise DimensionMismatch("A rows != B rows")
     if not b or not b[0]:
         raise DimensionMismatch("B must have at least one column")
-    try:
-        fn = _SOLVERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    return fn(a, [row[:] for row in b], k)
+    return _dense(_solver(method)(_rows(a), _rows(b), k), len(b[0]))
 
 
 def flooding_distance_matrix(g: WeightedGraph) -> list[list[Optional[int]]]:
@@ -428,19 +372,10 @@ def flooding_distance_matrix(g: WeightedGraph) -> list[list[Optional[int]]]:
     must be allowed to climb over passes).  None means unreachable,
     the diagonal is 0.
     """
-    if g.num_nodes > MAX_DENSE_NODES:
-        raise DimensionMismatch(
-            f"dense algebra capped at {MAX_DENSE_NODES} nodes"
-        )
-    ew = g.require_edge_weights()
-    n = g.num_nodes
-    d: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    d = [[None if x is None else x[0] for x in row] for row in incidence_matrix(g, 1)]
+    n = len(d)
     for i in range(n):
         d[i][i] = 0
-    for eid, (u, v) in enumerate(g.edges):
-        w = ew[eid]
-        if d[u][v] is None or w < d[u][v]:
-            d[u][v] = d[v][u] = w
     for t in range(n):
         dt = d[t]
         for i in range(n):
@@ -466,24 +401,14 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
     smallest label.
     """
     labeling = minima_of_flooding(g)
-    sets = minima_sets(labeling)
-    a = incidence_matrix(g, k)
-    n = g.num_nodes
-    b = zero_matrix(n, len(sets))
-    for c, nodes in enumerate(sets):
+    a = _incidence_rows(g, k)
+    b: list[dict] = [{} for _ in a]
+    for c, nodes in enumerate(minima_sets(labeling)):
         for m in nodes:
             b[m][c] = UNIT
     if method == "closure":
-        y = mat_mul(closure(a, k), b, k)
+        y = _mul_rows(_closure_rows(a, k), b, k)
     else:
-        y = linear_solve(a, b, k, method)
-    dist: list[LexWeight] = []
-    labels = []
-    for i in range(n):
-        best, lab = ZERO, UNSET
-        for c in range(len(sets)):
-            if lex_compare(y[i][c], best) < 0:
-                best, lab = y[i][c], c + 1
-        dist.append(best)
-        labels.append(lab)
-    return dist, Labeling(tuple(labels), "nodes")
+        y = _solver(method)(a, b, k)
+    best = [min(((x, c + 1) for c, x in row.items()), default=(ZERO, UNSET)) for row in y]
+    return [x for x, _ in best], Labeling(tuple(lab for _, lab in best), "nodes")

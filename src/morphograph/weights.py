@@ -12,18 +12,3 @@ W_MAX = 2**32 - 2
 BOTTOM = -1
 TOP = 2**63 - 1
 
-
-def is_level(x: int) -> bool:
-    """True for a proper weight level, False for a sentinel."""
-    return 0 <= x <= W_MAX
-
-
-def complement(x: int, w_max: int = W_MAX) -> int:
-    """Order-reversing involution on levels; swaps the sentinels."""
-    if x == BOTTOM:
-        return TOP
-    if x == TOP:
-        return BOTTOM
-    if not 0 <= x <= w_max:
-        raise ValueError(f"weight {x} outside [0, {w_max}]")
-    return w_max - x

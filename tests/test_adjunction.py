@@ -16,8 +16,9 @@ from morphograph import (
     is_invariant,
     node_closing,
 )
-from morphograph.weights import BOTTOM, TOP, complement
+from morphograph.weights import BOTTOM, TOP
 from conftest import random_edge_weighted
+from test_weights import complement
 
 W_MAX = 9
 

@@ -92,6 +92,16 @@ def test_mst_distinct_weights(tmp_path, capsys):
     assert payload["edges"] == [[0, 2, 2], [1, 2, 1]]
 
 
+def test_only_the_dummy_token_flags_a_dummy(tmp_path, capsys):
+    # "# dummyX 1" is a plain comment: node 1 keeps its label
+    p = tmp_path / "tri.wgr"
+    for comment, labels in (("# dummyX 1", 3), ("# dummy-node 1", 3), ("# dummy 1", 2)):
+        p.write_text(f"node 0\nnode 1\nnode 2\nedge 0 1 4\nedge 1 2 1\n{comment}\n")
+        code, out, _ = run_cli(capsys, "watershed", str(p))
+        assert code == 0
+        assert len(json.loads(out)["labels"]) == labels, comment
+
+
 def test_waterfall_profile(tmp_path, capsys):
     lines = [f"node {i} {w}" for i, w in enumerate((1, 5, 2, 7, 1, 6, 3))]
     lines += [f"edge {i} {i+1}" for i in range(6)]

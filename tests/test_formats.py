@@ -205,8 +205,9 @@ def _oracle_level(token, lineno, top_ok=False):
 
 def _oracle_parse_wgr(text):
     """One split, one strip and one try per line, then checks over whole
-    lists.  The one change: a ``# dummy`` id that ``int`` refuses is a bad
-    line, where this parser let the ``ValueError`` out."""
+    lists.  Two changes: a ``# dummy`` id that ``int`` refuses is a bad
+    line, where this parser let the ``ValueError`` out, and only the token
+    ``dummy`` itself flags a dummy, where this parser took ``# dummyX``."""
     nodes, edges, edge_w, dummies = {}, [], [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,7 +215,7 @@ def _oracle_parse_wgr(text):
             if not line:
                 if raw.strip().startswith("# dummy"):
                     parts = raw.strip().split()
-                    if len(parts) == 3 and parts[2].isdecimal():
+                    if len(parts) == 3 and parts[1] == "dummy" and parts[2].isdecimal():
                         dummies.add(int(parts[2]))
                 continue
             parts = line.split()

@@ -134,7 +134,6 @@ def test_label_agreement_where_distance_unique(rng):
         incidence_matrix,
         lex_compare,
         linear_solve,
-        zero_matrix,
     )
 
     for _ in range(40):
@@ -142,7 +141,7 @@ def test_label_agreement_where_distance_unique(rng):
         k = rng.randint(1, 3)
         sets = minima_sets(minima_of_flooding(fg))
         a = incidence_matrix(fg, k)
-        b = zero_matrix(fg.num_nodes, len(sets))
+        b = [[ZERO] * len(sets) for _ in range(fg.num_nodes)]
         for c, nodes in enumerate(sets):
             for m in nodes:
                 b[m][c] = UNIT

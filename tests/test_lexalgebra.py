@@ -15,14 +15,46 @@ from morphograph import (
     lex_weight,
     linear_solve,
 )
-from morphograph.lexalgebra import (
-    flooding_distance_matrix,
-    identity_matrix,
-    mat_add,
-    mat_mul,
-    zero_matrix,
-)
+from morphograph.lexalgebra import _by_head, _mul_tracked_rows, flooding_distance_matrix
 from conftest import brute_flooding_distance, enumerate_walks, random_edge_weighted
+
+
+# -- dense reference matrices, the oracles of the sparse kernels --------------
+
+
+def zero_matrix(rows, cols=None):
+    cols = rows if cols is None else cols
+    return [[ZERO] * cols for _ in range(rows)]
+
+
+def identity_matrix(n):
+    m = zero_matrix(n)
+    for i in range(n):
+        m[i][i] = UNIT
+    return m
+
+
+def mat_add(a, b):
+    return [[lex_min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_mul(a, b, k):
+    """Plain product, one lex_chain per slot."""
+    cols = len(b[0]) if b else 0
+    out = zero_matrix(len(a), cols)
+    for i, row in enumerate(a):
+        for t, x in enumerate(row):
+            for j in range(cols):
+                out[i][j] = lex_min(out[i][j], lex_chain(x, b[t][j], k))
+    return out
+
+
+def _mat_mul_tracked(a, b, k):
+    """Tracked product of dense matrices through the sparse kernel."""
+    cols = len(b[0]) if b else 0
+    a_pairs = [[(t, x) for t, x in enumerate(row) if x is not None] for row in a]
+    b_rows = [_by_head({j: x for j, x in enumerate(row) if x is not None}) for row in b]
+    return [[row.get(j) for j in range(cols)] for row in _mul_tracked_rows(a_pairs, b_rows, k)]
 
 
 def test_lex_weight_examples():
@@ -169,7 +201,7 @@ def test_closure_three_node_descending_path():
 
 
 def test_closure_is_stationary(rng):
-    from morphograph.lexalgebra import _mat_mul_tracked, lift
+    from morphograph.lexalgebra import lift
 
     for _ in range(20):
         g = random_edge_weighted(rng, 7)
@@ -182,32 +214,17 @@ def test_closure_is_stationary(rng):
             if m2 == m:
                 break
             m = m2
-        # one more multiplication changes nothing, and the projection is A*
+        # one more multiplication changes nothing
         assert _mat_mul_tracked(m2, m2, k) == m2
-        assert [[x if x is None else x[0] for x in row] for row in m2] == closure(a, k)
 
 
-def _plain_squaring_closure(a, k):
-    """The reference: square the tracked (identity + a) until it is stationary."""
-    from morphograph.lexalgebra import _mat_mul_tracked, lift
-
-    if not a:
-        return []
-    m = [[lift(x) for x in row] for row in mat_add(identity_matrix(len(a)), a)]
-    while True:
-        m2 = _mat_mul_tracked(m, m, k)
-        if m2 == m:
-            return [[x if x is None else x[0] for x in row] for row in m]
-        m = m2
-
-
-def test_closure_equals_plain_squaring(rng):
-    # closure squares once, then chains only the entries that changed;
-    # every entry must equal the plain squaring loop's
+def test_closure_equals_jacobi_and_gondran(rng):
+    # closure reads Jordan's fronts; with identity B the iterative and
+    # the greedy solvers give A* on every graph, general or flooding
     from morphograph.flooding import as_flooding
     from morphograph.formats import pixel_graph
 
-    cases = [(zero_matrix(n), k) for n in range(5) for k in (1, 3)]
+    cases = [(zero_matrix(n), k) for n in range(1, 5) for k in (1, 3)]
     cases += [([[ZERO]], 2), ([[(4,)]], 1), ([[UNIT]], 3)]
     for i in range(1000):
         g = random_edge_weighted(rng, 14, w_max=rng.choice((2, 6, 20)),
@@ -219,8 +236,11 @@ def test_closure_equals_plain_squaring(rng):
             pixels = [rng.randrange(levels) for _ in range(64)]
             fg = as_flooding(pixel_graph(8, 8, pixels, connectivity))
             cases.append((incidence_matrix(fg, k), k))
+    assert closure([], 2) == []
     for a, k in cases:
-        assert closure(a, k) == _plain_squaring_closure(a, k)
+        st_ = closure(a, k)
+        for method in ("jacobi", "gondran"):
+            assert linear_solve(a, identity_matrix(len(a)), k, method) == st_
 
 
 def test_closure_matches_walk_enumeration(rng):
@@ -243,7 +263,7 @@ def test_closure_matches_walk_enumeration(rng):
 def test_tracked_product_matches_reference_fold(rng):
     # the sparse kernel inlines exact_chain and exact_min and skips heads
     # above the left tail; the plain fold over every slot is the reference
-    from morphograph.lexalgebra import _mat_mul_tracked, exact_chain, exact_min
+    from morphograph.lexalgebra import exact_chain, exact_min
 
     def tracked():
         if rng.random() < 0.4:
@@ -264,7 +284,7 @@ def test_tracked_product_matches_reference_fold(rng):
 
 
 def test_matrix_power_stabilizes_at_n_minus_one(rng):
-    from morphograph.lexalgebra import _mat_mul_tracked, lift
+    from morphograph.lexalgebra import lift
 
     for _ in range(20):
         g = random_edge_weighted(rng, 6)
@@ -423,14 +443,16 @@ def test_jordan_labels_match_closure_on_pinned_image():
 
 
 def test_jordan_is_exact_where_closure_keeps_one_element():
-    # closure's squaring keeps (3,) over (6, 6) for 1 -> 2 and (3, 3) over
-    # (6,) for 0 -> 2, and neither kept element chains the 2 -> 4 edge of
-    # weight 5, so its entry (1, 4) stays ZERO; Jordan keeps both elements
+    # a squaring that keeps one tracked element per entry keeps (3,) over
+    # (6, 6) for 1 -> 2 and (3, 3) over (6,) for 0 -> 2, and neither kept
+    # element chains the 2 -> 4 edge of weight 5, so its entry (1, 4) stays
+    # ZERO; Jordan's fronts, which closure reads, keep both elements
     g = WeightedGraph(
         6, ((0, 1), (0, 2), (0, 5), (1, 2), (1, 5), (2, 4), (3, 4)), None,
         (6, 6, 3, 3, 3, 5, 6),
     )
     a = incidence_matrix(g, 2)
+    assert closure(a, 2)[1][4] == (6, 6)
     for method in ("jordan", "gondran", "jacobi", "gauss_seidel"):
         assert linear_solve(a, identity_matrix(6), 2, method)[1][4] == (6, 6)
 
@@ -456,9 +478,9 @@ def test_jordan_matches_walk_enumeration(rng):
 
 
 def test_closure_is_exact_into_the_minima_of_floodings(rng):
-    # closure keeps one element per entry, which is not exact on every
-    # graph, but it is exact into the minima of a flooding graph: the
-    # only graphs distances_to_minima hands it
+    # the per-minimum system distances_to_minima solves: closure (x) B
+    # equals Gondran's columns, and closure's entries into the minima
+    # equal Jordan's
     from conftest import random_flooding
 
     for trial in range(60):

