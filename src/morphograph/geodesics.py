@@ -10,16 +10,16 @@ propagate labels along the geodesics:
   the settled boundary node with the lowest depth-(k-1) valuation may
   immediately settle every unsettled neighbor that floods it, so each
   node enters the queue exactly once.
-* ``hq_watershed`` is depth-2 core expansion: its hierarchical queue is
-  the heap on depth-1 ranks, whose counter keeps each bucket first in,
-  first out, so plateaus divide from their lower boundary inwards.
+* ``hq_watershed`` is depth-2 core expansion.  The queue sweeps one
+  first-in, first-out bucket per rank (Meyer 1991), so plateaus divide
+  from their lower boundary inwards.
 
 They walk one set of rows, memoised on the graph by ``steepness``: per
 node, the tails of the minimal depth-k flooding pairs it heads, with
-the depth-(k-1) track ranks they queue on.  They keep a parent per node
-and chain the distance tuples from the parents only when they return
-them; ``basin_labels`` gives the labels of any of the three and builds
-no tuple.
+the depth-(k-1) track ranks core expansion queues on; Dijkstra refines
+them once more.  They keep a parent per node and chain the distance
+tuples from the parents only when they return them; ``basin_labels``
+gives the labels of any of the three and builds no tuple.
 
 Also here: additive toll/topographic distances on node-weighted graphs
 and the decomposition of a node field into local tolls whose integration
@@ -37,7 +37,7 @@ from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
 from .errors import MorphographError, NoRoots
 from .flooding import minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, WeightedGraph, regional_minima
-from .lexalgebra import LexWeight, UNIT, ZERO, lex_chain
+from .lexalgebra import LexWeight, UNIT, ZERO
 from .steepness import _upstream
 
 
@@ -48,72 +48,56 @@ def _seed_minima(g: WeightedGraph):
     return labels, parent, [i for i, p in enumerate(parent) if p is not None]
 
 
-def _settle_dijkstra(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
-    """Labels, parents and settle order of ``dijkstra_to_minima``: j
-    flooding l is estimated by ``nw[j] * stride + rank[l]``, which orders
-    as chaining ``nw[j]`` in front of l's distance does.  Only minimal
-    heads relax j, and they share one rank, so the first fixes j's
-    estimate and each later one ties it."""
-    labels, parent, order = _seed_minima(g)
-    settled = [p is not None for p in parent]
-    rank, rows = _upstream(g, k)
-    stride = max(rank, default=0) + 1
-    nw = g.node_weights
+def _settle(g: WeightedGraph, k: int, rng, on_pop: bool) -> tuple[list, list, list]:
+    """Labels, parents and settle order of a sweep from the minima over
+    per-rank FIFO buckets, Meyer's hierarchical queue (1991).  A node is
+    queued once, by the first head it is reached from, never below the
+    bucket being swept: minimal tracks do not ascend.
 
+    ``core_expanding`` queues on depth-(k-1) ranks and settles a node on
+    discovery, by its first head to leave the queue, a minimal one;
+    under a seeded tie each bucket is a heap on (draw, push index).
+    ``dijkstra_to_minima`` (``on_pop``) queues j on its depth-k rank, the
+    order of its estimates (j's weight, then its minimal heads' rank),
+    and settles it when swept; a later head with another label ties it.
+    """
+    labels, parent, order = _seed_minima(g)
+    rank, rows = _upstream(g, k, deeper=on_pop)
+    # one bucket per distinct rank, in rank order: depth-1 ranks are
+    # weights + 1 and may be sparse, up to W_MAX + 1
+    buckets = {r: [] for r in sorted(set(rank))}
+    if rng is not None and not on_pop:  # one draw per push, in push order
+        buckets[0] = [(rng.random(), i, m) for i, m in enumerate(order)]
+        heapq.heapify(buckets[0])  # a minimum ranks 0
+        for bucket in buckets.values():
+            while bucket:
+                t = heapq.heappop(bucket)[2]
+                for s in rows[t]:
+                    if parent[s] is None:
+                        parent[s], labels[s] = t, labels[t]
+                        heapq.heappush(buckets[rank[s]], (rng.random(), len(order), s))
+                        order.append(s)
+        return labels, parent, order
+
+    settled = [p is not None for p in parent] if on_pop else None  # else parent tells
     ties: dict[int, int] = {}
-    counter = itertools.count()
-    heap: list = []
-
-    def relax(l: int) -> None:
-        for j in rows[l]:
-            if settled[j]:
-                continue
-            if parent[j] is None:
-                labels[j], parent[j] = labels[l], l
-                ties[j] = 1
-                heapq.heappush(heap, (nw[j] * stride + rank[l], next(counter), j))
-            elif labels[l] != labels[j]:
-                ties[j] += 1
-                if rng is None:
-                    if labels[l] < labels[j]:
-                        labels[j] = labels[l]
-                elif rng.random() < 1.0 / ties[j]:
-                    labels[j] = labels[l]
-
-    for m in order:  # the minima: only the loop below appends
-        relax(m)
-    while heap:
-        j = heapq.heappop(heap)[2]
-        settled[j] = True
-        order.append(j)
-        relax(j)
-    return labels, parent, order
-
-
-def _settle_core(g: WeightedGraph, k: int, rng) -> tuple[list, list, list]:
-    """Labels, parents and settle order of ``core_expanding``: a node is
-    queued by its track rank, which orders as its distance's first k-1
-    levels do, so the first head of a node to leave the queue is one of
-    its minimal heads and settles it."""
-    labels, parent, order = _seed_minima(g)
-    rank, rows = _upstream(g, k)
-
-    counter = itertools.count()
-    heap: list = []
-
-    def push(t: int) -> None:
-        sub = rng.random() if rng is not None else 0.0
-        heapq.heappush(heap, (rank[t], sub, next(counter), t))
-
-    for m in order:
-        push(m)
-    while heap:
-        t = heapq.heappop(heap)[3]
-        for s in rows[t]:
-            if parent[s] is None:
-                parent[s], labels[s] = t, labels[t]
-                order.append(s)
-                push(s)
+    buckets[0], order = order, ([] if on_pop else order[:])  # core has settled the minima
+    for bucket in buckets.values():
+        for t in bucket:  # appending to the bucket being swept keeps it FIFO
+            if on_pop:
+                settled[t] = True
+                order.append(t)
+            lab = labels[t]
+            for s in rows[t]:
+                if parent[s] is None:
+                    parent[s], labels[s] = t, lab
+                    if not on_pop:
+                        order.append(s)
+                    buckets[rank[s]].append(s)
+                elif on_pop and lab != labels[s] and not settled[s]:
+                    ties[s] = n = ties.get(s, 1) + 1
+                    if lab < labels[s] if rng is None else rng.random() < 1.0 / n:
+                        labels[s] = lab
     return labels, parent, order
 
 
@@ -121,9 +105,9 @@ def _chain(g: WeightedGraph, k: int, parent: list, order: list) -> list[LexWeigh
     """Distances chained from the parents in settle order; ZERO if unsettled."""
     nw = g.node_weights
     dist: list[LexWeight] = [ZERO] * g.num_nodes
-    for i in order:
+    for i in order:  # lex_chain's ZERO cannot fire: no head outweighs its tail
         p = parent[i]
-        dist[i] = UNIT if p < 0 else lex_chain((nw[i],), dist[p], k)
+        dist[i] = UNIT if p < 0 else (nw[i],) + dist[p][:k - 1]
     return dist
 
 
@@ -137,7 +121,7 @@ def dijkstra_to_minima(
     estimate is final.  Equal estimates with different labels resolve by
     the tie policy.
     """
-    labels, parent, order = _settle_dijkstra(g, k, parse_tie(tie))
+    labels, parent, order = _settle(g, k, parse_tie(tie), on_pop=True)
     return _chain(g, k, parent, order), Labeling(tuple(labels), "nodes")
 
 
@@ -149,7 +133,7 @@ def core_expanding(
     Returns (distances, labeling, enqueue_count); the count equals the
     number of nodes, each entering the queue exactly once.
     """
-    labels, parent, order = _settle_core(g, k, parse_tie(tie))
+    labels, parent, order = _settle(g, k, parse_tie(tie), on_pop=False)
     return _chain(g, k, parent, order), Labeling(tuple(labels), "nodes"), len(order)
 
 
@@ -165,10 +149,9 @@ def basin_labels(
     """
     if algo == "hq":
         return hq_watershed(g)
-    settle = {"core": _settle_core, "dijkstra": _settle_dijkstra}.get(algo)
-    if settle is None:
+    if algo not in ("core", "dijkstra"):
         raise ValueError(f"unknown watershed algorithm {algo!r}")
-    return Labeling(tuple(settle(g, k, parse_tie(tie))[0]), "nodes")
+    return Labeling(tuple(_settle(g, k, parse_tie(tie), algo == "dijkstra")[0]), "nodes")
 
 
 def hq_watershed(g: WeightedGraph) -> Labeling:
@@ -176,12 +159,12 @@ def hq_watershed(g: WeightedGraph) -> Labeling:
 
     This is depth-2 core expansion under ``min-label``: on a flooding
     graph the depth-1 ranks (0 in a minimum, else weight + 1) order the
-    nodes as buckets of their weights with the minima pinned to 0, and
-    the heap counter keeps each bucket first in, first out, so plateau
-    nodes go to the wavefront that reaches them first (from the
+    nodes as buckets of their weights with the minima pinned to 0.  The
+    queue sweeps one first-in, first-out bucket per rank (Meyer 1991), so
+    plateau nodes go to the wavefront that reaches them first (from the
     plateau's lower boundary inwards).
     """
-    return Labeling(tuple(_settle_core(g, 2, None)[0]), "nodes")
+    return Labeling(tuple(_settle(g, 2, None, on_pop=False)[0]), "nodes")
 
 
 # ---------------------------------------------------------------------------

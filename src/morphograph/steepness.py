@@ -40,7 +40,7 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    _, picked = _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))
+    picked = _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]
     kept = _inner_edges(g, in_min) + [eid for _, _, eid in picked]
     return _inherit_minima(g.partial(kept), g)
 
@@ -79,6 +79,15 @@ def _least(rank: list, tails: list, heads: list, none: int) -> list:
     return lo
 
 
+def _refine(nw, lo: list, stride: int) -> list[int]:
+    """One pass deeper: a node keys on its weight, then ``lo``, its least
+    head rank (``stride`` if it heads no pair, keyed -1), and the keys
+    rank densely."""
+    keys = [w * stride + r if r < stride else -1 for w, r in zip(nw, lo)]
+    dense = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [dense[key] for key in keys]
+
+
 def _refined(nw, in_min: list, pairs: tuple, depth: int) -> list[int]:
     """``track_ranks`` over the lists of ``_flooding_pairs``."""
     if depth < 1:
@@ -87,13 +96,10 @@ def _refined(nw, in_min: list, pairs: tuple, depth: int) -> list[int]:
     stride = max(rank, default=0) + 1
     tails, heads, _ = pairs
     for _ in range(depth - 1):
-        lo = _least(rank, tails, heads, stride)
-        keys = [w * stride + r if r < stride else -1 for w, r in zip(nw, lo)]
-        dense = {key: r for r, key in enumerate(sorted(set(keys)))}
-        nxt = [dense[key] for key in keys]
+        nxt = _refine(nw, _least(rank, tails, heads, stride), stride)
         if nxt == rank:
             break
-        rank, stride = nxt, len(dense)
+        rank, stride = nxt, max(nxt) + 1
     return rank
 
 
@@ -116,34 +122,37 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
 
 
 def _minimal_pairs(g: WeightedGraph, k: int, in_min: list,
-                   pairs: tuple) -> tuple[list, Iterator]:
-    """The depth-(k-1) track ranks, and the flooding pairs (tail, head,
-    edge id) of ``_flooding_pairs`` that start minimal depth-k tracks:
-    those whose head has the least depth-(k-1) rank of its tail's."""
+                   pairs: tuple) -> tuple[list, list, Iterator]:
+    """The depth-(k-1) track ranks, each node's least head rank (``_least``)
+    and the flooding pairs (tail, head, edge id) of ``_flooding_pairs``
+    that start minimal depth-k tracks: those whose head has that rank."""
     tails, heads, eids = pairs
     rank = _refined(g.node_weights, in_min, pairs, k - 1)
     lo = _least(rank, tails, heads, max(rank, default=0) + 1)
-    return rank, ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
+    return rank, lo, ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
 
 
-def _upstream(g: WeightedGraph, k: int) -> tuple[list, list]:
-    """The depth-(k-1) track ranks and, per node, the ascending tails of
-    the minimal depth-k pairs it heads: the rows every watershed labeler
-    walks upward from the minima.  Memoised on ``g``: the flooding pairs,
-    which do not depend on ``k``, and the ranks and rows of the last ``k``."""
+def _upstream(g: WeightedGraph, k: int, deeper: bool = False) -> tuple[list, list]:
+    """The depth-(k-1) track ranks (depth k if ``deeper``) and, per node,
+    the ascending tails of the minimal depth-k pairs it heads: the rows
+    every watershed labeler walks upward from the minima.  Memoised on
+    ``g``: the flooding pairs, which do not depend on ``k``, and the
+    ranks, least head ranks and rows of the last ``k``."""
     memo = vars(g).get("_upstream")
     if memo is None:
         in_min = [v != UNSET for v in minima_of_flooding(g).values]
-        memo = (in_min, _flooding_pairs(g, in_min), None, None, None)
-    in_min, pairs, last, rank, rows = memo
+        memo = (in_min, _flooding_pairs(g, in_min), None, None, None, None)
+    in_min, pairs, last, rank, lo, rows = memo
     if last != k:
-        rank, picked = _minimal_pairs(g, k, in_min, pairs)
+        rank, lo, picked = _minimal_pairs(g, k, in_min, pairs)
         rows = [[] for _ in range(g.num_nodes)]
         for i, j, _ in picked:
             rows[j].append(i)
         for row in rows:
             row.sort()  # the order of the edge list is the input's
-        vars(g)["_upstream"] = (in_min, pairs, k, rank, rows)
+        vars(g)["_upstream"] = (in_min, pairs, k, rank, lo, rows)
+    if deeper:
+        return _refine(g.node_weights, lo, max(rank, default=0) + 1), rows
     return rank, rows
 
 
@@ -159,7 +168,7 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
         raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
     picked: dict = {}
-    for i, _, eid in _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[1]:
+    for i, _, eid in _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]:
         picked.setdefault(i, []).append(eid)
     out: dict = {None: frozenset(_inner_edges(g, in_min))}
     out.update((i, frozenset(picked[i])) for i in sorted(picked))

@@ -124,7 +124,11 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
                     sources.setdefault(i, []).append(f)
         frontier = sorted(sources)
         for i in frontier:
-            got = sorted({labels[j] for j in sources[i]})
+            src = sources[i]
+            if len(src) == 1:  # one source draws nothing from rng
+                labels[i] = labels[src[0]]
+                continue
+            got = sorted({labels[j] for j in src})
             if ZONE in got:
                 labels[i] = ZONE
             elif len(got) == 1:
@@ -134,7 +138,7 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
             elif rng is None:
                 labels[i] = got[0]
             else:
-                labels[i] = labels[rng.choice(sources[i])]
+                labels[i] = labels[rng.choice(src)]
     return Labeling(tuple(labels), "nodes")
 
 

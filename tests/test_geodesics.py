@@ -17,9 +17,13 @@ from morphograph import (
     toll_distances,
 )
 from morphograph.flooding import minima_of_flooding, minima_sets
-from morphograph.geodesics import basin_labels, node_erosion, parse_tie
+from morphograph.geodesics import (
+    _seed_minima, _settle, basin_labels, node_erosion, parse_tie,
+)
 from morphograph.graphs import UNSET
 from morphograph.lexalgebra import distances_to_minima, lex_chain
+from morphograph.steepness import _upstream, track_ranks
+from morphograph.weights import W_MAX
 from conftest import (
     constrained_msf_weight,
     quantized_pixel_floodings,
@@ -398,3 +402,122 @@ def test_basin_labels_are_the_labels_of_the_distance_solvers():
                 assert basin_labels(fg, k, "hq", tie) == hq
     with pytest.raises(ValueError, match="unknown watershed algorithm"):
         basin_labels(corpus[0], 2, "prim")
+
+
+def _heap_settle_dijkstra(g, k, rng):
+    """The labels, parents and settle order of ``dijkstra_to_minima`` as
+    it ran on a heap of (key, counter, node), kept as the oracle of the
+    bucket sweep."""
+    labels, parent, order = _seed_minima(g)
+    settled = [p is not None for p in parent]
+    rank, rows = _upstream(g, k)
+    stride = max(rank, default=0) + 1
+    nw = g.node_weights
+    ties, counter, heap = {}, itertools.count(), []
+
+    def relax(l):
+        for j in rows[l]:
+            if settled[j]:
+                continue
+            if parent[j] is None:
+                labels[j], parent[j] = labels[l], l
+                ties[j] = 1
+                heapq.heappush(heap, (nw[j] * stride + rank[l], next(counter), j))
+            elif labels[l] != labels[j]:
+                ties[j] += 1
+                if rng is None:
+                    if labels[l] < labels[j]:
+                        labels[j] = labels[l]
+                elif rng.random() < 1.0 / ties[j]:
+                    labels[j] = labels[l]
+
+    for m in order:
+        relax(m)
+    while heap:
+        j = heapq.heappop(heap)[2]
+        settled[j] = True
+        order.append(j)
+        relax(j)
+    return labels, parent, order
+
+
+def _heap_settle_core(g, k, rng):
+    """The labels, parents and settle order of ``core_expanding`` as it
+    ran on a heap of (rank, draw, counter, node), kept as the oracle of
+    the bucket sweep."""
+    labels, parent, order = _seed_minima(g)
+    rank, rows = _upstream(g, k)
+    counter, heap = itertools.count(), []
+
+    def push(t):
+        sub = rng.random() if rng is not None else 0.0
+        heapq.heappush(heap, (rank[t], sub, next(counter), t))
+
+    for m in order:
+        push(m)
+    while heap:
+        t = heapq.heappop(heap)[3]
+        for s in rows[t]:
+            if parent[s] is None:
+                parent[s], labels[s] = t, labels[t]
+                order.append(s)
+                push(s)
+    return labels, parent, order
+
+
+def _dense(xs):
+    at = {x: r for r, x in enumerate(sorted(set(xs)))}
+    return [at[x] for x in xs]
+
+
+def test_bucket_sweep_settles_as_the_heap_kernels():
+    rng = random.Random(1991)
+    corpus = [random_flooding(rng, rng.choice((8, 12, 20)), connected=c)
+              for c in (True, False) for _ in range(60)]
+    corpus += quantized_pixel_floodings(rng, 20)
+    for fg in corpus:
+        for k in (1, 2, 3, 5, fg.num_nodes + 2):
+            # the Dijkstra buckets are the depth-k track ranks
+            assert _dense(track_ranks(fg, k)) == _upstream(fg, k, deeper=True)[0]
+            for seed in (None, rng.randrange(2**32)):
+                def tie():
+                    return None if seed is None else random.Random(seed)
+                assert _settle(fg, k, tie(), on_pop=False) == _heap_settle_core(fg, k, tie())
+                assert _settle(fg, k, tie(), on_pop=True) == _heap_settle_dijkstra(fg, k, tie())
+
+
+def _lifted(fg):
+    """``fg`` with every weight moved up near W_MAX by one increasing map,
+    so its ranks keep their order and spread over about 2**32 values."""
+    top = max(fg.node_weights + fg.edge_weights, default=0)
+
+    def lift(ws):
+        return [W_MAX - (top - w) * 2**20 for w in ws]
+
+    hg = fg.with_weights(lift(fg.node_weights), lift(fg.edge_weights))
+    assert 0 <= min(hg.node_weights) and max(hg.edge_weights, default=0) <= W_MAX
+    return hg
+
+
+def test_bucket_sweep_takes_weights_up_to_w_max():
+    # depth-1 ranks are weight + 1, so the buckets must not be sized by them
+    rng = random.Random(2**32)
+    corpus = [flooding_from_nodes(WeightedGraph(2, [(0, 1)], (W_MAX, 0)))]
+    corpus += [random_flooding(rng, 12, connected=c) for c in (True, False) for _ in range(30)]
+    corpus += quantized_pixel_floodings(rng, 5)
+    for fg in corpus:
+        hg = _lifted(fg) if max(fg.node_weights) < W_MAX else fg
+        heap2 = _heap_settle_core(hg, 2, None)[0]
+        assert list(hq_watershed(hg).values) == heap2
+        assert list(basin_labels(hg, 2, "hq").values) == heap2
+        assert list(core_expanding(hg, 2)[1].values) == heap2
+        for k in (1, 2, 3):
+            for seed in (None, rng.randrange(2**32)):
+                def tie():
+                    return None if seed is None else random.Random(seed)
+                core = _heap_settle_core(hg, k, tie())
+                dijkstra = _heap_settle_dijkstra(hg, k, tie())
+                assert _settle(hg, k, tie(), on_pop=False) == core == _heap_settle_core(fg, k, tie())
+                assert _settle(hg, k, tie(), on_pop=True) == dijkstra
+                assert list(basin_labels(hg, k, "core", tie()).values) == core[0]
+                assert list(basin_labels(hg, k, "dijkstra", tie()).values) == dijkstra[0]
