@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Union
 
-from .adjunction import (
-    dilate_nodes_to_edges,
-    erode_edges_to_nodes,
-)
+from .adjunction import dilate_nodes_to_edges, erode_edges_to_nodes
 from .errors import InvalidFloodingGraph, MissingWeights, ZeroNonMinimum
 from .graphs import (
     Labeling,
     UNSET,
     WeightedGraph,
-    _zone_walk,
+    _node_walk,
     expand_isolated_minima,
     lowest_edge_filter,
     minima_span,
@@ -47,6 +45,8 @@ def validate_flooding(g: WeightedGraph) -> FloodingReport:
         return FloodingReport(False, (), ())
     want_e = dilate_nodes_to_edges(g, g.node_weights)
     want_n = erode_edges_to_nodes(g, g.edge_weights)
+    if want_e == g.edge_weights and want_n == g.node_weights:
+        return FloodingReport(True, (), ())
     bad_e = tuple(i for i, w in enumerate(g.edge_weights) if w != want_e[i])
     bad_n = tuple(i for i, w in enumerate(g.node_weights) if w != want_n[i])
     return FloodingReport(not bad_e and not bad_n, bad_e, bad_n)
@@ -114,11 +114,9 @@ def minima_of_flooding(g: WeightedGraph) -> Labeling:
         raise InvalidFloodingGraph(
             f"bad edges {report.bad_edges[:8]}, bad nodes {report.bad_nodes[:8]}"
         )
-    labels = [UNSET] * g.num_nodes
-    for k, m in enumerate(regional_minima(g, "nodes"), start=1):
-        for i in m:
-            labels[i] = k
-    labeling = vars(g)["_minima"] = Labeling(tuple(labels), "nodes")
+    zone_of, lowest = _node_walk(g)  # the k-th lowest zone is minimum k
+    label = [UNSET] + [int(k) if low else UNSET for k, low in zip(accumulate(lowest), lowest)]
+    labeling = vars(g)["_minima"] = Labeling(tuple([label[z] for z in zone_of]), "nodes")
     return labeling
 
 
@@ -202,7 +200,7 @@ def assign_pairs(g: WeightedGraph, rng: Optional[random.Random] = None) -> dict[
     """
     nw = g.require_node_weights()
     g.require_edge_weights()
-    zone_of, lowest = _zone_walk(g, "nodes")
+    zone_of, lowest = _node_walk(g)
     plateaus: dict[int, list[int]] = {z: [] for z, low in enumerate(lowest, 1) if not low}
     for i, z in enumerate(zone_of):
         if z in plateaus:

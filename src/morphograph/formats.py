@@ -263,7 +263,7 @@ def to_dot(g: WeightedGraph, labeling: Optional[Labeling] = None) -> str:
 
 
 def labels_to_pgm(width: int, height: int, labeling: Labeling) -> tuple[bytes, dict]:
-    """Label map with values mod 255 (0 stays for zones/unset) plus a legend."""
+    """Label map, gray ``1 + (label - 1) mod 254`` (0 for zones/unset), plus a legend."""
     pixels = []
     legend: dict[str, int] = {}
     for i in range(width * height):

@@ -175,7 +175,7 @@ class WeightedGraph:
     def with_weights(self, node_weights=None, edge_weights=None) -> "WeightedGraph":
         """Copy with one or both weight fields replaced; shares the topology
         and its lazily built lookups, whichever graph builds them first."""
-        return WeightedGraph._derive(
+        g = WeightedGraph._derive(
             self.num_nodes,
             self.edges,
             tuple(node_weights) if node_weights is not None else self.node_weights,
@@ -183,6 +183,9 @@ class WeightedGraph:
             self.dummies,
             self._topology,
         )
+        if node_weights is None and "_node_walk" in vars(self):  # same node zones
+            vars(g)["_node_walk"] = vars(self)["_node_walk"]
+        return g
 
     def partial(self, keep: Iterable[int]) -> "WeightedGraph":
         """Partial graph: same nodes, only the edges in ``keep`` (edge ids)."""
@@ -272,6 +275,13 @@ def _zone_walk(g: WeightedGraph, mode: str) -> tuple[list[int], list[bool]]:
     return labels, lowest
 
 
+def _node_walk(g: WeightedGraph) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """``_zone_walk(g, "nodes")`` as tuples, memoised on ``g``; derived graphs may inherit it."""
+    if "_node_walk" not in vars(g):
+        vars(g)["_node_walk"] = tuple(map(tuple, _zone_walk(g, "nodes")))
+    return vars(g)["_node_walk"]
+
+
 def flat_zones(g: WeightedGraph, mode: str) -> Labeling:
     """Maximal connected pieces of uniform altitude on the chosen carrier.
 
@@ -279,7 +289,7 @@ def flat_zones(g: WeightedGraph, mode: str) -> Labeling:
     mode="edges": zones of edges joined by chains (shared endpoints) of
     equal edge weight; the labeling is per edge id.
     """
-    labels, _ = _zone_walk(g, mode)
+    labels, _ = _node_walk(g) if mode == "nodes" else _zone_walk(g, mode)
     return Labeling(tuple(labels), mode)
 
 
@@ -291,7 +301,7 @@ def regional_minima(g: WeightedGraph, mode: str) -> list[frozenset[int]]:
     whose neighboring nodes are all higher.  Returned sets are ordered by
     smallest contained id.
     """
-    labels, lowest = _zone_walk(g, mode)
+    labels, lowest = _node_walk(g) if mode == "nodes" else _zone_walk(g, mode)
     members: dict[int, list[int]] = {k: [] for k, low in enumerate(lowest, 1) if low}
     for x, k in enumerate(labels):
         if k in members:
@@ -374,10 +384,14 @@ def expand_isolated_minima(g: WeightedGraph) -> WeightedGraph:
         return g
     dummies, ew = range(g.num_nodes, g.num_nodes + len(singles)), g.edge_weights
     twins = tuple(nw[i] for i in singles)  # each dummy's weight and edge weight
-    return WeightedGraph._derive(
+    gx = WeightedGraph._derive(
         dummies.stop, g.edges + tuple(zip(singles, dummies)), nw + twins,
         None if ew is None else ew + twins, g.dummies | frozenset(dummies),
     )
+    # a twin joins its single's zone, whose smallest id and lowness it keeps
+    zone_of, lowest = _node_walk(g)
+    vars(gx)["_node_walk"] = (zone_of + tuple([zone_of[i] for i in singles]), lowest)
+    return gx
 
 
 def lowest_edge_filter(g: WeightedGraph, mode: str) -> frozenset[int]:

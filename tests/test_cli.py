@@ -322,7 +322,7 @@ def test_main_pauses_the_collector_and_gives_it_back(
 
 
 def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, capsys):
-    from morphograph import flooding, steepness
+    from morphograph import flooding, graphs, steepness
 
     calls = {"validate": 0, "minima": 0, "pairs": 0}
 
@@ -332,15 +332,24 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
             return fn(*args, **kwargs)
         return wrapper
 
+    walk = graphs._zone_walk
+
+    def node_walk(g, mode):
+        # a node zone walk that misses the memo; edge walks are not counted
+        calls["minima"] += mode == "nodes"
+        return walk(g, mode)
+
     monkeypatch.setattr(flooding, "validate_flooding", counted("validate", flooding.validate_flooding))
-    monkeypatch.setattr(flooding, "regional_minima", counted("minima", flooding.regional_minima))
+    monkeypatch.setattr(graphs, "_zone_walk", node_walk)
     monkeypatch.setattr(steepness, "_flooding_pairs", counted("pairs", steepness._flooding_pairs))
     for fmt in ("json", "dot"):
         calls.update(validate=0, minima=0, pairs=0)
         code, _, _ = run_cli(capsys, "watershed", five_path_file, "--format", fmt)
         assert code == 0
-        # one validation; one minima labeling from the node minima
-        assert calls["validate"] == calls["minima"] == 1
+        # one validation; one node zone walk, on the input: its two
+        # single-node minima get twins, and the flooding graph inherits the
+        # walk, so the minima labeling and the plateaus walk nothing more
+        assert calls == {"validate": 1, "minima": 1, "pairs": 1}
     # the labels and the zones walk the same memoised minimal-pair rows;
     # at depth 3 the depth-2 ranks need the pairs too, and hq, which labels
     # at depth 2, takes its zones' depth-3 rows from the same pairs
@@ -350,6 +359,22 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
                                "--algo", algo)
         assert code == 0 and "zones" in json.loads(out)
         assert calls == {"validate": 1, "minima": 1, "pairs": 1}
+
+
+def test_pgm_watershed_walks_the_pixel_zones_once(tmp_path, monkeypatch, capsys):
+    from morphograph import graphs
+
+    walks = []
+    walk = graphs._zone_walk
+    monkeypatch.setattr(graphs, "_zone_walk", lambda g, mode: walks.append(mode) or walk(g, mode))
+    img = tmp_path / "pits.pgm"
+    # a single-pixel minimum at (1, 1), a two-pixel one on the right, a plateau
+    img.write_bytes(write_pgm(5, 3, [5, 5, 5, 4, 4, 5, 0, 5, 1, 1, 5, 5, 5, 4, 4], 9))
+    for algo in ("core", "dijkstra", "hq"):
+        walks.clear()
+        code, out, _ = run_cli(capsys, "watershed", str(img), "--algo", algo)
+        assert code == 0 and len(json.loads(out)["minima"]) == 2
+        assert walks == ["nodes"]
 
 
 def test_pgm_input_is_parsed_once(tmp_path, monkeypatch, capsys):

@@ -14,11 +14,24 @@ from morphograph import (
     validate_flooding,
     zero_minima,
 )
-from morphograph.adjunction import erode_edges_to_nodes, is_invariant
-from morphograph.flooding import assign_pairs, minima_sets, parse_tie
+from morphograph.adjunction import dilate_nodes_to_edges, erode_edges_to_nodes, is_invariant
+from morphograph.flooding import FloodingReport, assign_pairs, minima_sets, parse_tie
 from morphograph.formats import pixel_graph
-from morphograph.graphs import UNSET, lowest_edge_filter
-from conftest import random_edge_weighted, random_flooding
+from morphograph.graphs import (
+    UNSET,
+    _node_walk,
+    _zone_walk,
+    expand_isolated_minima,
+    flat_zones,
+    lowest_edge_filter,
+    regional_minima,
+)
+from conftest import (
+    quantized_pixel_floodings,
+    random_edge_weighted,
+    random_flooding,
+    random_node_weighted,
+)
 
 
 def test_from_edges_path4(path4):
@@ -302,3 +315,104 @@ def test_pairs_descend_layer_by_layer_toward_the_exits():
                     up = [e for j, e in rows[i] if nw[j] == nw[i] and dist.get(j) == dist[i] - 1]
                     assert nw[t] == nw[i] and dist[t] == dist[i] - 1
                     assert tie != "min-label" or eid == min(up)
+
+
+# -- the node zone walk, memoised and carried to derived graphs --------------
+
+
+def _fresh(g):
+    """The same fields through the public constructor: no memo of any kind."""
+    return WeightedGraph(g.num_nodes, g.edges, g.node_weights, g.edge_weights, g.dummies)
+
+
+def _minima_labels_by_sets(g):
+    """The minima labeling as it was built from the ``regional_minima`` sets."""
+    labels = [UNSET] * g.num_nodes
+    for k, m in enumerate(regional_minima(g, "nodes"), start=1):
+        for i in m:
+            labels[i] = k
+    return tuple(labels)
+
+
+def _node_weighted_corpus(rng):
+    """Node-weighted graphs with isolated nodes, single-node minima, pixel
+    reliefs (4- and 8-connected) and dummies from an earlier expansion."""
+    for _ in range(150):
+        yield random_node_weighted(rng, 12, w_max=4)
+    floodings = [random_flooding(rng, 12, connected=c) for c in (False, True) for _ in range(60)]
+    floodings += quantized_pixel_floodings(rng, 30)
+    for fg in floodings:
+        g = WeightedGraph(fg.num_nodes, fg.edges, fg.node_weights, None, fg.dummies)
+        yield g
+        # one more isolated node: a new single minimum beside the old dummies
+        yield WeightedGraph(g.num_nodes + 1, g.edges, g.node_weights + (rng.randrange(5),),
+                            None, g.dummies)
+    for conn in (4, 8):
+        for _ in range(30):
+            w, h = rng.randint(2, 9), rng.randint(2, 9)
+            yield pixel_graph(w, h, [rng.randrange(4) for _ in range(w * h)], conn)
+
+
+def test_carried_zone_walk_matches_a_fresh_walk(rng):
+    seen_dummies = seen_twins = 0
+    for g in _node_weighted_corpus(rng):
+        gx, fg = expand_isolated_minima(g), flooding_from_nodes(g)
+        seen_dummies += bool(g.dummies)
+        seen_twins += gx is not g
+        for h in (g, gx, fg):
+            assert "_node_walk" in vars(h)  # walked once on g, carried since
+            walk = _node_walk(h)
+            assert walk == tuple(map(tuple, _zone_walk(_fresh(h), "nodes")))
+            assert all(type(z) is int for z in walk[0])
+        assert flat_zones(fg, "nodes") == flat_zones(_fresh(fg), "nodes")
+        assert regional_minima(fg, "nodes") == regional_minima(_fresh(fg), "nodes")
+        # new node weights or fewer edges carry nothing
+        assert "_node_walk" not in vars(fg.with_weights(node_weights=fg.node_weights))
+        assert "_node_walk" not in vars(fg.partial(range(len(fg.edges))))
+    assert seen_dummies and seen_twins
+
+
+def test_minima_labels_from_the_walk_match_the_minima_sets(rng):
+    floodings = [random_flooding(rng, 12, connected=c) for c in (False, True) for _ in range(80)]
+    floodings += quantized_pixel_floodings(rng, 30)
+    floodings += [flooding_from_nodes(g) for g in _node_weighted_corpus(rng)]
+    for fg in floodings:
+        want = _minima_labels_by_sets(_fresh(fg))
+        for h in (fg, _fresh(fg)):
+            values = minima_of_flooding(h).values
+            assert values == want
+            assert all(type(v) is int for v in values)
+
+
+def _offenders(g):
+    """The offender tuples as ``validate_flooding`` lists them, one
+    comparison per carrier."""
+    want_e = dilate_nodes_to_edges(g, g.node_weights)
+    want_n = erode_edges_to_nodes(g, g.edge_weights)
+    bad_e = tuple(i for i, w in enumerate(g.edge_weights) if w != want_e[i])
+    bad_n = tuple(i for i, w in enumerate(g.node_weights) if w != want_n[i])
+    return bad_e, bad_n
+
+
+def test_validate_lists_the_offenders_of_a_corrupted_flooding(rng):
+    checked = 0
+    for _ in range(300):
+        fg = random_flooding(rng, 12)
+        assert validate_flooding(fg) == FloodingReport(True, (), ())
+        if not fg.edges:
+            continue
+        e, n = rng.randrange(len(fg.edges)), rng.choice(fg.edges)[rng.randrange(2)]
+        ew, nw = list(fg.edge_weights), list(fg.node_weights)
+        ew[e] += rng.choice((-1, 1)) if ew[e] > 0 else 1
+        nw[n] += rng.choice((-1, 1)) if nw[n] > 0 else 1
+        for node_w, edge_w in ((fg.node_weights, ew), (nw, fg.edge_weights), (nw, ew)):
+            g = WeightedGraph(fg.num_nodes, fg.edges, node_w, edge_w, fg.dummies)
+            bad_e, bad_n = _offenders(g)
+            # both changes on one edge and its end may cancel out
+            assert validate_flooding(g) == FloodingReport(not bad_e and not bad_n, bad_e, bad_n)
+            if bad_e or bad_n:
+                with pytest.raises(InvalidFloodingGraph) as err:
+                    minima_of_flooding(g)
+                assert str(err.value) == f"bad edges {bad_e[:8]}, bad nodes {bad_n[:8]}"
+                checked += 1
+    assert checked > 600

@@ -125,7 +125,8 @@ def test_core_expanding_depth2_matches_hq(rng):
         _, labeling, _ = core_expanding(fg, 2)
         hq = hq_watershed(fg)
         # the bucket queue of the old loop orders nodes as the depth-1
-        # ranks and the heap counter do, so the full labelings coincide
+        # ranks and the FIFO order within each rank bucket do, so the full
+        # labelings coincide
         assert hq.values == labeling.values == _bucket_queue_hq(fg)
 
 

@@ -216,17 +216,19 @@ def test_is_steep_counterexample():
 
 
 def test_local_prune_reuses_the_cached_minima(rng, monkeypatch):
-    # the minima pinned at 0 come from the cached node labeling: no
-    # further walk over the edge carrier
-    from morphograph import flooding
+    # the minima pinned at 0 come from the cached node labeling: one node
+    # zone walk, and no further walk over either carrier
+    from morphograph import flooding, graphs
 
     calls = []
-    walk = flooding.regional_minima
+    walk = graphs._zone_walk
     monkeypatch.setattr(
-        flooding, "regional_minima", lambda g, mode: calls.append(mode) or walk(g, mode)
+        graphs, "_zone_walk", lambda g, mode: calls.append(mode) or walk(g, mode)
     )
     for _ in range(10):
         fg = random_flooding(rng, 12)
+        # the same fields without the zone walk a derived graph inherits
+        fg = WeightedGraph(fg.num_nodes, fg.edges, fg.node_weights, fg.edge_weights, fg.dummies)
         calls.clear()
         flooding.minima_of_flooding(fg)
         local_prune(fg, 2)
