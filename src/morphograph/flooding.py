@@ -5,10 +5,10 @@ two identities "every edge is the max of its endpoints" and "every node
 is the min of its adjacent edges".  On such a graph the node-weight and
 edge-weight reliefs have the same regional minima, and each node outside
 the minima owns at least one adjacent edge of equal weight (a flooding
-pair), the atomic step of every descent used later.  A graph is
-validated once, by ``minima_of_flooding``, whose minima labeling is then
-cached on it as the certificate that it is a flooding graph; graphs are
-frozen, so the cache never goes stale.
+pair), the atomic step of every descent used later.  The minima cached
+on a frozen graph certify that it is a flooding graph.  The constructors
+build both identities, so what they build is certified by construction;
+``minima_of_flooding`` validates only a graph that comes with both weights.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .graphs import (
     WeightedGraph,
     _node_walk,
     expand_isolated_minima,
-    lowest_edge_filter,
     minima_span,
     regional_minima,
 )
@@ -55,25 +54,29 @@ def validate_flooding(g: WeightedGraph) -> FloodingReport:
 def flooding_from_edges(g: WeightedGraph) -> WeightedGraph:
     """Derive a flooding graph from an edge-weighted graph.
 
-    Keeps only the lowest adjacent edges of each node (the others play no
-    role in the erosion) and weights the nodes with the min of their
-    remaining adjacent edges.
+    The nodes take the erosion ``lo`` of the edge weights, and only the
+    edges invariant under the edge opening (``ew[e]`` equal to the max of
+    its ends' ``lo``) stay: the lowest adjacent edges of each node.  Each
+    node keeps its lowest edges, so ``lo`` is also the erosion over the
+    kept edges, and both identities hold by construction: certified.
     """
-    g.require_edge_weights()
-    kept = lowest_edge_filter(g, "lowest_edges")
-    part = g.partial(kept)
-    return part.with_weights(node_weights=erode_edges_to_nodes(part, part.edge_weights))
+    ew = g.require_edge_weights()
+    lo = erode_edges_to_nodes(g, ew)
+    kept = [eid for eid, (w, top) in enumerate(zip(ew, dilate_nodes_to_edges(g, lo))) if w == top]
+    return _certify(g.partial(kept).with_weights(node_weights=lo))
 
 
 def flooding_from_nodes(g: WeightedGraph) -> WeightedGraph:
     """Derive a flooding graph from a node-weighted graph.
 
     Isolated regional minima first get a dummy twin, then every edge takes
-    the max of its endpoints.
+    the max of its endpoints.  Certified by construction: every node has a
+    neighbor no higher than itself, or is a single-node minimum whose twin
+    edge weighs what it weighs, so it is the min of its adjacent edges.
     """
     g.require_node_weights()
     gx = expand_isolated_minima(g)
-    return gx.with_weights(edge_weights=dilate_nodes_to_edges(gx, gx.node_weights))
+    return _certify(gx.with_weights(edge_weights=dilate_nodes_to_edges(gx, gx.node_weights)))
 
 
 def as_flooding(g: WeightedGraph) -> WeightedGraph:
@@ -100,31 +103,31 @@ def as_flooding(g: WeightedGraph) -> WeightedGraph:
 def minima_of_flooding(g: WeightedGraph) -> Labeling:
     """Labeling of the regional minima, identical on both carriers.
 
-    Raises InvalidFloodingGraph unless ``g`` is a flooding graph.  The
-    labeling is cached on ``g`` and doubles as the certificate that it
-    is one.  Computed on the node carrier only: on a flooding graph the
-    node-weight minima are exactly the node spans of the edge-weight
+    Raises InvalidFloodingGraph unless ``g`` is certified (``_certify``)
+    or passes ``validate_flooding``; the labeling is cached on ``g`` as
+    its certificate.  Computed on the node carrier only: on a flooding
+    graph the node-weight minima are the node spans of the edge-weight
     minima plus the isolated nodes, so the edge carrier adds nothing.
     Labels run from 1 in order of each minimum's smallest node id.
     """
-    if "_minima" in vars(g):
+    if "_minima" not in vars(g):  # not certified: validate, then label
+        report = validate_flooding(g)
+        if not report.ok:
+            raise InvalidFloodingGraph(f"bad edges {report.bad_edges[:8]}, "
+                                       f"bad nodes {report.bad_nodes[:8]}")
+    elif vars(g)["_minima"] is not None:
         return vars(g)["_minima"]
-    report = validate_flooding(g)
-    if not report.ok:
-        raise InvalidFloodingGraph(
-            f"bad edges {report.bad_edges[:8]}, bad nodes {report.bad_nodes[:8]}"
-        )
     zone_of, lowest = _node_walk(g)  # the k-th lowest zone is minimum k
     label = [UNSET] + [int(k) if low else UNSET for k, low in zip(accumulate(lowest), lowest)]
-    labeling = vars(g)["_minima"] = Labeling(tuple([label[z] for z in zone_of]), "nodes")
+    _certify(g, labeling := Labeling(tuple([label[z] for z in zone_of]), "nodes"))
     return labeling
 
 
-def _inherit_minima(child: WeightedGraph, parent: WeightedGraph) -> WeightedGraph:
-    """Cache on ``child`` the minima, and so the certificate, of the
-    flooding graph ``parent``; only for a child that provably keeps both."""
-    vars(child)["_minima"] = minima_of_flooding(parent)
-    return child
+def _certify(g: WeightedGraph, minima: Optional[Labeling] = None) -> WeightedGraph:
+    """Mark ``g`` a flooding graph: its ``_minima`` entry is absent until
+    then, None while the minima are not labeled yet, then their labeling."""
+    vars(g)["_minima"] = minima
+    return g
 
 
 def _minimum_nodes(labeling: Labeling) -> frozenset[int]:

@@ -23,7 +23,7 @@ from array import array
 from typing import Iterator
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
-from .flooding import _inherit_minima, _minimum_nodes, _zeroed_nodes, minima_of_flooding
+from .flooding import _certify, _minimum_nodes, _zeroed_nodes, minima_of_flooding
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 from .weights import TOP
 
@@ -34,15 +34,16 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     k=1 changes nothing; k=2 keeps the edges toward each node's lowest
     neighbors (lowest after pinning the minima at 0); larger k looks
     further down the tracks.  Edges inside the minima always survive.
-    The result is a flooding graph with the same regional minima, so it
-    inherits the cached minima of ``g``, its flooding certificate.
+    The result is a flooding graph with the same regional minima: every
+    node outside them keeps a flooding pair and the minima keep their
+    edges, so it is certified with the cached minima of ``g``.
     """
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
     picked = _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]
     kept = _inner_edges(g, in_min) + [eid for _, _, eid in picked]
-    return _inherit_minima(g.partial(kept), g)
+    return _certify(g.partial(kept), minima_of_flooding(g))
 
 
 def _inner_edges(g: WeightedGraph, in_min: list) -> list[int]:

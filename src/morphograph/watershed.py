@@ -18,9 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .flooding import _minimum_nodes, assign_pairs, minima_of_flooding, parse_tie
+from .flooding import assign_pairs, minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
-from .steepness import _upstream
+from .steepness import _inner_edges, _upstream
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,9 @@ def unique_drain(
     Edges inside the minima survive untouched; everything else not chosen
     by the pairing is cut, leaving one and only one descent per node.
     """
-    inside = _minimum_nodes(minima_of_flooding(g))
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
     pairs = assign_pairs(g, parse_tie(tie))
-    kept = set(pairs.values())
-    for eid, (u, v) in enumerate(g.edges):
-        if u in inside and v in inside:
-            kept.add(eid)
-    return g.partial(kept)
+    return g.partial(_inner_edges(g, in_min) + list(pairs.values()))
 
 
 def drainage_forest(

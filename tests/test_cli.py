@@ -321,7 +321,8 @@ def test_main_pauses_the_collector_and_gives_it_back(
     capsys.readouterr()
 
 
-def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, capsys):
+def test_watershed_validates_and_finds_minima_once(five_path_file, tmp_path, monkeypatch,
+                                                   capsys):
     from morphograph import flooding, graphs, steepness
 
     calls = {"validate": 0, "minima": 0, "pairs": 0}
@@ -339,26 +340,43 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, monkeypatch, 
         calls["minima"] += mode == "nodes"
         return walk(g, mode)
 
+    # flood's own output of the node-weighted file: both weights, dummies
+    code, flooded, _ = run_cli(capsys, "flood", five_path_file)
+    assert code == 0 and "# dummy" in flooded
+    both = tmp_path / "both.wgr"
+    both.write_text(flooded)
     monkeypatch.setattr(flooding, "validate_flooding", counted("validate", flooding.validate_flooding))
     monkeypatch.setattr(graphs, "_zone_walk", node_walk)
     monkeypatch.setattr(steepness, "_flooding_pairs", counted("pairs", steepness._flooding_pairs))
-    for fmt in ("json", "dot"):
-        calls.update(validate=0, minima=0, pairs=0)
-        code, _, _ = run_cli(capsys, "watershed", five_path_file, "--format", fmt)
-        assert code == 0
-        # one validation; one node zone walk, on the input: its two
-        # single-node minima get twins, and the flooding graph inherits the
-        # walk, so the minima labeling and the plateaus walk nothing more
-        assert calls == {"validate": 1, "minima": 1, "pairs": 1}
-    # the labels and the zones walk the same memoised minimal-pair rows;
-    # at depth 3 the depth-2 ranks need the pairs too, and hq, which labels
-    # at depth 2, takes its zones' depth-3 rows from the same pairs
-    for algo in ("core", "dijkstra", "hq"):
-        calls.update(validate=0, minima=0, pairs=0)
-        code, out, _ = run_cli(capsys, "watershed", five_path_file, "--depth", "3",
-                               "--algo", algo)
-        assert code == 0 and "zones" in json.loads(out)
-        assert calls == {"validate": 1, "minima": 1, "pairs": 1}
+    # the node-weighted file is flooded by a constructor, which certifies
+    # its graph: no validation; a .wgr that comes with both weights is
+    # validated once.  Either way one node zone walk: the two single-node
+    # minima of the input get twins, and the flooding graph inherits the
+    # walk, so the minima labeling and the plateaus walk nothing more
+    for path, validations in ((five_path_file, 0), (str(both), 1)):
+        for fmt in ("json", "dot"):
+            calls.update(validate=0, minima=0, pairs=0)
+            code, _, _ = run_cli(capsys, "watershed", path, "--format", fmt)
+            assert code == 0
+            assert calls == {"validate": validations, "minima": 1, "pairs": 1}
+        # the labels and the zones walk the same memoised minimal-pair rows;
+        # at depth 3 the depth-2 ranks need the pairs too, and hq, which
+        # labels at depth 2, takes its zones' depth-3 rows from the same pairs
+        for algo in ("core", "dijkstra", "hq"):
+            calls.update(validate=0, minima=0, pairs=0)
+            code, out, _ = run_cli(capsys, "watershed", path, "--depth", "3", "--algo", algo)
+            assert code == 0 and "zones" in json.loads(out)
+            assert calls == {"validate": validations, "minima": 1, "pairs": 1}
+    # every waterfall level floods its contracted graph with a constructor
+    edges = tmp_path / "edges.wgr"
+    # a ruler profile on a path: its passes rise 5, 6, 5, 7, 5, 6, 5, 8, ...
+    weights = [1 if i % 2 else 3 + (i & -i).bit_length() for i in range(1, 28)]
+    edges.write_text("".join(f"node {i}\n" for i in range(28))
+                     + "".join(f"edge {i} {i + 1} {w}\n" for i, w in enumerate(weights)))
+    calls.update(validate=0, minima=0, pairs=0)
+    code, out, _ = run_cli(capsys, "waterfall", str(edges))
+    assert [level["regions"] for level in json.loads(out)["levels"]] == [14, 7, 3, 1]
+    assert code == 0 and calls["validate"] == 0
 
 
 def test_pgm_watershed_walks_the_pixel_zones_once(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from morphograph import (
     InvalidFloodingGraph,
     WeightedGraph,
     ZeroNonMinimum,
+    build_hierarchy,
     flooding_from_edges,
     flooding_from_nodes,
     flooding_pairs,
@@ -26,6 +28,7 @@ from morphograph.graphs import (
     lowest_edge_filter,
     regional_minima,
 )
+from morphograph.weights import TOP
 from conftest import (
     quantized_pixel_floodings,
     random_edge_weighted,
@@ -416,3 +419,101 @@ def test_validate_lists_the_offenders_of_a_corrupted_flooding(rng):
                 assert str(err.value) == f"bad edges {bad_e[:8]}, bad nodes {bad_n[:8]}"
                 checked += 1
     assert checked > 600
+
+
+# -- the constructors certify their graphs -----------------------------------
+
+
+def _flooding_by_filter(g):
+    """``flooding_from_edges`` as it was built before: the lowest-edge
+    filter, then the erosion over the partial graph."""
+    part = g.partial(lowest_edge_filter(g, "lowest_edges"))
+    return part.with_weights(node_weights=erode_edges_to_nodes(part, part.edge_weights))
+
+
+def _gradient_waterfall_graphs(rng, n):
+    """A seeded ``n`` x ``n`` 4-connected gradient graph (edges weigh the
+    gray difference of their pixels) and the contracted graph of each
+    level of its depth-2 waterfall."""
+    p = [rng.randrange(32) for _ in range(n * n)]
+    edges = [(i, i + 1) for i in range(n * n) if (i + 1) % n] + [(i, i + n) for i in range(n * n - n)]
+    g = WeightedGraph(n * n, edges, None, [abs(p[u] - p[v]) for u, v in edges])
+    return [g] + [level.contracted for level in build_hierarchy(g, 2).levels]
+
+
+def test_opening_route_builds_the_filter_route_graph(rng):
+    graphs = []
+    for _ in range(400):
+        g = random_edge_weighted(rng, 12, w_max=rng.choice((2, 6)), connected=rng.random() < 0.5)
+        extra = rng.randrange(3)  # isolated nodes, some flagged as dummies
+        flags = [i for i in range(g.num_nodes + extra) if rng.random() < 0.2]
+        graphs.append(WeightedGraph(g.num_nodes + extra, g.edges, None, g.edge_weights, flags))
+    for seed in (1, 2):
+        levels = _gradient_waterfall_graphs(random.Random(seed), 24)
+        assert len(levels) > 3
+        graphs += levels
+    for n in range(1, 5):  # every graph of up to 4 nodes, weights in {0, 1, 2}
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                for ew in itertools.product((0, 1, 2), repeat=r):
+                    graphs.append(WeightedGraph(n, edges, None, ew))
+    for g in graphs:  # graphs compare nodes, edges, both weights and dummies
+        assert flooding_from_edges(g) == _flooding_by_filter(g)
+
+
+def _certified_corpus(rng):
+    """The graphs the three certifying constructors build, from random,
+    pixel and node-weighted inputs with isolated nodes, single-node
+    minima, weights 0 and TOP and existing dummies."""
+    floodings = [random_flooding(rng, 12, connected=c) for c in (False, True) for _ in range(80)]
+    floodings += quantized_pixel_floodings(rng, 30)
+    floodings += [flooding_from_nodes(g) for g in _node_weighted_corpus(rng)]
+    for _ in range(60):
+        g = random_node_weighted(rng, 10, w_max=3)
+        nw = [rng.choice((0, TOP)) if rng.random() < 0.3 else w for w in g.node_weights]
+        floodings.append(flooding_from_nodes(g.with_weights(node_weights=nw)))
+    floodings += [flooding_from_edges(g) for g in _gradient_waterfall_graphs(rng, 12) if g.edges]
+    return floodings + [prune_to_steepness(fg, k) for fg in floodings for k in (2, 3)]
+
+
+def test_certified_graphs_pass_the_validator(rng):
+    seen_top = 0
+    for fg in _certified_corpus(rng):
+        assert "_minima" in vars(fg)  # certified by its constructor
+        assert validate_flooding(fg).ok
+        seen_top += TOP in fg.node_weights
+        # the public constructor carries no certificate, so this validates
+        assert minima_of_flooding(fg) == minima_of_flooding(_fresh(fg))
+    assert seen_top
+
+
+def test_the_certificate_is_never_carried(rng):
+    checked = 0
+    for fg in _certified_corpus(rng):
+        for labeled in (False, True):
+            if labeled:
+                minima_of_flooding(fg)
+            if fg.edges:
+                ew = list(fg.edge_weights)
+                ew[rng.randrange(len(ew))] += 1
+                with pytest.raises(InvalidFloodingGraph):
+                    minima_of_flooding(fg.with_weights(edge_weights=ew))
+            nw = list(fg.node_weights)
+            nw[rng.randrange(len(nw))] -= 1
+            with pytest.raises(InvalidFloodingGraph):
+                minima_of_flooding(fg.with_weights(node_weights=nw))
+            # a node below TOP with one pair edge: without it the node is no
+            # longer the min of its adjacent edges (TOP is the empty min)
+            pair_edges = {}
+            for eid, ((u, v), w) in enumerate(zip(fg.edges, fg.edge_weights)):
+                for i in (u, v):
+                    if w == fg.node_weights[i] < TOP:
+                        pair_edges.setdefault(i, []).append(eid)
+            lone = [eids[0] for eids in pair_edges.values() if len(eids) == 1]
+            if lone:
+                drop = rng.choice(lone)
+                with pytest.raises(InvalidFloodingGraph):
+                    minima_of_flooding(fg.partial(e for e in range(len(fg.edges)) if e != drop))
+                checked += 1
+    assert checked > 500

@@ -377,10 +377,10 @@ def test_with_weights_shares_topology_but_not_caches(rng):
         fg.edge_id(*fg.edges[0])
         w = fg.with_weights(node_weights=[x + 1 for x in fg.node_weights])
         assert w.adjacency is fg.adjacency and w._edge_index is fg._edge_index
-        assert "_minima" not in vars(w) and "_flooding_ok" not in vars(w)
+        assert "_minima" not in vars(w)
         p = fg.partial(range(0, len(fg.edges), 2))
         assert "_edge_index" not in vars(p)
-        assert "_minima" not in vars(p) and "_flooding_ok" not in vars(p)
+        assert "_minima" not in vars(p)
         with pytest.raises(ValueError):
             fg.with_weights(node_weights=fg.node_weights[1:])
 
