@@ -14,11 +14,15 @@ Square matrices over this structure give shortest lexicographic path
 weights through powers of the incidence matrix; the classical linear
 solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination)
 all compute the smallest solution of ``Y = A (x) Y (+) B``, which is
-``closure(A) (x) B``.  Dense matrices here are the oracle path, kept to
-modest sizes; they are lists of lists at the public edges (``closure``,
-``linear_solve``, ``incidence_matrix``), and everything inside runs on
-sparse rows ``{col: entry}`` holding only the non-ZERO entries.  The
-graph-native algorithms live in ``geodesics``.
+``closure(A) (x) B``.  One tracked elimination kernel, ``_fronts``,
+serves both exact paths: ``closure`` pivots A, and Jordan pivots the
+augmented system ``[A | B]``, each column of B a sink node.  Dense
+matrices here are the oracle path, kept to modest sizes; they are lists
+of lists at the public edges (``closure``, ``linear_solve``,
+``incidence_matrix``; the first two refuse a non-square A or a ragged
+B), and everything inside runs on sparse rows ``{col: entry}`` holding
+only the non-ZERO entries.  The graph-native algorithms live in
+``geodesics``.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ ZERO: LexWeight = None
 UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
-# 7-10 s at 400 nodes with dense loops; on sparse rows, with closure
-# reading Jordan's fronts, they take 0.5-0.9 s on 20x19 relief images
-# (384 nodes, depth 3), closure and Jordan 0.25-0.4 s each.
+# 7-10 s at 400 nodes with dense loops; on sparse rows they take
+# 0.6-1.1 s on a 20x19 relief image (386 flooding nodes, depth 3),
+# closure and Jordan 0.25-0.5 s each, and Jordan with an identity B,
+# whose sink columns double the nodes it eliminates, 0.5-0.95 s.
 MAX_DENSE_NODES = 400
 
 
@@ -164,6 +169,11 @@ def _rows(m: LexMatrix) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x is not None} for row in m]
 
 
+def _require_square(a: LexMatrix) -> None:
+    if any(len(row) != len(a) for row in a):
+        raise DimensionMismatch("A must be square")
+
+
 def _dense(rows: list[dict], cols: int) -> LexMatrix:
     return [[row.get(j) for j in range(cols)] for row in rows]
 
@@ -182,45 +192,11 @@ def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
     return out
 
 
-def _by_head(row: dict) -> dict:
-    """The row re-keyed in order of each window's head, UNIT first."""
-    return dict(sorted(row.items(), key=lambda item: item[1][0][:1]))
-
-
-def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
-    """Tracked product of sparse rows; ``a`` yields (col, entry) pairs.
-
-    Rows of ``b`` must be in head order (``_by_head``), so that a left
-    factor with a non-empty window stops at the first head above its
-    tail; the rows returned are in no particular order.  A left window
-    that already holds k levels is the window of every product it starts.
-    """
-    out = []
-    for row in a:
-        acc: dict = {}
-        for t, (wa, ta) in row:
-            wk = wa[:k]
-            full = len(wa) >= k
-            for j, (wb, tb) in b[t].items():
-                if not wa:
-                    w = wb[:k]
-                elif not wb:
-                    w, tb = wk, ta
-                elif wb[0] > ta:
-                    break
-                else:
-                    w = wk if full else (wa + wb)[:k]
-                old = acc.get(j)
-                # exact_min: smaller window, then larger tail
-                if old is None or w < old[0] or w == old[0] and tb > old[1]:
-                    acc[j] = (w, tb)
-        out.append(acc)
-    return out
-
-
 def _fronts(rows: list[dict], k: int) -> list[dict]:
     """Per-row ``{j: front}``: the walks i -> j of A as a Pareto front of
     tracked elements, by Floyd-Warshall pivoting; the diagonal is UNIT.
+    ``closure`` reads it on A, Jordan on ``[A | B]`` with B's columns
+    as sink nodes.
 
     Pivoting chains accumulated (truncated) paths, so one element per
     entry is not enough: one is dropped only for another with a window
@@ -272,9 +248,11 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
     """A* = I (+) A (+) A^2 (+) ...: entry (i, j) is the minimal depth-k
     weight over all walks from i to j, UNIT on the diagonal.
 
-    It reads the Pareto fronts of Jordan's elimination (``_fronts``), so
-    it is exact on every graph, general or flooding.
+    It reads the least window of each Pareto front of the elimination
+    on A (``_fronts``), so it is exact on every graph, general or
+    flooding.  A must be square.
     """
+    _require_square(a)
     return _dense(_closure_rows(_rows(a), k), len(a))
 
 
@@ -309,9 +287,12 @@ def _solve_gauss_seidel(a: list[dict], b: list[dict], k: int) -> list[dict]:
 
 
 def _solve_jordan(a: list[dict], b: list[dict], k: int) -> list[dict]:
-    pairs = [((j, x) for j, front in row.items() for x in front) for row in _fronts(a, k)]
-    bt = [_by_head({j: lift(x) for j, x in row.items()}) for row in b]
-    return [{j: w for j, (w, _) in row.items()} for row in _mul_tracked_rows(pairs, bt, k)]
+    # pivot [A | B]: column c of B is a sink node n + c, entered by the
+    # edges of B and left by none, so the fronts into it are A* (x) B
+    n = len(a)
+    rows = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
+    rows += [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
+    return [{j - n: w for j, w in row.items() if j >= n} for row in _closure_rows(rows, k)[:n]]
 
 
 def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
@@ -355,11 +336,19 @@ def _solver(method: str):
 
 
 def linear_solve(a: LexMatrix, b: LexMatrix, k: int, method: str = "jacobi") -> LexMatrix:
-    """Smallest solution of ``Y = A (x) Y (+) B``, which is closure(A) (x) B."""
+    """Smallest solution of ``Y = A (x) Y (+) B``, which is closure(A) (x) B.
+
+    A must be square, and B must have A's row count and at least one
+    column, every row as long as the first.  ``jordan`` eliminates on
+    ``[A | B]``, so it is exact on every system, as ``closure`` is.
+    """
+    _require_square(a)
     if len(a) != len(b):
         raise DimensionMismatch("A rows != B rows")
     if not b or not b[0]:
         raise DimensionMismatch("B must have at least one column")
+    if any(len(row) != len(b[0]) for row in b):
+        raise DimensionMismatch("B rows differ in length")
     return _dense(_solver(method)(_rows(a), _rows(b), k), len(b[0]))
 
 
@@ -400,6 +389,8 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
     minima themselves sit at UNIT.  Ties between minima resolve to the
     smallest label.
     """
+    if k < 1:
+        raise ValueError("depth must be >= 1")
     labeling = minima_of_flooding(g)
     a = _incidence_rows(g, k)
     b: list[dict] = [{} for _ in a]

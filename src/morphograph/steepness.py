@@ -38,8 +38,6 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     node outside them keeps a flooding pair and the minima keep their
     edges, so it is certified with the cached minima of ``g``.
     """
-    if k < 1:
-        raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
     picked = _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]
     kept = _inner_edges(g, in_min) + [eid for _, _, eid in picked]
@@ -126,7 +124,11 @@ def _minimal_pairs(g: WeightedGraph, k: int, in_min: list,
                    pairs: tuple) -> tuple[list, list, Iterator]:
     """The depth-(k-1) track ranks, each node's least head rank (``_least``)
     and the flooding pairs (tail, head, edge id) of ``_flooding_pairs``
-    that start minimal depth-k tracks: those whose head has that rank."""
+    that start minimal depth-k tracks: those whose head has that rank.
+    Pruning and every watershed labeler come through here, so it alone
+    refuses k < 1."""
+    if k < 1:
+        raise ValueError("steepness depth must be >= 1")
     tails, heads, eids = pairs
     rank = _refined(g.node_weights, in_min, pairs, k - 1)
     lo = _least(rank, tails, heads, max(rank, default=0) + 1)
@@ -165,8 +167,6 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
     candidate edges of a node share the node's own weight, so a node
     picks the pairs whose head has the least track rank.
     """
-    if k < 1:
-        raise ValueError("steepness depth must be >= 1")
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
     picked: dict = {}
     for i, _, eid in _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]:

@@ -15,7 +15,7 @@ from morphograph import (
     lex_weight,
     linear_solve,
 )
-from morphograph.lexalgebra import _by_head, _mul_tracked_rows, flooding_distance_matrix
+from morphograph.lexalgebra import _fronts, flooding_distance_matrix, lift
 from conftest import brute_flooding_distance, enumerate_walks, random_edge_weighted
 
 
@@ -47,6 +47,50 @@ def mat_mul(a, b, k):
             for j in range(cols):
                 out[i][j] = lex_min(out[i][j], lex_chain(x, b[t][j], k))
     return out
+
+
+def _by_head(row: dict) -> dict:
+    """The row re-keyed in order of each window's head, UNIT first."""
+    return dict(sorted(row.items(), key=lambda item: item[1][0][:1]))
+
+
+def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
+    """Tracked product of sparse rows; ``a`` yields (col, entry) pairs.
+
+    Rows of ``b`` must be in head order (``_by_head``), so that a left
+    factor with a non-empty window stops at the first head above its
+    tail; the rows returned are in no particular order.  A left window
+    that already holds k levels is the window of every product it starts.
+    """
+    out = []
+    for row in a:
+        acc: dict = {}
+        for t, (wa, ta) in row:
+            wk = wa[:k]
+            full = len(wa) >= k
+            for j, (wb, tb) in b[t].items():
+                if not wa:
+                    w = wb[:k]
+                elif not wb:
+                    w, tb = wk, ta
+                elif wb[0] > ta:
+                    break
+                else:
+                    w = wk if full else (wa + wb)[:k]
+                old = acc.get(j)
+                # exact_min: smaller window, then larger tail
+                if old is None or w < old[0] or w == old[0] and tb > old[1]:
+                    acc[j] = (w, tb)
+        out.append(acc)
+    return out
+
+
+def _solve_jordan_by_product(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    """Jordan as the tracked product of A's fronts by B: the oracle of
+    the elimination on [A | B]."""
+    pairs = [((j, x) for j, front in row.items() for x in front) for row in _fronts(a, k)]
+    bt = [_by_head({j: lift(x) for j, x in row.items()}) for row in b]
+    return [{j: w for j, (w, _) in row.items()} for row in _mul_tracked_rows(pairs, bt, k)]
 
 
 def _mat_mul_tracked(a, b, k):
@@ -335,9 +379,19 @@ def test_all_methods_agree(rng):
 
 
 def test_solve_shape_checks():
-    a = zero_matrix(3)
-    with pytest.raises(DimensionMismatch):
-        linear_solve(a, zero_matrix(2), 1)
+    # a non-square A would give B's sink columns the ids of A's own
+    # columns, and a ragged B would be padded or cut without a word
+    wide = zero_matrix(2, 3)
+    ragged = [[UNIT], [UNIT, (2,)]]
+    cases = [(zero_matrix(3), zero_matrix(2)), (wide, zero_matrix(2, 1)),
+             (zero_matrix(2), ragged), (zero_matrix(2), [[UNIT, ZERO], [UNIT]])]
+    for a, b in cases:
+        for method in ("jacobi", "gauss_seidel", "jordan", "gondran"):
+            with pytest.raises(DimensionMismatch):
+                linear_solve(a, b, 1, method)
+    for a in (wide, zero_matrix(3, 2), [[ZERO, ZERO], [ZERO]]):
+        with pytest.raises(DimensionMismatch):
+            closure(a, 1)
 
 
 # -- depth-1 flooding instantiation ------------------------------------------
@@ -425,6 +479,41 @@ def test_jordan_columns_match_gondran_on_pixel_floodings(rng):
         k = rng.randint(1, 3)
         a, b = _per_minimum_system(fg, k)
         assert linear_solve(a, b, k, "jordan") == linear_solve(a, b, k, "gondran")
+
+
+def test_jordan_on_the_augmented_system_matches_the_product_oracle(rng):
+    # Jordan pivots [A | B]; the oracle multiplies A's fronts by B with the
+    # tracked product, and Gondran and Jacobi solve the system their own
+    # way.  Entries hold at most k levels, the solvers' contract; all-ZERO
+    # rows and columns of A and B are drawn on purpose
+    from morphograph.lexalgebra import _rows
+
+    def entry(k):
+        if rng.random() < 0.5:
+            return ZERO
+        return tuple(sorted((rng.randint(0, 6) for _ in range(rng.randint(0, k))), reverse=True))
+
+    cases = []
+    for _ in range(1500):
+        n, cols, k = rng.randint(1, 9), rng.randint(1, 4), rng.randint(1, 4)
+        a = [[entry(k) for _ in range(n)] for _ in range(n)]
+        b = [[entry(k) for _ in range(cols)] for _ in range(n)]
+        a[rng.randrange(n)] = [ZERO] * n
+        b[rng.randrange(n)] = [ZERO] * cols
+        a_col, b_col = rng.randrange(n), rng.randrange(cols)
+        for a_row, b_row in zip(a, b):
+            a_row[a_col] = b_row[b_col] = ZERO
+        cases.append((a, b, k))
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        a, b = _per_minimum_system(_quantized_pixel_flooding(rng), k)
+        cases.append((a, [row + [ZERO] for row in b], k))
+    for a, b, k in cases:
+        cols = len(b[0])
+        oracle = _solve_jordan_by_product(_rows(a), _rows(b), k)
+        want = [[row.get(j) for j in range(cols)] for row in oracle]
+        for method in ("jordan", "gondran", "jacobi"):
+            assert linear_solve(a, b, k, method) == want
 
 
 def test_jordan_labels_match_closure_on_pinned_image():

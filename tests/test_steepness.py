@@ -399,3 +399,27 @@ def test_prune_keeps_the_union_of_the_minimal_track_edges():
 def test_prune_refuses_depth_zero(five_path_flooding):
     with pytest.raises(ValueError, match="steepness depth"):
         prune_to_steepness(five_path_flooding, 0)
+
+
+def test_every_depth_k_function_refuses_depth_below_one():
+    # the depth-k labelers reach the tracks through _minimal_pairs, which
+    # alone holds the check; on the README's path they once gave UNIT
+    # distances and labels (1, 1, 2, 2) at k = 0
+    from morphograph import (basin_labels, basins_with_zones, build_hierarchy,
+                             core_expanding, dijkstra_to_minima, partition)
+    from morphograph.lexalgebra import distances_to_minima
+
+    g = WeightedGraph(4, ((0, 1), (1, 2), (2, 3)), None, (1, 3, 2))
+    fg = flooding_from_edges(g)
+    calls = [core_expanding, dijkstra_to_minima, basins_with_zones, partition,
+             prune_to_steepness, minimal_track_edges, is_steep,
+             lambda h, k: basin_labels(h, k, "core"),
+             lambda h, k: basin_labels(h, k, "dijkstra"),
+             lambda h, k: build_hierarchy(g, k)]
+    calls += [lambda h, k, m=m: distances_to_minima(h, k, m)
+              for m in ("closure", "jacobi", "gauss_seidel", "jordan", "gondran")]
+    for k in (0, -1):
+        for call in calls:
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                call(fg, k)
+    assert track_ranks(fg, 0) == [0] * fg.num_nodes  # depth 0 ranks nothing
