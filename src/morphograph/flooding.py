@@ -14,9 +14,10 @@ build both identities, so what they build is certified by construction;
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .adjunction import dilate_nodes_to_edges, erode_edges_to_nodes
 from .errors import InvalidFloodingGraph, MissingWeights, ZeroNonMinimum
@@ -60,10 +61,15 @@ def flooding_from_edges(g: WeightedGraph) -> WeightedGraph:
     node keeps its lowest edges, so ``lo`` is also the erosion over the
     kept edges, and both identities hold by construction: certified.
     """
+    return _from_edges(g)[0]
+
+
+def _from_edges(g: WeightedGraph) -> tuple[WeightedGraph, list[int]]:
+    """``flooding_from_edges(g)`` and, per edge of it, its id in ``g``."""
     ew = g.require_edge_weights()
     lo = erode_edges_to_nodes(g, ew)
     kept = [eid for eid, (w, top) in enumerate(zip(ew, dilate_nodes_to_edges(g, lo))) if w == top]
-    return _certify(g.partial(kept).with_weights(node_weights=lo))
+    return _certify(g.partial(kept).with_weights(node_weights=lo)), kept
 
 
 def flooding_from_nodes(g: WeightedGraph) -> WeightedGraph:
@@ -189,48 +195,102 @@ def parse_tie(tie: Union[str, random.Random, None]) -> Optional[random.Random]:
     raise ValueError(f"unknown tie policy {tie!r}")
 
 
+def _flooding_pairs(g: WeightedGraph, in_min: list) -> tuple[list, list, array]:
+    """Flat parallel lists (tails, heads, edge ids): node ``tails[p]``
+    outside the minima floods edge ``eids[p]`` down to ``heads[p]``.  The
+    two pairs of an edge come one after the other, and the ids are a
+    machine-int array, so no int object is kept per pair."""
+    free = [None if m else w for w, m in zip(g.node_weights, in_min)]
+    tails, heads, eids = [], [], array("i")
+    tail, head, edge = tails.append, heads.append, eids.append
+    for eid, ((u, v), w) in enumerate(zip(g.edges, g.edge_weights)):
+        if w == free[u]:
+            tail(u)
+            head(v)
+            edge(eid)
+        if w == free[v]:
+            tail(v)
+            head(u)
+            edge(eid)
+    return tails, heads, eids
+
+
+def _reach(start: int, rows: dict, edges: tuple, seen: bytearray, tree: list) -> list[int]:
+    """The nodes reached from ``start`` breadth first over ``rows`` (per node,
+    edge ids in order), marked ``seen``; the edge first reaching each joins ``tree``."""
+    seen[start], queue = 1, [start]
+    for i in queue:
+        for eid in rows.get(i, ()):
+            u, v = edges[eid]
+            if not seen[j := u + v - i]:
+                seen[j] = 1
+                tree.append(eid)
+                queue.append(j)
+    return queue
+
+
+def _pair_nodes(g: WeightedGraph, picked: Iterable, rng: Optional[random.Random]) -> list[int]:
+    """Per node, the edge id of its pair (-1 in the minima), as
+    ``assign_pairs`` pairs the partial graph of ``g`` that keeps the minima
+    and the flooding pairs ``picked`` (tail, head, edge id, in the order of
+    ``_flooding_pairs``), unbuilt: an edge weighs its higher end, so a
+    node's edges down are its picked pairs with a lower head, and the only
+    rows built, its plateau edges, those with an equal head either way."""
+    nw, edges, n = g.node_weights, g.edges, g.num_nodes
+    pair, least, top = [-1] * n, [n] * n, [-1] * n if rng else None  # least: lowest head
+    lower, links, rows, last = [], [], {}, -1  # under rng, each tail's lower pairs chain from top
+    for i, j, eid in picked:
+        if nw[j] < nw[i]:
+            if j < least[i]:
+                least[i], pair[i] = j, eid
+            if rng:
+                links.append(top[i])
+                top[i] = len(lower)
+                lower.append(eid)
+        elif eid != last:  # once per edge, though both its pairs are picked
+            last = eid
+            rows.setdefault(i, []).append(eid)
+            rows.setdefault(j, []).append(eid)
+    seen = bytearray(n)  # by plateau, by its least node; without rng, lone nodes are paired
+    for s in range(n) if rng else sorted(rows):
+        if seen[s]:
+            continue
+        frontier = [x for x in sorted(_reach(s, rows, edges, seen, [])) if least[x] < n]
+        for x in frontier if rng else ():  # uniform over x's lower pairs, in head order
+            cands, p = [], top[x]
+            while p >= 0:
+                cands.append(lower[p])
+                p = links[p]
+            pair[x] = rng.choice(sorted(cands, key=lambda e: sum(edges[e])))
+        while frontier:  # each layer pairs by its least edge to the last
+            reachable: dict[int, list[int]] = {}
+            for x in frontier:
+                for e in rows.get(x, ()):
+                    u, v = edges[e]
+                    if pair[j := u + v - x] < 0:
+                        reachable.setdefault(j, []).append(e)
+            frontier = sorted(reachable)
+            for j in frontier:
+                pair[j] = rng.choice(sorted(reachable[j])) if rng else min(reachable[j])
+    return pair
+
+
 def assign_pairs(g: WeightedGraph, rng: Optional[random.Random] = None) -> dict[int, int]:
     """One-to-one map node -> adjacent equal-weight edge, outside the minima.
 
-    The plateaus are the flat zones that are not regional minima, taken
-    from the one union-find walk behind ``flat_zones`` and
-    ``regional_minima``.  Each is resolved by a breadth-first spanning
-    tree grown from its exit nodes (nodes with a strictly lower
-    neighbor): each plateau node pairs with its tree-parent edge, each
-    exit with an edge to a strictly lower neighbor.  Choices default to
-    the smallest node id; with ``rng`` they are drawn uniformly instead.
-    ``g`` must be a flooding graph: the callers certify it first.
+    The plateaus are the flat zones that are not regional minima.  Each
+    is resolved by a breadth-first spanning tree grown from its exit
+    nodes (nodes with a strictly lower neighbor): each plateau node pairs
+    with its tree-parent edge, each exit with an edge to a strictly lower
+    neighbor.  Choices default to the smallest node id; with ``rng`` they
+    are drawn uniformly instead, plateau by plateau in order of their
+    smallest node.  ``g`` must be a flooding graph.
     """
-    nw = g.require_node_weights()
-    g.require_edge_weights()
-    zone_of, lowest = _node_walk(g)
-    plateaus: dict[int, list[int]] = {z: [] for z, low in enumerate(lowest, 1) if not low}
-    for i, z in enumerate(zone_of):
-        if z in plateaus:
-            plateaus[z].append(i)
-    adj = g.adjacency
-    pairs: dict[int, int] = {}
-    for z, zone in plateaus.items():
-        level, frontier = nw[zone[0]], []
-        for s in zone:
-            lower = [(t, eid) for t, eid in adj[s] if nw[t] < level]
-            if lower:
-                pairs[s] = rng.choice(lower)[1] if rng else lower[0][1]
-                frontier.append(s)
-        while frontier:
-            reachable: dict[int, list[int]] = {}
-            for p in frontier:
-                for j, eid in adj[p]:
-                    if zone_of[j] == z and j not in pairs:
-                        reachable.setdefault(j, []).append(eid)
-            frontier = sorted(reachable)
-            for j in frontier:
-                cands = sorted(reachable[j])
-                pairs[j] = rng.choice(cands) if rng else cands[0]
-    return pairs
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+    pair = _pair_nodes(g, zip(*_flooding_pairs(g, in_min)), rng)
+    return {i: eid for i, eid in enumerate(pair) if eid >= 0}
 
 
 def flooding_pairs(g: WeightedGraph) -> list[tuple[int, int]]:
     """Deterministic (node, edge_id) pairing for every node outside minima."""
-    minima_of_flooding(g)  # raises unless g is a flooding graph
-    return sorted(assign_pairs(g).items())
+    return list(assign_pairs(g).items())

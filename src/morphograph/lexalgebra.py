@@ -112,32 +112,6 @@ def lift(w: LexWeight) -> Tracked:
     return (w, w[-1]) if w else UNIT_T
 
 
-def exact_chain(a: Tracked, b: Tracked, k: int) -> Tracked:
-    if a is None or b is None:
-        return None
-    wa, ta = a
-    wb, tb = b
-    if not wa:
-        return (wb[:k], tb)
-    if not wb:
-        return (wa[:k], ta)
-    if ta < wb[0]:
-        return None
-    return ((wa + wb)[:k], tb)
-
-
-def exact_min(a: Tracked, b: Tracked) -> Tracked:
-    """Smaller window wins; on a window tie the larger tail dominates
-    (it chains with everything the smaller one does)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] != b[0]:
-        return a if a[0] < b[0] else b
-    return a if a[1] >= b[1] else b
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -219,7 +193,7 @@ def _fronts(rows: list[dict], k: int) -> list[dict]:
                 front = row_i.get(j, ())
                 for wa, ta in front_ip:
                     for wb, tb in front_pj:
-                        # exact_chain, inlined
+                        # windows chain, cut to k, unless the left tail is under the right head
                         if not wa:
                             w, t = wb[:k], tb
                         elif not wb:

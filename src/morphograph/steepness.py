@@ -19,11 +19,10 @@ adjunction operators.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
-from .flooding import _certify, _minimum_nodes, _zeroed_nodes, minima_of_flooding
+from .flooding import _certify, _flooding_pairs, _minimum_nodes, _zeroed_nodes, minima_of_flooding
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 from .weights import TOP
 
@@ -38,34 +37,20 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     node outside them keeps a flooding pair and the minima keep their
     edges, so it is certified with the cached minima of ``g``.
     """
-    in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    picked = _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]
+    in_min, picked = _kept_pairs(g, k)
     kept = _inner_edges(g, in_min) + [eid for _, _, eid in picked]
     return _certify(g.partial(kept), minima_of_flooding(g))
+
+
+def _kept_pairs(g: WeightedGraph, k: int) -> tuple[list, Iterator]:
+    """Per node, whether it is in a minimum, and the pairs depth-``k`` pruning keeps."""
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+    return in_min, _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]
 
 
 def _inner_edges(g: WeightedGraph, in_min: list) -> list[int]:
     """Ids of the edges inside the minima, which pruning never touches."""
     return [eid for eid, (u, v) in enumerate(g.edges) if in_min[u] and in_min[v]]
-
-
-def _flooding_pairs(g: WeightedGraph, in_min: list) -> tuple[list, list, list]:
-    """Flat parallel lists (tails, heads, edge ids): node ``tails[p]``
-    outside the minima floods edge ``eids[p]`` down to ``heads[p]``.  The
-    ids are a machine-int array, so no int object is kept per pair."""
-    free = [None if m else w for w, m in zip(g.node_weights, in_min)]
-    tails, heads, eids = [], [], array("i")
-    tail, head, edge = tails.append, heads.append, eids.append
-    for eid, ((u, v), w) in enumerate(zip(g.edges, g.edge_weights)):
-        if w == free[u]:
-            tail(u)
-            head(v)
-            edge(eid)
-        if w == free[v]:
-            tail(v)
-            head(u)
-            edge(eid)
-    return tails, heads, eids
 
 
 def _least(rank: list, tails: list, heads: list, none: int) -> list:
@@ -167,9 +152,9 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
     candidate edges of a node share the node's own weight, so a node
     picks the pairs whose head has the least track rank.
     """
-    in_min = [v != UNSET for v in minima_of_flooding(g).values]
+    in_min, pairs = _kept_pairs(g, k)
     picked: dict = {}
-    for i, _, eid in _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]:
+    for i, _, eid in pairs:
         picked.setdefault(i, []).append(eid)
     out: dict = {None: frozenset(_inner_edges(g, in_min))}
     out.update((i, frozenset(picked[i])) for i in sorted(picked))

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DisconnectedInput, IncompleteHierarchy
-from .flooding import as_flooding, flooding_from_edges, parse_tie
+from .flooding import _from_edges, as_flooding, parse_tie
 from .graphs import Labeling, WeightedGraph, collapse
-from .steepness import prune_to_steepness
-from .watershed import drainage_forest
+from .steepness import _kept_pairs
+from .watershed import _drain
 
 
 @dataclass(frozen=True)
@@ -52,31 +52,29 @@ def build_hierarchy(
     base nodes and coarsen strictly from level to level.
     """
     rng = parse_tie(tie)
-    flood = as_flooding(g)
+    if g.has_edge_weights and not g.has_node_weights:
+        flood, kept = _from_edges(g)  # kept: flooding graph edge -> g edge
+    else:  # the flooding graph is the base graph
+        flood = as_flooding(g)
+        kept = range(len(flood.edges))
     base = g if g.has_edge_weights else flood
     if base.num_nodes <= 1:
         lone = Labeling((1,) * base.num_nodes, "nodes")
         level = HierarchyLevel(frozenset(), lone, base.num_nodes, base)
         return Hierarchy(base, (level,))
 
-    levels: list[HierarchyLevel] = []
-    cur_full = base
-    cur_flood = flood
+    levels, cur_full, cur_flood = [], base, flood
     to_region = list(range(base.num_nodes))   # base node -> current node
     to_base_edge = list(range(len(base.edges)))  # current edge -> base edge
 
     while True:
-        pruned = prune_to_steepness(cur_flood, k)
-        forest = drainage_forest(pruned, rng)
-        full_ids = _ids_within(pruned, cur_full)
-        forest_full_ids = [full_ids[eid] for eid in forest.edges]
-        base_ids = frozenset([to_base_edge[eid] for eid in forest_full_ids])
+        # the drainage forest of the depth-k pruned graph, which is not built
+        forest = _drain(cur_flood, _kept_pairs(cur_flood, k)[1], rng)
+        base_ids = frozenset([to_base_edge[kept[eid]] for eid in forest.edges])
         labels = forest.labels.values
         part = Labeling(tuple([labels[r] for r in to_region]), "nodes")
         contraction = collapse(cur_full, labels)  # one node per tree
-        levels.append(
-            HierarchyLevel(base_ids, part, forest.num_trees, contraction.graph)
-        )
+        levels.append(HierarchyLevel(base_ids, part, forest.num_trees, contraction.graph))
         if contraction.graph.num_nodes <= 1:
             return Hierarchy(base, tuple(levels))
         if not contraction.graph.edges:  # the base graph was disconnected
@@ -85,20 +83,7 @@ def build_hierarchy(
         to_region = [node_map[r] for r in to_region]
         to_base_edge = [to_base_edge[eid] for eid in contraction.edge_origins]
         cur_full = contraction.graph
-        cur_flood = flooding_from_edges(cur_full)
-
-
-def _ids_within(part: WeightedGraph, whole: WeightedGraph) -> list[int]:
-    """Per edge of ``part``, its id in ``whole``.  ``part`` is a partial
-    graph of ``whole``, or one of its partial graphs, and ``partial``
-    keeps the order of the edges, so one walk matches them up."""
-    ids, edges = [], iter(part.edges)
-    want = next(edges, None)
-    for eid, edge in enumerate(whole.edges):
-        if edge == want:
-            ids.append(eid)
-            want = next(edges, None)
-    return ids
+        cur_flood, kept = _from_edges(cur_full)
 
 
 def merge_levels(h: Hierarchy) -> tuple[int, ...]:

@@ -14,13 +14,12 @@ ties by policy instead.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
-from .flooding import assign_pairs, minima_of_flooding, parse_tie
-from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
-from .steepness import _inner_edges, _upstream
+from .flooding import _pair_nodes, _reach, assign_pairs, minima_of_flooding, parse_tie
+from .graphs import Labeling, UNSET, ZONE, WeightedGraph
+from .steepness import _inner_edges, _kept_pairs, _upstream
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ def unique_drain(
     by the pairing is cut, leaving one and only one descent per node.
     """
     in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    pairs = assign_pairs(g, parse_tie(tie))
-    return g.partial(_inner_edges(g, in_min) + list(pairs.values()))
+    return g.partial(_inner_edges(g, in_min) + list(assign_pairs(g, parse_tie(tie)).values()))
 
 
 def drainage_forest(
@@ -63,32 +61,30 @@ def drainage_forest(
     weights plus (size - 1) times the level per minimum, independent of
     the tie policy.
     """
-    labeling = minima_of_flooding(g)
-    pairs = assign_pairs(g, parse_tie(tie))
-    edges: set[int] = set(pairs.values())
-    labels = list(labeling.values)
-    # One breadth-first search spans every minimum: adjacent minimum
-    # nodes share their minimum, and each tree grows from the smallest
-    # node of its minimum, the first one the scan meets.
-    adj, seen = g.adjacency, [False] * g.num_nodes
-    for start, lab in enumerate(labels):
-        if lab == UNSET or seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j, eid in adj[i]:
-                if labels[j] != UNSET and not seen[j]:
-                    seen[j] = True
-                    edges.add(eid)
-                    queue.append(j)
+    return _drain(g, _kept_pairs(g, 1)[1], parse_tie(tie))  # k = 1 keeps every pair
 
-    # each tree of the forest holds one minimum and takes its label
-    tree = connected_components(g, edges).values
-    label_of = {tree[i]: lab for i, lab in enumerate(labels) if lab != UNSET}
-    labels = [label_of.get(t, UNSET) for t in tree]
-    return SpanningForest(frozenset(edges), Labeling(tuple(labels), "nodes"))
+
+def _drain(g: WeightedGraph, picked: Iterable, rng) -> SpanningForest:
+    """``drainage_forest`` of the partial graph of ``g`` keeping the minima and the pairs
+    ``picked`` (``_pair_nodes``), in ``g``'s edge ids: with ``_kept_pairs``, no pruned graph."""
+    labels, edges, rows = list(minima_of_flooding(g).values), g.edges, {}
+    for eid, (u, v) in enumerate(edges):  # the inner edges, in neighbor order
+        if labels[u] and labels[v]:
+            rows.setdefault(u, []).append(eid)
+            rows.setdefault(v, []).append(eid)
+    for row in rows.values():
+        row.sort(key=lambda e: sum(edges[e]))
+    for i, eid in enumerate(_pair_nodes(g, picked, rng)):  # each pair, up from its head
+        if eid >= 0:
+            u, v = edges[eid]
+            rows.setdefault(u + v - i, []).append(eid)
+    # one search per tree, from its minimum's least node; rows list inner edges, then climbs
+    forest, seen = [], bytearray(g.num_nodes)
+    for start, lab in enumerate(labels):
+        if lab and not seen[start]:
+            for i in _reach(start, rows, edges, seen, forest):
+                labels[i] = lab
+    return SpanningForest(frozenset(forest), Labeling(tuple(labels), "nodes"))
 
 
 def forest_weight(g: WeightedGraph, forest: SpanningForest) -> int:

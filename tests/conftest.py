@@ -1,12 +1,15 @@
 """Shared fixtures, random graph generators and brute-force oracles."""
 
 import random
+from collections import deque
 
 import pytest
 
 from morphograph import WeightedGraph, flooding_from_edges, flooding_from_nodes
 from morphograph.flooding import minima_of_flooding, minima_sets
 from morphograph.formats import image_to_graph, write_pgm
+from morphograph.graphs import UNSET, Labeling, _node_walk, connected_components
+from morphograph.watershed import SpanningForest
 
 
 # -- fixed fixtures ----------------------------------------------------------
@@ -168,6 +171,68 @@ def constrained_msf_weight(fg):
         has_min[uf.find(u)] = has_min[ru] or has_min[rv]
         weight += w
     return weight
+
+
+def adjacency_assign_pairs(g, rng=None):
+    """``assign_pairs`` as it ran before it read the flooding pairs, kept as
+    the oracle of ``flooding._pair_nodes``: it walks the graph's flat zones
+    and adjacency rows, and grows each plateau's breadth-first tree from
+    its exits, plateau by plateau in zone-label order."""
+    nw = g.require_node_weights()
+    g.require_edge_weights()
+    zone_of, lowest = _node_walk(g)
+    plateaus = {z: [] for z, low in enumerate(lowest, 1) if not low}
+    for i, z in enumerate(zone_of):
+        if z in plateaus:
+            plateaus[z].append(i)
+    adj = g.adjacency
+    pairs = {}
+    for z, zone in plateaus.items():
+        level, frontier = nw[zone[0]], []
+        for s in zone:
+            lower = [(t, eid) for t, eid in adj[s] if nw[t] < level]
+            if lower:
+                pairs[s] = rng.choice(lower)[1] if rng else lower[0][1]
+                frontier.append(s)
+        while frontier:
+            reachable = {}
+            for p in frontier:
+                for j, eid in adj[p]:
+                    if zone_of[j] == z and j not in pairs:
+                        reachable.setdefault(j, []).append(eid)
+            frontier = sorted(reachable)
+            for j in frontier:
+                cands = sorted(reachable[j])
+                pairs[j] = rng.choice(cands) if rng else cands[0]
+    return pairs
+
+
+def adjacency_drainage_forest(g, rng=None):
+    """``drainage_forest`` as it ran before it read the flooding pairs, kept
+    as the oracle of ``watershed._drain``: the pairs of
+    ``adjacency_assign_pairs``, one breadth-first search over the adjacency
+    rows spanning every minimum, and ``connected_components`` to name the
+    trees.  Run on ``prune_to_steepness(g, k)``, it is the forest each
+    waterfall level takes."""
+    labels = list(minima_of_flooding(g).values)
+    edges = set(adjacency_assign_pairs(g, rng).values())
+    adj, seen = g.adjacency, [False] * g.num_nodes
+    for start, lab in enumerate(labels):
+        if lab == UNSET or seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for j, eid in adj[i]:
+                if labels[j] != UNSET and not seen[j]:
+                    seen[j] = True
+                    edges.add(eid)
+                    queue.append(j)
+    tree = connected_components(g, edges).values
+    label_of = {tree[i]: lab for i, lab in enumerate(labels) if lab != UNSET}
+    labels = [label_of.get(t, UNSET) for t in tree]
+    return SpanningForest(frozenset(edges), Labeling(tuple(labels), "nodes"))
 
 
 def brute_flooding_distance(g, x, y):

@@ -1,5 +1,7 @@
+import contextlib
 import random
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -12,13 +14,13 @@ from morphograph import (
     merge_levels,
 )
 from morphograph.flooding import as_flooding, flooding_from_edges, parse_tie
+from morphograph import graphs
 from morphograph.graphs import Labeling, connected_components, contract
 from morphograph.steepness import prune_to_steepness
-from morphograph.watershed import drainage_forest
 from morphograph.waterfall import Hierarchy, HierarchyLevel
 from conftest import (
-    kruskal_mst, quantized_pixel_floodings, random_edge_weighted, random_flooding,
-    random_node_weighted,
+    adjacency_drainage_forest, kruskal_mst, quantized_pixel_floodings, random_edge_weighted,
+    random_flooding, random_node_weighted,
 )
 
 PROFILE = WeightedGraph(
@@ -204,8 +206,10 @@ def test_disconnected_input_rejected():
 
 
 def test_one_labeling_per_level_inside_the_drainage_forest(monkeypatch):
-    # the forest's trees give each level's regions, and the level loop
-    # itself finds a disconnected graph: no pass over the base graph
+    # each level pairs the nodes from the pairs pruning keeps and labels
+    # each tree by one search up from its minimum: no level builds a
+    # pruned graph, adjacency rows or a connected_components labeling, and
+    # the level loop itself finds a disconnected graph
     original, callers = connected_components, []
 
     def counted(*args, **kwargs):
@@ -215,11 +219,32 @@ def test_one_labeling_per_level_inside_the_drainage_forest(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("morphograph") and vars(module).get("connected_components") is original:
             monkeypatch.setattr(module, "connected_components", counted)
+    rows, partials = [], []
+    adjacency = graphs._Topology.adjacency.func
+    partial = graphs.WeightedGraph.partial
+
+    def counted_rows(topology):
+        rows.append(topology)
+        return adjacency(topology)
+
+    def counted_partial(g, keep):
+        partials.append(sys._getframe(1).f_code.co_name)
+        return partial(g, keep)
+
+    rows_property = cached_property(counted_rows)
+    rows_property.__set_name__(graphs._Topology, "adjacency")
+    monkeypatch.setattr(graphs._Topology, "adjacency", rows_property)
+    monkeypatch.setattr(graphs.WeightedGraph, "partial", counted_partial)
     rng = random.Random(43)
-    for g in [PROFILE, *(random_connected(rng, 16) for _ in range(20))]:
-        callers.clear()
-        h = build_hierarchy(g, 2)
-        assert callers == ["drainage_forest"] * len(h.levels)
+    corpus = [PROFILE, *(random_connected(rng, 16) for _ in range(20))]
+    corpus += [random_node_weighted(rng, 12) for _ in range(10)]
+    for g in corpus:
+        for tie in ("min-label", "seed:5"):
+            with contextlib.suppress(DisconnectedInput):  # node-weighted graphs may be apart
+                build_hierarchy(g, 2, tie)
+            assert callers == [] and rows == []
+            # flooding_from_edges keeps each node's lowest edges as a partial graph
+            assert set(partials) <= {"_from_edges"}
 
 
 def test_incomplete_hierarchy_rejected():
@@ -248,8 +273,10 @@ def test_hierarchy_accepts_flooding_graph_directly(five_path_flooding):
 
 def _edge_id_hierarchy(g, k, tie):
     """``build_hierarchy`` as it ran before it matched the edges of its
-    partial graphs by one walk, kept as its oracle: each forest edge is
-    looked up in the current graph by its end nodes."""
+    partial graphs by one walk, kept as its oracle: each level builds the
+    pruned graph and takes the drainage forest of its adjacency rows
+    (``adjacency_drainage_forest``), and each forest edge is looked up in
+    the current graph by its end nodes."""
     rng = parse_tie(tie)
     flood = as_flooding(g)
     base = g if g.has_edge_weights else flood
@@ -258,7 +285,7 @@ def _edge_id_hierarchy(g, k, tie):
     to_base_edge = list(range(len(base.edges)))
     while True:
         pruned = prune_to_steepness(cur_flood, k)
-        forest = drainage_forest(pruned, rng)
+        forest = adjacency_drainage_forest(pruned, rng)
         full_ids = [cur_full.edge_id(*pruned.edges[eid]) for eid in forest.edges]
         part = Labeling(
             tuple(forest.labels.values[to_region[b]] for b in range(base.num_nodes)), "nodes")

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from morphograph import (
@@ -7,6 +10,7 @@ from morphograph import (
     ZONE,
     basins_with_zones,
     drainage_forest,
+    flooding_from_edges,
     flooding_from_nodes,
     flooding_pairs,
     forest_weight,
@@ -16,7 +20,12 @@ from morphograph import (
 )
 from morphograph.flooding import minima_of_flooding, minima_sets
 from morphograph.graphs import connected_components
-from conftest import constrained_msf_weight, random_flooding
+from morphograph.steepness import _kept_pairs, prune_to_steepness
+from morphograph.watershed import _drain
+from conftest import (
+    adjacency_drainage_forest, constrained_msf_weight, random_edge_weighted, random_flooding,
+)
+from test_adjunction import small_graphs
 
 
 def outside_nodes(fg):
@@ -211,3 +220,47 @@ def test_drainage_refuses_a_graph_that_is_not_flooding():
                lambda g: partition(g, 2), lambda g: basins_with_zones(g, 2)):
         with pytest.raises(InvalidFloodingGraph):
             op(g)
+
+
+def _pairing_kernel_corpus(rng):
+    """(flooding graph, input node count): every graph of up to 4 nodes,
+    edge-weighted in {0, 1, 2} and node-weighted in {0, 1} (plateaus next
+    to dummy twins), then 200 random connected graphs of up to 12 nodes,
+    half of them node-weighted."""
+    for g in small_graphs(4):
+        for ew in itertools.product((0, 1, 2), repeat=len(g.edges)):
+            yield flooding_from_edges(WeightedGraph(g.num_nodes, g.edges, None, ew)), g.num_nodes
+        for nw in itertools.product((0, 1), repeat=g.num_nodes):
+            yield flooding_from_nodes(WeightedGraph(g.num_nodes, g.edges, nw, None)), g.num_nodes
+    for m in range(200):
+        g = random_edge_weighted(rng, 12, rng.choice((2, 6)), connected=True)
+        if m % 2:  # the same kind of graph, weighted on its nodes
+            nw = [rng.randint(0, 3) for _ in range(g.num_nodes)]
+            yield flooding_from_nodes(WeightedGraph(g.num_nodes, g.edges, nw, None)), g.num_nodes
+        else:
+            yield flooding_from_edges(g), g.num_nodes
+
+
+def test_pairing_kernel_equals_the_drainage_forest_of_the_pruned_graph():
+    # each waterfall level pairs the nodes from the pairs pruning keeps and
+    # builds no pruned graph; the oracle builds it, with its adjacency rows,
+    # and takes its drainage forest as drainage_forest did before.  Forest
+    # ids, labels and the generator's state after the call must all agree
+    rng = random.Random(71)
+    for fg, n in _pairing_kernel_corpus(rng):
+        last = None
+        for k in range(1, n + 2):
+            picked = list(_kept_pairs(fg, k)[1])
+            if picked == last:  # the fixed point: every deeper k repeats this one
+                continue
+            last = picked
+            pruned = prune_to_steepness(fg, k)
+            ids = [fg.edge_id(*e) for e in pruned.edges]
+            for tie in (None, *(rng.randrange(2**32) for _ in range(3))):
+                want_rng, got_rng = (None, None) if tie is None else (
+                    random.Random(tie), random.Random(tie))
+                want = adjacency_drainage_forest(pruned, want_rng)
+                got = _drain(fg, picked, got_rng)
+                assert got.edges == frozenset(ids[e] for e in want.edges)
+                assert got.labels == want.labels
+                assert tie is None or got_rng.getstate() == want_rng.getstate()
