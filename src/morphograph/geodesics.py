@@ -172,12 +172,12 @@ def hq_watershed(g: WeightedGraph) -> Labeling:
 # ---------------------------------------------------------------------------
 
 
-def _root_groups(roots) -> list[frozenset[int]]:
-    groups = []
-    for r in roots:
-        groups.append(frozenset([r]) if isinstance(r, int) else frozenset(r))
+def _root_groups(roots, num_nodes: int) -> list[frozenset[int]]:
+    groups = [frozenset([r]) if isinstance(r, int) else frozenset(r) for r in roots]
     if not groups or any(not gset for gset in groups):
         raise NoRoots("empty root set")
+    if any(not 0 <= r < num_nodes for gset in groups for r in gset):
+        raise IndexError("root outside the node range")
     return groups
 
 
@@ -203,7 +203,7 @@ def toll_distances(
     smallest label winning ties.
     """
     nw = g.require_node_weights()
-    groups = _root_groups(roots)
+    groups = _root_groups(roots, g.num_nodes)
     if mode == "toll":
         cost = list(nw)
         start = [nw[i] if include_root_cost else 0 for i in range(g.num_nodes)]

@@ -55,30 +55,10 @@ class Labeling:
         return frozenset(i for i, v in enumerate(self.values) if v == ZONE)
 
 
-class _Topology:
-    """Lookups over one edge list, each built on first use and shared by
-    every graph with these nodes and edges (see ``with_weights``)."""
-
-    def __init__(self, num_nodes: int, edges: tuple[tuple[int, int], ...]):
-        self.num_nodes, self.edges = num_nodes, edges
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-
 @dataclass(frozen=True)
 class WeightedGraph:
     """Nodes ``0..num_nodes-1``, sorted edge pairs and optional weights; the
-    adjacency rows and edge index are built lazily, once per topology."""
+    adjacency rows and edge index are built from ``edges`` on first use."""
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...] = ()
@@ -87,6 +67,8 @@ class WeightedGraph:
     dummies: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        if self.num_nodes < 0:
+            raise ValueError(f"negative num_nodes {self.num_nodes}")
         # an edge already sorted keeps its tuple
         edges = tuple([(v, u) if u > v else e if type(e) is tuple else (u, v)
                        for e in self.edges for u, v in (e,)])
@@ -96,7 +78,6 @@ class WeightedGraph:
         if self.edge_weights is not None:
             object.__setattr__(self, "edge_weights", tuple(self.edge_weights))
         object.__setattr__(self, "dummies", frozenset(self.dummies))
-        object.__setattr__(self, "_topology", _Topology(self.num_nodes, edges))
         # checked in bulk; only a failing check walks the edges to name the
         # first offending one
         us, vs = zip(*edges) if edges else ((), ())
@@ -122,29 +103,29 @@ class WeightedGraph:
             raise ValueError("edge_weights length != num edges")
 
     @classmethod
-    def _derive(cls, num_nodes, edges, node_weights, edge_weights, dummies,
-                topology=None) -> "WeightedGraph":
-        """Constructor for edges known normalised, in range and distinct
-        (sharing ``topology``, if given, a graph with the same edges): only
-        weight lengths are checked, and nothing else is cached."""
+    def _derive(cls, num_nodes, edges, node_weights, edge_weights, dummies) -> "WeightedGraph":
+        """Constructor for edges known normalised, in range and distinct: only
+        weight lengths are checked, and nothing is cached."""
         g = object.__new__(cls)
         vars(g).update(num_nodes=num_nodes, edges=edges, node_weights=node_weights,
-                       edge_weights=edge_weights, dummies=dummies,
-                       _topology=topology or _Topology(num_nodes, edges))
+                       edge_weights=edge_weights, dummies=dummies)
         g._check_weights()
         return g
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
+    @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
-        return self._topology.edge_index
+        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node, sorted tuple of (neighbor, edge_id); kept on the graph
-        too, since ``neighbors`` reads it once per visited node."""
-        return self._topology.adjacency
+        """Per node, sorted tuple of (neighbor, edge_id)."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        for eid, (u, v) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return tuple(tuple(sorted(a)) for a in adj)
 
     def edge_id(self, u: int, v: int) -> int:
         return self._edge_index[(u, v) if u < v else (v, u)]
@@ -173,15 +154,14 @@ class WeightedGraph:
     # -- derived graphs ----------------------------------------------------
 
     def with_weights(self, node_weights=None, edge_weights=None) -> "WeightedGraph":
-        """Copy with one or both weight fields replaced; shares the topology
-        and its lazily built lookups, whichever graph builds them first."""
+        """Copy with one or both weight fields replaced; it builds its own
+        lookups and keeps the node zone walk if the node weights stay."""
         g = WeightedGraph._derive(
             self.num_nodes,
             self.edges,
             tuple(node_weights) if node_weights is not None else self.node_weights,
             tuple(edge_weights) if edge_weights is not None else self.edge_weights,
             self.dummies,
-            self._topology,
         )
         if node_weights is None and "_node_walk" in vars(self):  # same node zones
             vars(g)["_node_walk"] = vars(self)["_node_walk"]
@@ -189,9 +169,7 @@ class WeightedGraph:
 
     def partial(self, keep: Iterable[int]) -> "WeightedGraph":
         """Partial graph: same nodes, only the edges in ``keep`` (edge ids)."""
-        kept = sorted(set(keep))
-        if kept and (kept[0] < 0 or kept[-1] >= len(self.edges)):
-            raise IndexError("edge id out of range")
+        kept = _edge_ids(self, keep)
         ew = self.edge_weights
         return WeightedGraph._derive(
             self.num_nodes, tuple([self.edges[i] for i in kept]), self.node_weights,
@@ -211,9 +189,18 @@ def connected_components(g: WeightedGraph, restrict: Optional[Iterable[int]] = N
     isolated nodes become singleton components.
     """
     parent = list(range(g.num_nodes))
-    for eid in range(len(g.edges)) if restrict is None else restrict:
+    for eid in range(len(g.edges)) if restrict is None else _edge_ids(g, restrict):
         _union(parent, *g.edges[eid])
     return Labeling(tuple(_set_labels(parent)), "nodes")
+
+
+def _edge_ids(g: WeightedGraph, ids: Iterable[int]) -> list[int]:
+    """The distinct ``ids`` in ascending order, refused unless each is an
+    edge id of ``g``."""
+    kept = sorted(set(ids))
+    if kept and (kept[0] < 0 or kept[-1] >= len(g.edges)):
+        raise IndexError("edge id out of range")
+    return kept
 
 
 def _union(parent: list[int], a: int, b: int) -> None:

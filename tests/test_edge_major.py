@@ -3,7 +3,7 @@
 The adjunction operators and the lowest-edge filters are checked against
 naive per-node references; the local pruning kernel against depth
 pruning; and PGM runs of ``flood``, ``prune``, ``watershed`` and ``dist
---method core|dijkstra`` against a topology whose adjacency rows refuse
+--method core|dijkstra`` against a graph class whose adjacency rows refuse
 to be built.
 """
 
@@ -118,16 +118,16 @@ def test_is_steep_builds_no_graph(monkeypatch):
     assert [[is_steep(fg, k) for k in (1, 2, 3)] for fg in cases] == want
 
 
-def test_with_weights_shares_the_adjacency_whichever_graph_builds_it():
+def test_derived_graphs_build_the_adjacency_of_a_fresh_construction():
     rng = random.Random(3)
     for parent_first in (True, False):
         fg = random_flooding(rng, 10)
         w = fg.with_weights(node_weights=[x + 1 for x in fg.node_weights])
         first, second = (fg, w) if parent_first else (w, fg)
         assert "adjacency" not in vars(first) and "adjacency" not in vars(second)
-        assert first.adjacency is second.adjacency
+        assert first.adjacency == second.adjacency
         p = fg.partial(range(0, len(fg.edges), 2))
-        assert "adjacency" not in vars(p._topology)
+        assert "adjacency" not in vars(p)
         assert p.adjacency == WeightedGraph(p.num_nodes, p.edges).adjacency
 
 
@@ -140,7 +140,7 @@ def _refuse_adjacency(monkeypatch):
     def refuse(self):
         raise AssertionError("a whole-graph pass built the adjacency")
 
-    monkeypatch.setattr(graphs._Topology, "adjacency", property(refuse))
+    monkeypatch.setattr(graphs.WeightedGraph, "adjacency", property(refuse))
 
 
 @pytest.mark.parametrize("connectivity", (4, 8))
@@ -152,7 +152,7 @@ def test_flooding_and_pruning_an_image_never_build_the_adjacency(connectivity, m
         fg = as_flooding(g)
         pruned = local_prune(fg, 2)
         for x in (g, fg, pruned):
-            assert "adjacency" not in vars(x) and "adjacency" not in vars(x._topology)
+            assert "adjacency" not in vars(x)
         _refuse_adjacency(monkeypatch)
         assert local_prune(as_flooding(image_to_graph(data, connectivity)), 2) == pruned
         assert zero_minima(fg).edges == fg.edges

@@ -240,6 +240,13 @@ def test_toll_requires_roots(five_path):
         toll_distances(five_path, [])
 
 
+def test_toll_refuses_roots_outside_the_node_range():
+    g = WeightedGraph(4, ((0, 1), (1, 2), (2, 3)), (3, 1, 2, 0), None)
+    for roots in ([-1], [9], [0, {1, 4}]):
+        with pytest.raises(IndexError, match="^root outside the node range$"):
+            toll_distances(g, roots)
+
+
 def test_topographic_distance_along_steepest_descent():
     # a(0) - b(1) - c(3): the only descent from c runs through b
     g = WeightedGraph(3, ((0, 1), (1, 2)), (0, 1, 3), None)

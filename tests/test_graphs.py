@@ -266,7 +266,7 @@ def test_filter_spans_non_isolated_nodes(rng):
                 assert i in covered
 
 
-# -- shared topology and the zone walk ---------------------------------------
+# -- derived graphs and the zone walk ----------------------------------------
 
 
 def naive_zones(g, mode):
@@ -370,13 +370,13 @@ def test_derived_graphs_match_a_fresh_construction(rng):
             _same_as_fresh(g.with_weights(edge_weights=shifted))
 
 
-def test_with_weights_shares_topology_but_not_caches(rng):
+def test_with_weights_and_partial_inherit_no_caches(rng):
     for _ in range(20):
         fg = random_flooding(rng, 10)
         minima_of_flooding(fg)
         fg.edge_id(*fg.edges[0])
         w = fg.with_weights(node_weights=[x + 1 for x in fg.node_weights])
-        assert w.adjacency is fg.adjacency and w._edge_index is fg._edge_index
+        assert w.adjacency == fg.adjacency and w._edge_index == fg._edge_index
         assert "_minima" not in vars(w)
         p = fg.partial(range(0, len(fg.edges), 2))
         assert "_edge_index" not in vars(p)
@@ -389,6 +389,16 @@ def test_partial_rejects_edge_ids_out_of_range(path4):
     for bad in ([3], [-1], [0, 5]):
         with pytest.raises(IndexError):
             path4.partial(bad)
+    # contract and connected_components refuse the same ids, with the same error
+    for bad in ([-1], [len(path4.edges)]):
+        for op in (contract, connected_components):
+            with pytest.raises(IndexError, match="^edge id out of range$"):
+                op(path4, bad)
+
+
+def test_public_constructor_rejects_a_negative_node_count():
+    with pytest.raises(ValueError, match="negative num_nodes"):
+        WeightedGraph(-2)
 
 
 def test_public_constructor_rejects_bad_ids_and_lengths():

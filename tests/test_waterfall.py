@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 import sys
 from functools import cached_property
@@ -10,7 +11,9 @@ from morphograph import (
     IncompleteHierarchy,
     WeightedGraph,
     build_hierarchy,
+    drainage_forest,
     emergent_tree,
+    forest_weight,
     merge_levels,
 )
 from morphograph.flooding import as_flooding, flooding_from_edges, parse_tie
@@ -19,9 +22,10 @@ from morphograph.graphs import Labeling, connected_components, contract
 from morphograph.steepness import prune_to_steepness
 from morphograph.waterfall import Hierarchy, HierarchyLevel
 from conftest import (
-    adjacency_drainage_forest, kruskal_mst, quantized_pixel_floodings, random_edge_weighted,
-    random_flooding, random_node_weighted,
+    adjacency_drainage_forest, constrained_msf_weight, kruskal_mst, quantized_pixel_floodings,
+    random_edge_weighted, random_flooding, random_node_weighted,
 )
+from test_adjunction import small_graphs
 
 PROFILE = WeightedGraph(
     7, tuple((i, i + 1) for i in range(6)), (1, 5, 2, 7, 1, 6, 3), None
@@ -220,20 +224,20 @@ def test_one_labeling_per_level_inside_the_drainage_forest(monkeypatch):
         if name.startswith("morphograph") and vars(module).get("connected_components") is original:
             monkeypatch.setattr(module, "connected_components", counted)
     rows, partials = [], []
-    adjacency = graphs._Topology.adjacency.func
+    adjacency = graphs.WeightedGraph.adjacency.func
     partial = graphs.WeightedGraph.partial
 
-    def counted_rows(topology):
-        rows.append(topology)
-        return adjacency(topology)
+    def counted_rows(g):
+        rows.append(g)
+        return adjacency(g)
 
     def counted_partial(g, keep):
         partials.append(sys._getframe(1).f_code.co_name)
         return partial(g, keep)
 
     rows_property = cached_property(counted_rows)
-    rows_property.__set_name__(graphs._Topology, "adjacency")
-    monkeypatch.setattr(graphs._Topology, "adjacency", rows_property)
+    rows_property.__set_name__(graphs.WeightedGraph, "adjacency")
+    monkeypatch.setattr(graphs.WeightedGraph, "adjacency", rows_property)
     monkeypatch.setattr(graphs.WeightedGraph, "partial", counted_partial)
     rng = random.Random(43)
     corpus = [PROFILE, *(random_connected(rng, 16) for _ in range(20))]
@@ -331,3 +335,33 @@ def test_hierarchy_and_merge_levels_match_their_oracles():
                 h = build_hierarchy(g, k, tie)
                 assert h == _edge_id_hierarchy(g, k, tie)
                 assert merge_levels(h) == _all_levels_merge(h)
+
+
+def _small_connected_graphs():
+    """Every connected graph of up to 4 nodes, edge-weighted in {0, 1, 2},
+    then node-weighted in {0, 1}."""
+    shapes = [g for g in small_graphs(4) if connected_components(g).num_labels == 1]
+    for g in shapes:
+        for ew in itertools.product((0, 1, 2), repeat=len(g.edges)):
+            yield WeightedGraph(g.num_nodes, g.edges, None, ew)
+    for g in shapes:
+        for nw in itertools.product((0, 1), repeat=g.num_nodes):
+            yield WeightedGraph(g.num_nodes, g.edges, nw, None)
+
+
+def test_every_small_connected_graph_holds_the_forest_and_tree_equivalences():
+    # drainage-forest weight = constrained Kruskal weight, and at every depth
+    # the emergent tree is a spanning tree of Kruskal's weight, under both ties
+    hierarchies = 0
+    for g in _small_connected_graphs():
+        fg = as_flooding(g)
+        want = constrained_msf_weight(fg)
+        for tie in ("min-label", "seed:3"):
+            assert forest_weight(fg, drainage_forest(fg, tie)) == want, (g, tie)
+        for k, tie in itertools.product(range(1, g.num_nodes + 2), ("min-label", "seed:3")):
+            h = build_hierarchy(g, k, tie)
+            tree = emergent_tree(h)
+            assert len(tree) == h.base.num_nodes - 1, (g, k, tie)
+            assert sum(h.base.edge_weights[e] for e in tree) == kruskal_mst(h.base)[0], (g, k, tie)
+            hierarchies += 1
+    assert hierarchies == 45162
