@@ -19,10 +19,10 @@ serves both exact paths: ``closure`` pivots A, and Jordan pivots the
 augmented system ``[A | B]``, each column of B a sink node.  Dense
 matrices here are the oracle path, kept to modest sizes; they are lists
 of lists at the public edges (``closure``, ``linear_solve``,
-``incidence_matrix``; the first two refuse a non-square A or a ragged
-B), and everything inside runs on sparse rows ``{col: entry}`` holding
-only the non-ZERO entries.  The graph-native algorithms live in
-``geodesics``.
+``incidence_matrix``; all three refuse k < 1, the first two a non-square
+A, a ragged B or an entry out of contract), and everything inside runs
+on sparse rows ``{col: entry}`` of the non-ZERO entries.  The
+graph-native algorithms live in ``geodesics``.
 """
 
 from __future__ import annotations
@@ -40,16 +40,22 @@ ZERO: LexWeight = None
 UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
-# 7-10 s at 400 nodes with dense loops; on sparse rows they take
-# 0.6-1.1 s on a 20x19 relief image (386 flooding nodes, depth 3),
-# closure and Jordan 0.25-0.5 s each, and Jordan with an identity B,
-# whose sink columns double the nodes it eliminates, 0.5-0.95 s.
+# 7-10 s at 400 nodes with dense loops; on level-ordered sparse rows
+# they take 0.24-0.27 s on a 20x19 relief image (386 flooding nodes,
+# depth 3), closure and Jordan 0.10-0.12 s each, and Jordan with an
+# identity B, whose sink columns double its rows, 0.25-0.30 s.
 MAX_DENSE_NODES = 400
+
+
+def _require_depth(k: int) -> None:
+    if k < 1:
+        raise ValueError("depth must be >= 1")
 
 
 def lex_weight(seq: Sequence[int], k: int) -> LexWeight:
     """Weight of a raw level sequence: ZERO if it ascends anywhere,
     otherwise its first k values."""
+    _require_depth(k)
     seq = tuple(seq)
     for a, b in zip(seq, seq[1:]):
         if b > a:
@@ -121,6 +127,7 @@ LexMatrix = list  # list[list[LexWeight]], rows of equal length
 
 def _incidence_rows(g: WeightedGraph, k: int) -> list[dict]:
     """Sparse rows of the symmetric one-edge weights."""
+    _require_depth(k)
     if g.num_nodes > MAX_DENSE_NODES:
         raise DimensionMismatch(
             f"dense algebra capped at {MAX_DENSE_NODES} nodes; "
@@ -129,7 +136,7 @@ def _incidence_rows(g: WeightedGraph, k: int) -> list[dict]:
     ew = g.require_edge_weights()
     rows: list[dict] = [{} for _ in range(g.num_nodes)]
     for eid, (u, v) in enumerate(g.edges):
-        rows[u][v] = rows[v][u] = lex_weight((ew[eid],), k)
+        rows[u][v] = rows[v][u] = (ew[eid],)
     return rows
 
 
@@ -146,6 +153,16 @@ def _rows(m: LexMatrix) -> list[dict]:
 def _require_square(a: LexMatrix) -> None:
     if any(len(row) != len(a) for row in a):
         raise DimensionMismatch("A must be square")
+
+
+def _require_entries(k: int, *matrices: LexMatrix) -> None:
+    """Refuse k < 1 and any entry but ZERO and non-increasing tuples of
+    at most k levels, the entries every kernel takes."""
+    _require_depth(k)
+    for x in (x for m in matrices for row in m for x in row if x is not None):
+        if type(x) is not tuple or len(x) > k or any(b > a for a, b in zip(x, x[1:])):
+            raise ValueError(
+                f"entry {x!r} is not ZERO or a non-increasing tuple of at most {k} levels")
 
 
 def _dense(rows: list[dict], cols: int) -> LexMatrix:
@@ -166,11 +183,21 @@ def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
     return out
 
 
-def _fronts(rows: list[dict], k: int) -> list[dict]:
+def _upward(rows: list[dict]) -> list[int]:
+    """Row ids in ascending order of each row's least entry, empty rows
+    last; a flooding graph's incidence row has its node's level as its
+    least entry, so this is the order of the levels, from the minima up."""
+    return sorted(range(len(rows)), key=lambda i: (not rows[i], min(rows[i].values(), default=())))
+
+
+def _fronts(rows: list[dict], k: int, pivots: list[int]) -> list[dict]:
     """Per-row ``{j: front}``: the walks i -> j of A as a Pareto front of
-    tracked elements, by Floyd-Warshall pivoting; the diagonal is UNIT.
-    ``closure`` reads it on A, Jordan on ``[A | B]`` with B's columns
-    as sink nodes.
+    tracked elements, by Floyd-Warshall pivoting on ``pivots`` in turn,
+    which must hold every node a walk can pass through, in any order;
+    the diagonal is UNIT.  ``closure`` reads it on A, Jordan on ``[A | B]``
+    with B's columns as sink nodes.  A lexicographic walk never climbs,
+    so pivoting from the lowest level up (``_upward``) keeps each
+    pivot's column short.
 
     Pivoting chains accumulated (truncated) paths, so one element per
     entry is not enough: one is dropped only for another with a window
@@ -181,7 +208,7 @@ def _fronts(rows: list[dict], k: int) -> list[dict]:
     """
     n = len(rows)
     c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(rows)]
-    for p in range(n):
+    for p in pivots:
         for i in range(n):
             front_ip = c[i].get(p)
             if front_ip is None:  # also for i == p: the diagonal is not kept
@@ -213,9 +240,9 @@ def _fronts(rows: list[dict], k: int) -> list[dict]:
     return c
 
 
-def _closure_rows(a: list[dict], k: int) -> list[dict]:
+def _closure_rows(a: list[dict], k: int, pivots: list[int]) -> list[dict]:
     """The least window of each front."""
-    return [{j: min(front)[0] for j, front in row.items()} for row in _fronts(a, k)]
+    return [{j: min(front)[0] for j, front in row.items()} for row in _fronts(a, k, pivots)]
 
 
 def closure(a: LexMatrix, k: int) -> LexMatrix:
@@ -227,7 +254,9 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
     flooding.  A must be square.
     """
     _require_square(a)
-    return _dense(_closure_rows(_rows(a), k), len(a))
+    _require_entries(k, a)
+    rows = _rows(a)
+    return _dense(_closure_rows(rows, k, _upward(rows)), len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -235,38 +264,47 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _solve_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
-    y: list[dict] = [{} for _ in b]
-    while True:
-        y2 = _mul_rows(a, y, k, b)
-        if y2 == y:
-            return y
-        y = y2
-
-
-def _solve_gauss_seidel(a: list[dict], b: list[dict], k: int) -> list[dict]:
-    # strictly-lower part uses the previous sweep, strictly-upper the
-    # current one: rows are updated bottom-up within a sweep.
+def _solve_gauss_seidel(a: list[dict], b: list[dict], k: int, at_once: bool = True) -> list[dict]:
+    # a sweep computes the rows from the lowest level up (_upward), each
+    # from the new values of the rows before it, but only the rows that
+    # read a row changed since their last computation; the diagonal is
+    # dropped, as a cycle never beats the path it interrupts
     rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(a)]
+    readers: list[list] = [[] for _ in a]
+    for i, row in enumerate(rows):
+        for j in row:
+            readers[j].append(i)
+    order = _upward(a)
     y: list[dict] = [{} for _ in b]
-    while True:
-        changed = False
-        for i in range(len(b) - 1, -1, -1):
-            row = _mul_rows([rows[i]], y, k, [b[i]])[0]
-            if row != y[i]:
-                y[i] = row
-                changed = True
-        if not changed:
-            return y
+    stale = [True] * len(b)
+    while any(stale):
+        src, marks = (y, stale) if at_once else (list(y), [False] * len(b))
+        for i in order:
+            if stale[i]:
+                stale[i] = False
+                row = _mul_rows([rows[i]], src, k, [b[i]])[0]
+                if row != y[i]:
+                    y[i] = row
+                    for r in readers[i]:
+                        marks[r] = True
+        stale = marks
+    return y
+
+
+def _solve_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    # every row of a sweep reads the previous sweep's rows
+    return _solve_gauss_seidel(a, b, k, at_once=False)
 
 
 def _solve_jordan(a: list[dict], b: list[dict], k: int) -> list[dict]:
     # pivot [A | B]: column c of B is a sink node n + c, entered by the
-    # edges of B and left by none, so the fronts into it are A* (x) B
+    # edges of B and left by none, so the fronts into it are A* (x) B; A's
+    # rows alone order the pivots (B's UNITs would tie them), no sink is one
     n = len(a)
     rows = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
     rows += [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
-    return [{j - n: w for j, w in row.items() if j >= n} for row in _closure_rows(rows, k)[:n]]
+    return [{j - n: w for j, w in row.items() if j >= n}
+            for row in _closure_rows(rows, k, _upward(a))[:n]]
 
 
 def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
@@ -323,6 +361,7 @@ def linear_solve(a: LexMatrix, b: LexMatrix, k: int, method: str = "jacobi") -> 
         raise DimensionMismatch("B must have at least one column")
     if any(len(row) != len(b[0]) for row in b):
         raise DimensionMismatch("B rows differ in length")
+    _require_entries(k, a, b)
     return _dense(_solver(method)(_rows(a), _rows(b), k), len(b[0]))
 
 
@@ -363,8 +402,7 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
     minima themselves sit at UNIT.  Ties between minima resolve to the
     smallest label.
     """
-    if k < 1:
-        raise ValueError("depth must be >= 1")
+    _require_depth(k)
     labeling = minima_of_flooding(g)
     a = _incidence_rows(g, k)
     b: list[dict] = [{} for _ in a]
@@ -372,7 +410,7 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
         for m in nodes:
             b[m][c] = UNIT
     if method == "closure":
-        y = _mul_rows(_closure_rows(a, k), b, k)
+        y = _mul_rows(_closure_rows(a, k, _upward(a)), b, k)
     else:
         y = _solver(method)(a, b, k)
     best = [min(((x, c + 1) for c, x in row.items()), default=(ZERO, UNSET)) for row in y]

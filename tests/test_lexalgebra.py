@@ -15,7 +15,7 @@ from morphograph import (
     lex_weight,
     linear_solve,
 )
-from morphograph.lexalgebra import _fronts, flooding_distance_matrix, lift
+from morphograph.lexalgebra import UNIT_T, _mul_rows, flooding_distance_matrix, lift
 from conftest import brute_flooding_distance, enumerate_walks, random_edge_weighted
 
 
@@ -116,10 +116,77 @@ def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
     return out
 
 
+# -- the kernels before level-ordered pivots and change-driven sweeps ---------
+# Kept with their bodies unchanged as the oracles of lexalgebra's
+# ``_fronts``, ``_solve_jacobi`` and ``_solve_gauss_seidel``.
+
+
+def _pixel_order_fronts(rows: list[dict], k: int) -> list[dict]:
+    """Per-row ``{j: front}`` by Floyd-Warshall pivoting in row order."""
+    n = len(rows)
+    c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(rows)]
+    for p in range(n):
+        for i in range(n):
+            front_ip = c[i].get(p)
+            if front_ip is None:  # also for i == p: the diagonal is not kept
+                continue
+            row_i = c[i]
+            for j, front_pj in c[p].items():
+                if j == i:
+                    continue
+                front = row_i.get(j, ())
+                for wa, ta in front_ip:
+                    for wb, tb in front_pj:
+                        # windows chain, cut to k, unless the left tail is under the right head
+                        if not wa:
+                            w, t = wb[:k], tb
+                        elif not wb:
+                            w, t = wa[:k], ta
+                        elif ta < wb[0]:
+                            continue
+                        else:
+                            w, t = (wa + wb)[:k], tb
+                        for e in front:
+                            if e[0] <= w and e[1] >= t:
+                                break  # dominated
+                        else:
+                            front = row_i[j] = (
+                                *(e for e in front if e[0] < w or e[1] > t), (w, t))
+    for i in range(n):
+        c[i][i] = (UNIT_T,)
+    return c
+
+
+def _full_sweep_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    y: list[dict] = [{} for _ in b]
+    while True:
+        y2 = _mul_rows(a, y, k, b)
+        if y2 == y:
+            return y
+        y = y2
+
+
+def _bottom_up_gauss_seidel(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    # strictly-lower part uses the previous sweep, strictly-upper the
+    # current one: rows are updated bottom-up within a sweep.
+    rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(a)]
+    y: list[dict] = [{} for _ in b]
+    while True:
+        changed = False
+        for i in range(len(b) - 1, -1, -1):
+            row = _mul_rows([rows[i]], y, k, [b[i]])[0]
+            if row != y[i]:
+                y[i] = row
+                changed = True
+        if not changed:
+            return y
+
+
 def _solve_jordan_by_product(a: list[dict], b: list[dict], k: int) -> list[dict]:
     """Jordan as the tracked product of A's fronts by B: the oracle of
     the elimination on [A | B]."""
-    pairs = [((j, x) for j, front in row.items() for x in front) for row in _fronts(a, k)]
+    pairs = [((j, x) for j, front in row.items() for x in front)
+             for row in _pixel_order_fronts(a, k)]
     bt = [_by_head({j: lift(x) for j, x in row.items()}) for row in b]
     return [{j: w for j, (w, _) in row.items()} for row in _mul_tracked_rows(pairs, bt, k)]
 
@@ -423,6 +490,51 @@ def test_solve_shape_checks():
             closure(a, 1)
 
 
+METHODS = ("jacobi", "gauss_seidel", "jordan", "gondran")
+
+
+def test_depths_below_one_are_refused():
+    # closure(a, 0) gave one-level windows such as (1,), incidence_matrix
+    # at k = 0 put UNIT on every edge slot, lex_weight((3, 2), -1) gave (3,)
+    a = [[ZERO, (3,)], [(1,), ZERO]]
+    b = [[UNIT], [ZERO]]
+    g = WeightedGraph(2, ((0, 1),), None, (5,))
+    for k in (0, -1):
+        refused = [lambda: closure(a, k), lambda: incidence_matrix(g, k),
+                   lambda: incidence_matrix(WeightedGraph(3, (), None, ()), k),
+                   lambda: lex_weight((3, 2), k)]
+        refused += [lambda m=m: linear_solve(a, b, k, m) for m in METHODS]
+        for call in refused:
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                call()
+
+
+def test_entries_deeper_than_k_are_refused():
+    # at k = 1 closure returned (3, 2, 1) untruncated, while all four
+    # linear_solve methods returned (3,)
+    a = [[ZERO, (3, 2, 1)], [ZERO, ZERO]]
+    with pytest.raises(ValueError, match="at most 1 levels"):
+        closure(a, 1)
+    for m in METHODS:
+        with pytest.raises(ValueError, match="at most 1 levels"):
+            linear_solve(a, [[UNIT], [UNIT]], 1, m)
+        with pytest.raises(ValueError, match="at most 1 levels"):
+            linear_solve(zero_matrix(2), [[(3, 2)], [UNIT]], 1, m)
+    assert closure(a, 3)[0][1] == (3, 2, 1)  # within the depth it is kept
+
+
+def test_ascending_and_non_tuple_entries_are_refused():
+    for bad in ((1, 3), (2, 2, 5), [2], 2):
+        a = [[ZERO, bad], [ZERO, ZERO]]
+        with pytest.raises(ValueError, match="non-increasing tuple"):
+            closure(a, 3)
+        for m in METHODS:
+            with pytest.raises(ValueError, match="non-increasing tuple"):
+                linear_solve(a, [[UNIT], [UNIT]], 3, m)
+            with pytest.raises(ValueError, match="non-increasing tuple"):
+                linear_solve(zero_matrix(2), [[ZERO], [bad]], 3, m)
+
+
 # -- depth-1 flooding instantiation ------------------------------------------
 
 
@@ -510,12 +622,11 @@ def test_jordan_columns_match_gondran_on_pixel_floodings(rng):
         assert linear_solve(a, b, k, "jordan") == linear_solve(a, b, k, "gondran")
 
 
-def test_jordan_on_the_augmented_system_matches_the_product_oracle(rng):
-    # Jordan pivots [A | B]; the oracle multiplies A's fronts by B with the
-    # tracked product, and Gondran and Jacobi solve the system their own
-    # way.  Entries hold at most k levels, the solvers' contract; all-ZERO
-    # rows and columns of A and B are drawn on purpose
-    from morphograph.lexalgebra import _rows
+def _random_systems(rng):
+    """1,500 random systems ``(A, B, k)`` and 6 per-minimum systems of
+    quantized pixel floodings with an all-ZERO column added to B.
+    Entries hold at most k levels, the solvers' contract; all-ZERO rows
+    and columns of A and B are drawn on purpose."""
 
     def entry(k):
         if rng.random() < 0.5:
@@ -537,12 +648,66 @@ def test_jordan_on_the_augmented_system_matches_the_product_oracle(rng):
         k = rng.randint(1, 3)
         a, b = _per_minimum_system(_quantized_pixel_flooding(rng), k)
         cases.append((a, [row + [ZERO] for row in b], k))
-    for a, b, k in cases:
+    return cases
+
+
+def test_jordan_on_the_augmented_system_matches_the_product_oracle(rng):
+    # Jordan pivots [A | B]; the oracle multiplies A's fronts by B with the
+    # tracked product, and Gondran and Jacobi solve the system their own way
+    from morphograph.lexalgebra import _rows
+
+    for a, b, k in _random_systems(rng):
         cols = len(b[0])
         oracle = _solve_jordan_by_product(_rows(a), _rows(b), k)
         want = [[row.get(j) for j in range(cols)] for row in oracle]
         for method in ("jordan", "gondran", "jacobi"):
             assert linear_solve(a, b, k, method) == want
+
+
+def _dense_bench_tiles():
+    """The 16 seed-1 inputs of the benchmark's ``dense`` workload: 12x12
+    Voronoi reliefs of 2x2 cells, 4-connected, flooded."""
+    import importlib.util
+    import os
+    import random
+
+    from morphograph.flooding import as_flooding
+    from morphograph.formats import pixel_graph
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "terrains.py")
+    spec = importlib.util.spec_from_file_location("bench_terrains", path)
+    terrains = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(terrains)
+    rng = random.Random("dense:1")
+    return [as_flooding(pixel_graph(12, 12, terrains.voronoi_relief(rng, 12, 2, 8), 4))
+            for _ in range(16)]
+
+
+def test_level_order_and_changed_rows_give_the_row_order_results(rng):
+    # _fronts pivots from the lowest level up, Jacobi and Gauss-Seidel
+    # recompute only the rows whose inputs changed; against the row-order
+    # kernels above, every front keeps its least window (on A and on
+    # [A | B]) and both iterative solvers their solutions
+    from morphograph.lexalgebra import (
+        _fronts, _rows, _solve_gauss_seidel, _solve_jacobi, _upward)
+
+    def windows(fronts):
+        return [{j: min(front)[0] for j, front in row.items()} for row in fronts]
+
+    cases = _random_systems(rng)
+    cases += [(*_per_minimum_system(_quantized_pixel_flooding(rng), k), k) for k in (1, 2, 3)]
+    tiles = _dense_bench_tiles()
+    assert sum(fg.num_nodes for fg in tiles) > 16 * 144  # one-pixel minima are twinned
+    cases += [(*_per_minimum_system(fg, 3), 3) for fg in tiles]
+    for a, b, k in cases:
+        a, b = _rows(a), _rows(b)
+        n = len(a)
+        aug = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
+        aug += [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
+        assert windows(_fronts(a, k, _upward(a))) == windows(_pixel_order_fronts(a, k))
+        assert windows(_fronts(aug, k, _upward(a))) == windows(_pixel_order_fronts(aug, k))
+        assert _solve_jacobi(a, b, k) == _full_sweep_jacobi(a, b, k)
+        assert _solve_gauss_seidel(a, b, k) == _bottom_up_gauss_seidel(a, b, k)
 
 
 def test_jordan_labels_match_closure_on_pinned_image():
