@@ -264,11 +264,7 @@ def to_dot(g: WeightedGraph, labeling: Optional[Labeling] = None) -> str:
 
 def labels_to_pgm(width: int, height: int, labeling: Labeling) -> tuple[bytes, dict]:
     """Label map, gray ``1 + (label - 1) mod 254`` (0 for zones/unset), plus a legend."""
-    pixels = []
-    legend: dict[str, int] = {}
-    for i in range(width * height):
-        lab = labeling.values[i]
-        gray = 0 if lab in (ZONE, UNSET) else 1 + (lab - 1) % 254
-        pixels.append(gray)
-        legend["Z" if lab == ZONE else str(lab)] = gray
-    return write_pgm(width, height, pixels), {"gray": legend}
+    values = labeling.values[: width * height]
+    gray = {lab: 0 if lab in (ZONE, UNSET) else 1 + (lab - 1) % 254 for lab in set(values)}
+    legend = {"Z" if lab == ZONE else str(lab): g for lab, g in gray.items()}
+    return write_pgm(width, height, [gray[lab] for lab in values]), {"gray": legend}

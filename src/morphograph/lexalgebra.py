@@ -15,8 +15,9 @@ weights through powers of the incidence matrix; the classical linear
 solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination)
 all compute the smallest solution of ``Y = A (x) Y (+) B``, which is
 ``closure(A) (x) B``.  One tracked elimination kernel, ``_fronts``,
-serves both exact paths: ``closure`` pivots A, and Jordan pivots the
-augmented system ``[A | B]``, each column of B a sink node.  Dense
+serves both exact paths: ``closure`` pivots A and keeps every column
+of A*, and Jordan pivots the augmented system ``[A | B]``, each column
+of B a sink node, updating only the columns not yet pivoted and B's.  Dense
 matrices here are the oracle path, kept to modest sizes; they are lists
 of lists at the public edges (``closure``, ``linear_solve``,
 ``incidence_matrix``; all three refuse k < 1, the first two a non-square
@@ -41,9 +42,9 @@ UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
 # 7-10 s at 400 nodes with dense loops; on level-ordered sparse rows
-# they take 0.24-0.27 s on a 20x19 relief image (386 flooding nodes,
-# depth 3), closure and Jordan 0.10-0.12 s each, and Jordan with an
-# identity B, whose sink columns double its rows, 0.25-0.30 s.
+# they take 0.15-0.22 s on a 20x19 relief image (386 flooding nodes,
+# depth 3), closure 0.10-0.15 s, Jordan 0.013-0.021 s, and Jordan with
+# an identity B, which then builds all of A*, 0.13-0.25 s.
 MAX_DENSE_NODES = 400
 
 
@@ -190,14 +191,18 @@ def _upward(rows: list[dict]) -> list[int]:
     return sorted(range(len(rows)), key=lambda i: (not rows[i], min(rows[i].values(), default=())))
 
 
-def _fronts(rows: list[dict], k: int, pivots: list[int]) -> list[dict]:
+def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> list[dict]:
     """Per-row ``{j: front}``: the walks i -> j of A as a Pareto front of
     tracked elements, by Floyd-Warshall pivoting on ``pivots`` in turn,
     which must hold every node a walk can pass through, in any order;
     the diagonal is UNIT.  ``closure`` reads it on A, Jordan on ``[A | B]``
     with B's columns as sink nodes.  A lexicographic walk never climbs,
     so pivoting from the lowest level up (``_upward``) keeps each
-    pivot's column short.
+    pivot's column short, and a column index ``col`` visits only the
+    rows holding an entry in it.  Unless ``keep``, each entry (i, p) is
+    dropped once pivot p has read it, Gauss-Jordan style: column p is
+    never read again, so the rows hold only the columns still to pivot
+    and the never-pivoted sinks, whose fronts are unchanged.
 
     Pivoting chains accumulated (truncated) paths, so one element per
     entry is not enough: one is dropped only for another with a window
@@ -206,14 +211,15 @@ def _fronts(rows: list[dict], k: int, pivots: list[int]) -> list[dict]:
     for (190,) tail 100 and lose p->j at 170.  Cycles never beat the path
     they interrupt, so pivoting skips the diagonal.
     """
-    n = len(rows)
     c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(rows)]
+    col: list[list] = [[] for _ in c]  # col[j]: the rows holding an entry at j
+    for i, row in enumerate(c):
+        for j in row:
+            col[j].append(i)
     for p in pivots:
-        for i in range(n):
-            front_ip = c[i].get(p)
-            if front_ip is None:  # also for i == p: the diagonal is not kept
-                continue
+        for i in col[p]:  # never p itself: the diagonal is not kept
             row_i = c[i]
+            front_ip = row_i[p] if keep else row_i.pop(p)
             for j, front_pj in c[p].items():
                 if j == i:
                     continue
@@ -233,10 +239,12 @@ def _fronts(rows: list[dict], k: int, pivots: list[int]) -> list[dict]:
                             if e[0] <= w and e[1] >= t:
                                 break  # dominated
                         else:
+                            if not front:
+                                col[j].append(i)
                             front = row_i[j] = (
                                 *(e for e in front if e[0] < w or e[1] > t), (w, t))
-    for i in range(n):
-        c[i][i] = (UNIT_T,)
+    for i, row in enumerate(c):
+        row[i] = (UNIT_T,)
     return c
 
 
@@ -299,12 +307,13 @@ def _solve_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
 def _solve_jordan(a: list[dict], b: list[dict], k: int) -> list[dict]:
     # pivot [A | B]: column c of B is a sink node n + c, entered by the
     # edges of B and left by none, so the fronts into it are A* (x) B; A's
-    # rows alone order the pivots (B's UNITs would tie them), no sink is one
+    # rows alone order the pivots (B's UNITs would tie them), no sink is one;
+    # only the sinks are read, so each pivoted column is dropped (keep=False)
     n = len(a)
     rows = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
     rows += [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
-    return [{j - n: w for j, w in row.items() if j >= n}
-            for row in _closure_rows(rows, k, _upward(a))[:n]]
+    return [{j - n: min(front)[0] for j, front in row.items() if j >= n}
+            for row in _fronts(rows, k, _upward(a), keep=False)[:n]]
 
 
 def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:

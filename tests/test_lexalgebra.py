@@ -683,31 +683,57 @@ def _dense_bench_tiles():
             for _ in range(16)]
 
 
-def test_level_order_and_changed_rows_give_the_row_order_results(rng):
-    # _fronts pivots from the lowest level up, Jacobi and Gauss-Seidel
-    # recompute only the rows whose inputs changed; against the row-order
-    # kernels above, every front keeps its least window (on A and on
-    # [A | B]) and both iterative solvers their solutions
-    from morphograph.lexalgebra import (
-        _fronts, _rows, _solve_gauss_seidel, _solve_jacobi, _upward)
-
-    def windows(fronts):
-        return [{j: min(front)[0] for j, front in row.items()} for row in fronts]
+def _elimination_cases(rng):
+    """The ``_random_systems`` corpus, per-minimum systems of quantized
+    pixel floodings at k = 1, 2 and 3, and those of the 16 dense tiles
+    at k = 3, as sparse rows ``(A, B, k)``."""
+    from morphograph.lexalgebra import _rows
 
     cases = _random_systems(rng)
     cases += [(*_per_minimum_system(_quantized_pixel_flooding(rng), k), k) for k in (1, 2, 3)]
     tiles = _dense_bench_tiles()
     assert sum(fg.num_nodes for fg in tiles) > 16 * 144  # one-pixel minima are twinned
     cases += [(*_per_minimum_system(fg, 3), 3) for fg in tiles]
-    for a, b, k in cases:
-        a, b = _rows(a), _rows(b)
-        n = len(a)
-        aug = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
-        aug += [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
+    return [(_rows(a), _rows(b), k) for a, b, k in cases]
+
+
+def _augmented(a: list[dict], b: list[dict]) -> list[dict]:
+    """The rows of ``[A | B]``, column c of B as sink node n + c, with
+    the sinks' empty rows."""
+    n = len(a)
+    aug = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
+    return aug + [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
+
+
+def test_level_order_and_changed_rows_give_the_row_order_results(rng):
+    # _fronts pivots from the lowest level up, Jacobi and Gauss-Seidel
+    # recompute only the rows whose inputs changed; against the row-order
+    # kernels above, every front keeps its least window (on A and on
+    # [A | B]) and both iterative solvers their solutions
+    from morphograph.lexalgebra import _fronts, _solve_gauss_seidel, _solve_jacobi, _upward
+
+    def windows(fronts):
+        return [{j: min(front)[0] for j, front in row.items()} for row in fronts]
+
+    for a, b, k in _elimination_cases(rng):
+        aug = _augmented(a, b)
         assert windows(_fronts(a, k, _upward(a))) == windows(_pixel_order_fronts(a, k))
         assert windows(_fronts(aug, k, _upward(a))) == windows(_pixel_order_fronts(aug, k))
         assert _solve_jacobi(a, b, k) == _full_sweep_jacobi(a, b, k)
         assert _solve_gauss_seidel(a, b, k) == _bottom_up_gauss_seidel(a, b, k)
+
+
+def test_jordan_without_pivoted_columns_keeps_the_sink_fronts(rng):
+    # Jordan drops each pivoted column once the rows holding it have read
+    # it; its sink columns must still hold the least windows of the
+    # row-order elimination on [A | B], which keeps every column
+    from morphograph.lexalgebra import _solve_jordan
+
+    for a, b, k in _elimination_cases(rng):
+        n = len(a)
+        want = [{j - n: min(front)[0] for j, front in row.items() if j >= n}
+                for row in _pixel_order_fronts(_augmented(a, b), k)[:n]]
+        assert _solve_jordan(a, b, k) == want
 
 
 def test_jordan_labels_match_closure_on_pinned_image():
