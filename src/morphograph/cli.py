@@ -14,14 +14,16 @@ diagnostics go to stderr as one JSON object per line.
 
 ``build_parser`` is the only definition of the options: each flag
 declares its default and allowed values once, and each subcommand's
-handler is registered on its parser as ``run``.  Handlers reach the
-library through its modules at call time, so a patched module function
-is the one that runs.
+handler is registered on its parser as ``run``.  The parser is built
+once per process and each call parses into a fresh namespace; handlers
+reach the library through its modules at call time, so a patched module
+function is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -175,6 +177,7 @@ def _dist(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="morphograph",
@@ -216,7 +219,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     A run makes no reference cycles worth collecting (its graphs,
     labelings and rows are acyclic, so reference counting frees them),
     yet the collector's passes rescan the whole growing heap.  The
-    parser's few cycles wait for the first pass after the call, and the
     caller's collector state comes back on every exit.
     """
     enabled = gc.isenabled()

@@ -42,9 +42,9 @@ UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
 # 7-10 s at 400 nodes with dense loops; on level-ordered sparse rows
-# they take 0.15-0.22 s on a 20x19 relief image (386 flooding nodes,
-# depth 3), closure 0.10-0.15 s, Jordan 0.013-0.021 s, and Jordan with
-# an identity B, which then builds all of A*, 0.13-0.25 s.
+# they take 0.11-0.18 s on a 20x19 relief image (386 flooding nodes,
+# depth 3), closure 0.073-0.115 s, Jordan 0.009-0.017 s, and Jordan
+# with an identity B, which then builds all of A*, 0.10-0.20 s.
 MAX_DENSE_NODES = 400
 
 
@@ -407,20 +407,25 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
     """Per-node minimal depth-k weight to the regional minima, with labels.
 
     Matrix-algebra counterpart of the graph-native algorithms: solve one
-    column per minimum and reduce.  Returns (distances, labeling) where
-    minima themselves sit at UNIT.  Ties between minima resolve to the
-    smallest label.
+    column per minimum and reduce.  B is UNIT only on the minima's rows,
+    so ``closure`` builds all of A* and then reads only the minima's
+    columns of it.  Returns (distances, labeling) where minima themselves
+    sit at UNIT.  Ties between minima resolve to the smallest label.
     """
     _require_depth(k)
     labeling = minima_of_flooding(g)
     a = _incidence_rows(g, k)
-    b: list[dict] = [{} for _ in a]
-    for c, nodes in enumerate(minima_sets(labeling)):
-        for m in nodes:
-            b[m][c] = UNIT
+    minima = [(m, c) for c, nodes in enumerate(minima_sets(labeling)) for m in nodes]
     if method == "closure":
-        y = _mul_rows(_closure_rows(a, k, _upward(a)), b, k)
+        y: list[dict] = [{} for _ in a]
+        for row, y_row in zip(_fronts(a, k, _upward(a)), y):
+            for m, c in minima:
+                if m in row:
+                    y_row[c] = lex_min(y_row.get(c), min(row[m])[0])
     else:
+        b: list[dict] = [{} for _ in a]
+        for m, c in minima:
+            b[m][c] = UNIT
         y = _solver(method)(a, b, k)
     best = [min(((x, c + 1) for c, x in row.items()), default=(ZERO, UNSET)) for row in y]
     return [x for x, _ in best], Labeling(tuple(lab for _, lab in best), "nodes")

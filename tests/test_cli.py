@@ -605,3 +605,71 @@ def test_a_huge_depth_on_a_ramp_gives_the_fixed_point(argv, tmp_path, capsys):
     code, want, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--depth", str(k))
     assert code == 0 and want
     assert run_cli(capsys, argv[0], str(path), *argv[1:], "--depth", str(10**6)) == (0, want, "")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process():
+    from morphograph.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+@pytest.fixture
+def tied_image(tmp_path):
+    # a 6x6 image of three gray levels, whose basins a seeded tie splits
+    # otherwise than min-label
+    import random
+
+    rng = random.Random(0)
+    path = tmp_path / "tied.pgm"
+    path.write_bytes(write_pgm(6, 6, [rng.randrange(3) for _ in range(36)], 9))
+    return str(path)
+
+
+@pytest.mark.parametrize("sequence", ["tie", "format", "refused"])
+def test_calls_in_a_row_print_what_each_prints_alone(sequence, tied_image, capsys):
+    # the calls share one parser: a default, a choice or a half-parsed
+    # refusal left on it by one call would show in the next call's bytes
+    from morphograph.cli import build_parser
+
+    calls = {
+        "tie": [("watershed", tied_image, "--tie", "seed:7"), ("watershed", tied_image)],
+        "format": [("watershed", tied_image, "--format", "dot"), ("watershed", tied_image)],
+        "refused": [("waterfall", tied_image, "--depth", "3"),
+                    ("watershed", tied_image, "--depth", "0", "--tie", "seed:7"),
+                    ("watershed", tied_image)],
+    }[sequence]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert len({out for _, out, _ in alone}) == len(calls)  # each call prints its own bytes
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert [run_cli(capsys, *argv) for argv in calls] == alone
+    assert build_parser() is parser
+    if sequence == "refused":
+        assert alone[1][0] == 2 and json.loads(alone[1][2])["error"] == "MalformedInput"
+
+
+def test_a_library_function_patched_after_the_parser_is_built_runs(
+        tied_image, monkeypatch, capsys):
+    from morphograph import lexalgebra
+    from morphograph.cli import build_parser
+
+    build_parser()
+    code, want, _ = run_cli(capsys, "dist", tied_image, "--method", "gondran")
+    calls = []
+    solve = lexalgebra.distances_to_minima
+
+    def counted(*args):
+        calls.append(args[1:])
+        return solve(*args)
+
+    monkeypatch.setattr(lexalgebra, "distances_to_minima", counted)
+    assert run_cli(capsys, "dist", tied_image, "--method", "gondran") == (code, want, "")
+    assert code == 0 and calls == [(2, "gondran")]

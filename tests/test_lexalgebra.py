@@ -802,3 +802,33 @@ def test_closure_is_exact_into_the_minima_of_floodings(rng):
         exact = linear_solve(a, identity_matrix(n), k, "jordan")
         span = [j for j in range(n) if any(x is not None for x in b[j])]
         assert all(st_[i][j] == exact[i][j] for i in range(n) for j in span)
+
+
+def _distances_by_closure_product(g, k):
+    """``distances_to_minima(g, k, "closure")`` as it was before it read
+    only the minima's columns: all of A* reduced to least windows, times
+    B, reduced per row to the least entry and its label."""
+    from morphograph.flooding import minima_of_flooding, minima_sets
+    from morphograph.graphs import Labeling, UNSET
+    from morphograph.lexalgebra import _closure_rows, _incidence_rows, _upward
+
+    a = _incidence_rows(g, k)
+    b = [{} for _ in a]
+    for c, nodes in enumerate(minima_sets(minima_of_flooding(g))):
+        for m in nodes:
+            b[m][c] = UNIT
+    y = _mul_rows(_closure_rows(a, k, _upward(a)), b, k)
+    best = [min(((x, c + 1) for c, x in row.items()), default=(ZERO, UNSET)) for row in y]
+    return [x for x, _ in best], Labeling(tuple(lab for _, lab in best), "nodes")
+
+
+def test_closure_distances_read_only_the_minima_columns(rng):
+    # closure's distances read the least window of A*'s fronts into the
+    # minima only; distances and labels must equal all of A* times B
+    from conftest import random_flooding
+    from morphograph.lexalgebra import distances_to_minima
+
+    for trial in range(32):
+        fg = _quantized_pixel_flooding(rng) if trial % 4 == 0 else random_flooding(rng, 14)
+        for k in (1, 2, 3, 4):
+            assert distances_to_minima(fg, k, "closure") == _distances_by_closure_product(fg, k)
