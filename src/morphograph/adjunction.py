@@ -14,7 +14,7 @@ adjunction law stays valid on disconnected graphs.
 
 Each operator is one loop over the edge list: node-to-edge operators
 read both ends of an edge, edge-to-node ones scatter its weight onto
-both ends from BOTTOM or TOP, so none needs the adjacency rows.
+both ends from BOTTOM or TOP, so none needs per-node rows.
 """
 
 from __future__ import annotations

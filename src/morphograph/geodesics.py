@@ -214,6 +214,11 @@ def toll_distances(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # neighbors in ascending node id, so that zero-cost ties settle in one
+    # order whatever the order of the edge list
+    nbrs: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for u, v in sorted(g.edges + tuple([(v, u) for u, v in g.edges])):
+        nbrs[u].append(v)
     dist: list[Optional[int]] = [None] * g.num_nodes
     labels = [UNSET] * g.num_nodes
     settled = [False] * g.num_nodes
@@ -232,7 +237,7 @@ def toll_distances(
         if settled[i] or d != dist[i]:
             continue
         settled[i] = True
-        for j, _ in g.neighbors(i):
+        for j in nbrs[i]:
             if settled[j]:
                 continue
             nd = d + cost[j]

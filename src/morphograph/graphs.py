@@ -10,14 +10,13 @@ Dummy nodes introduced by :func:`expand_isolated_minima` are flagged in
 ``dummies`` so exporters can hide them; they behave like ordinary nodes
 everywhere else.
 
-Passes over the whole graph (flat zones, lowest-edge filters) loop over
-``edges``; only traversals from node to node read the adjacency rows.
+A graph is its edge list: the operators here run as passes over
+``edges``, and no per-node rows are kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import lt
 from typing import Iterable, Optional, Sequence
 
@@ -57,8 +56,7 @@ class Labeling:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Nodes ``0..num_nodes-1``, sorted edge pairs and optional weights; the
-    adjacency rows and edge index are built from ``edges`` on first use."""
+    """Nodes ``0..num_nodes-1``, sorted edge pairs and optional weights."""
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...] = ()
@@ -114,25 +112,6 @@ class WeightedGraph:
 
     # -- basic accessors ---------------------------------------------------
 
-    @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node, sorted tuple of (neighbor, edge_id)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    def edge_id(self, u: int, v: int) -> int:
-        return self._edge_index[(u, v) if u < v else (v, u)]
-
-    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        return self.adjacency[i]
-
     @property
     def has_node_weights(self) -> bool:
         return self.node_weights is not None
@@ -154,8 +133,8 @@ class WeightedGraph:
     # -- derived graphs ----------------------------------------------------
 
     def with_weights(self, node_weights=None, edge_weights=None) -> "WeightedGraph":
-        """Copy with one or both weight fields replaced; it builds its own
-        lookups and keeps the node zone walk if the node weights stay."""
+        """Copy with one or both weight fields replaced; it keeps the node
+        zone walk if the node weights stay."""
         g = WeightedGraph._derive(
             self.num_nodes,
             self.edges,

@@ -12,18 +12,18 @@ truncates to depth k.
 
 Square matrices over this structure give shortest lexicographic path
 weights through powers of the incidence matrix; the classical linear
-solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination)
-all compute the smallest solution of ``Y = A (x) Y (+) B``, which is
-``closure(A) (x) B``.  One tracked elimination kernel, ``_fronts``,
-serves both exact paths: ``closure`` pivots A and keeps every column
-of A*, and Jordan pivots the augmented system ``[A | B]``, each column
-of B a sink node, updating only the columns not yet pivoted and B's.  Dense
-matrices here are the oracle path, kept to modest sizes; they are lists
-of lists at the public edges (``closure``, ``linear_solve``,
-``incidence_matrix``; all three refuse k < 1, the first two a non-square
-A, a ragged B or an entry out of contract), and everything inside runs
-on sparse rows ``{col: entry}`` of the non-ZERO entries.  The
-graph-native algorithms live in ``geodesics``.
+solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination) all
+compute the smallest solution of ``Y = A (x) Y (+) B``, which is
+``closure(A) (x) B``.  The elimination kernel ``_fronts``, the one place
+that tracks truncated tails, serves both exact paths: ``closure`` pivots
+A and keeps every column of A*, and Jordan pivots ``[A | B]``, each
+column of B a sink node, updating only the columns not yet pivoted and
+B's.  Dense matrices here are the oracle path, kept to modest sizes;
+they are lists of lists at the public edges (``closure``,
+``linear_solve``, ``incidence_matrix``; all three refuse k < 1, the
+first two a non-square A, a ragged B or an entry out of contract), and
+everything inside runs on sparse rows ``{col: entry}`` of the non-ZERO
+entries.  The graph-native algorithms live in ``geodesics``.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def lex_chain(a: LexWeight, b: LexWeight, k: int) -> LexWeight:
     Exact as long as ``a`` is not itself a truncation that hid its true
     last element (prepending single edges, as all the iterative solvers
     and graph algorithms do, is always exact).  Chains of truncated
-    prefixes must use the tail-tracked ops below instead.
+    prefixes must track the tail instead, as ``_fronts`` does.
     """
     if a is None or b is None:
         return ZERO
@@ -372,35 +372,6 @@ def linear_solve(a: LexMatrix, b: LexMatrix, k: int, method: str = "jacobi") -> 
         raise DimensionMismatch("B rows differ in length")
     _require_entries(k, a, b)
     return _dense(_solver(method)(_rows(a), _rows(b), k), len(b[0]))
-
-
-def flooding_distance_matrix(g: WeightedGraph) -> list[list[Optional[int]]]:
-    """Pairwise ultrametric flooding distance: min over paths of max edge.
-
-    The depth-1 instantiation of the path algebra where chains need not
-    descend (the lexicographic product only follows descents, so it
-    covers node-to-minima geodesics; between arbitrary nodes the flood
-    must be allowed to climb over passes).  None means unreachable,
-    the diagonal is 0.
-    """
-    d = [[None if x is None else x[0] for x in row] for row in incidence_matrix(g, 1)]
-    n = len(d)
-    for i in range(n):
-        d[i][i] = 0
-    for t in range(n):
-        dt = d[t]
-        for i in range(n):
-            dit = d[i][t]
-            if dit is None:
-                continue
-            row = d[i]
-            for j in range(n):
-                if dt[j] is None:
-                    continue
-                via = dit if dit > dt[j] else dt[j]
-                if row[j] is None or via < row[j]:
-                    row[j] = via
-    return d
 
 
 def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):

@@ -9,6 +9,7 @@ from morphograph import WeightedGraph, flooding_from_edges, flooding_from_nodes
 from morphograph.flooding import minima_of_flooding, minima_sets
 from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import UNSET, Labeling, _node_walk, connected_components
+from morphograph.lexalgebra import incidence_matrix
 from morphograph.watershed import SpanningForest
 
 
@@ -119,6 +120,16 @@ def random_flooding(rng, max_nodes=10, w_max=6, connected=False):
 # -- oracles -----------------------------------------------------------------
 
 
+def rows(g):
+    """Per node, the sorted tuple of (neighbor, edge id), built from the
+    edge list on each call."""
+    adj = [[] for _ in range(g.num_nodes)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -185,7 +196,7 @@ def adjacency_assign_pairs(g, rng=None):
     for i, z in enumerate(zone_of):
         if z in plateaus:
             plateaus[z].append(i)
-    adj = g.adjacency
+    adj = rows(g)
     pairs = {}
     for z, zone in plateaus.items():
         level, frontier = nw[zone[0]], []
@@ -216,7 +227,7 @@ def adjacency_drainage_forest(g, rng=None):
     waterfall level takes."""
     labels = list(minima_of_flooding(g).values)
     edges = set(adjacency_assign_pairs(g, rng).values())
-    adj, seen = g.adjacency, [False] * g.num_nodes
+    adj, seen = rows(g), [False] * g.num_nodes
     for start, lab in enumerate(labels):
         if lab == UNSET or seen[start]:
             continue
@@ -235,11 +246,40 @@ def adjacency_drainage_forest(g, rng=None):
     return SpanningForest(frozenset(edges), Labeling(tuple(labels), "nodes"))
 
 
+def flooding_distance_matrix(g):
+    """Pairwise ultrametric flooding distance: min over paths of max edge.
+
+    The depth-1 instantiation of the path algebra where chains need not
+    descend (the lexicographic product only follows descents, so it
+    covers node-to-minima geodesics; between arbitrary nodes the flood
+    must be allowed to climb over passes).  None means unreachable,
+    the diagonal is 0.
+    """
+    d = [[None if x is None else x[0] for x in row] for row in incidence_matrix(g, 1)]
+    n = len(d)
+    for i in range(n):
+        d[i][i] = 0
+    for t in range(n):
+        dt = d[t]
+        for i in range(n):
+            dit = d[i][t]
+            if dit is None:
+                continue
+            row = d[i]
+            for j in range(n):
+                if dt[j] is None:
+                    continue
+                via = dit if dit > dt[j] else dt[j]
+                if row[j] is None or via < row[j]:
+                    row[j] = via
+    return d
+
+
 def brute_flooding_distance(g, x, y):
     """Min over simple paths of the max edge weight; None if unreachable."""
     if x == y:
         return 0
-    ew = g.edge_weights
+    ew, adj = g.edge_weights, rows(g)
     best = None
 
     def dfs(i, seen, mx):
@@ -249,7 +289,7 @@ def brute_flooding_distance(g, x, y):
         if i == y:
             best = mx
             return
-        for j, eid in g.neighbors(i):
+        for j, eid in adj[i]:
             if j not in seen:
                 dfs(j, seen | {j}, max(mx, ew[eid]))
 
@@ -259,12 +299,13 @@ def brute_flooding_distance(g, x, y):
 
 def enumerate_walks(g, start, max_edges):
     """All walks (node sequences) from start with up to max_edges edges."""
+    adj = rows(g)
     out = [[start]]
     frontier = [[start]]
     for _ in range(max_edges):
         nxt = []
         for walk in frontier:
-            for j, _ in g.neighbors(walk[-1]):
+            for j, _ in adj[walk[-1]]:
                 nxt.append(walk + [j])
         out.extend(nxt)
         frontier = nxt

@@ -30,10 +30,11 @@ from morphograph import (
 )
 from morphograph.flooding import minima_of_flooding, minima_sets
 from morphograph.graphs import UNSET, minima_span, regional_minima
-from morphograph.lexalgebra import distances_to_minima, flooding_distance_matrix
+from morphograph.lexalgebra import distances_to_minima
 from conftest import (
     brute_flooding_distance,
     constrained_msf_weight,
+    flooding_distance_matrix,
     kruskal_mst,
     random_edge_weighted,
     random_flooding,

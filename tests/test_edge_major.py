@@ -1,10 +1,11 @@
-"""Whole-graph passes run over the edge list and never need the adjacency.
+"""A graph is its edge list: whole-graph passes run over the edges.
 
 The adjunction operators and the lowest-edge filters are checked against
 naive per-node references; the local pruning kernel against depth
-pruning; and PGM runs of ``flood``, ``prune``, ``watershed`` and ``dist
---method core|dijkstra`` against a graph class whose adjacency rows refuse
-to be built.
+pruning.  Every graph that the pipeline's stages, or PGM runs of
+``flood``, ``prune``, ``watershed`` and ``dist --method core|dijkstra``,
+are given or build must hold only its five fields and the three memos
+the pipeline keeps.
 """
 
 import random
@@ -13,22 +14,28 @@ import pytest
 
 from morphograph import (
     WeightedGraph,
+    basin_labels,
+    basins_with_zones,
+    build_hierarchy,
     dilate_edges_to_nodes,
     dilate_nodes_to_edges,
+    drainage_forest,
     erode_edges_to_nodes,
     erode_nodes_to_edges,
     is_steep,
     local_prune,
     prune_to_steepness,
+    reconstruct_by_integration,
+    toll_distances,
     zero_minima,
 )
-from morphograph import graphs
 from morphograph.cli import main
-from morphograph.flooding import as_flooding
-from morphograph.formats import image_to_graph, write_pgm, write_wgr
+from morphograph.flooding import as_flooding, minima_of_flooding, minima_sets
+from morphograph.formats import image_to_graph, parse_wgr, write_pgm, write_wgr
 from morphograph.graphs import lowest_edge_filter
+from morphograph.lexalgebra import distances_to_minima
 from morphograph.weights import BOTTOM, TOP
-from conftest import random_flooding
+from conftest import random_flooding, rows
 
 
 def _random_graph(rng):
@@ -43,20 +50,11 @@ def _random_graph(rng):
     return WeightedGraph(n, edges, nw, ew)
 
 
-def _incident(g):
-    """Per node, the (neighbor, edge id) pairs, built without the library."""
-    inc = [[] for _ in range(g.num_nodes)]
-    for eid, (u, v) in enumerate(g.edges):
-        inc[u].append((v, eid))
-        inc[v].append((u, eid))
-    return inc
-
-
 def test_adjunction_operators_match_per_node_reference():
     rng = random.Random(7)
     for _ in range(400):
         g = _random_graph(rng)
-        n, e, inc = g.node_weights, g.edge_weights, _incident(g)
+        n, e, inc = g.node_weights, g.edge_weights, rows(g)
         assert erode_nodes_to_edges(g, n) == tuple(min(n[u], n[v]) for u, v in g.edges)
         assert dilate_nodes_to_edges(g, n) == tuple(max(n[u], n[v]) for u, v in g.edges)
         assert erode_edges_to_nodes(g, e) == tuple(
@@ -69,7 +67,7 @@ def test_lowest_edge_filters_match_per_node_reference():
     rng = random.Random(11)
     for _ in range(400):
         g = _random_graph(rng)
-        n, e, inc = g.node_weights, g.edge_weights, _incident(g)
+        n, e, inc = g.node_weights, g.edge_weights, rows(g)
         lowest_edges, lowest_nodes = set(), set()
         for row in inc:
             if row:
@@ -118,29 +116,42 @@ def test_is_steep_builds_no_graph(monkeypatch):
     assert [[is_steep(fg, k) for k in (1, 2, 3)] for fg in cases] == want
 
 
-def test_derived_graphs_build_the_adjacency_of_a_fresh_construction():
-    rng = random.Random(3)
-    for parent_first in (True, False):
-        fg = random_flooding(rng, 10)
-        w = fg.with_weights(node_weights=[x + 1 for x in fg.node_weights])
-        first, second = (fg, w) if parent_first else (w, fg)
-        assert "adjacency" not in vars(first) and "adjacency" not in vars(second)
-        assert first.adjacency == second.adjacency
-        p = fg.partial(range(0, len(fg.edges), 2))
-        assert "adjacency" not in vars(p)
-        assert p.adjacency == WeightedGraph(p.num_nodes, p.edges).adjacency
-
-
 def _terrain(rng, width, height):
     # coarse gray levels leave plateaus and isolated minima
     return [rng.randrange(5) for _ in range(width * height)]
 
 
-def _refuse_adjacency(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a whole-graph pass built the adjacency")
+# a graph holds its five fields, and the pipeline memoises in it only the
+# minima labeling, the node zone walk and the minimal-pair rows
+FIELDS_AND_MEMOS = {"num_nodes", "edges", "node_weights", "edge_weights", "dummies",
+                    "_minima", "_node_walk", "_upstream"}
 
-    monkeypatch.setattr(graphs.WeightedGraph, "adjacency", property(refuse))
+
+def _record_graphs(monkeypatch):
+    """The list every graph built from now on joins, whether constructed
+    or derived."""
+    built, post_init, derive = [], WeightedGraph.__post_init__, WeightedGraph._derive.__func__
+
+    def recorded_post_init(g):
+        post_init(g)
+        built.append(g)
+
+    def recorded_derive(cls, *args):
+        built.append(derive(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(WeightedGraph, "__post_init__", recorded_post_init)
+    monkeypatch.setattr(WeightedGraph, "_derive", classmethod(recorded_derive))
+    return built
+
+
+def _only_fields_and_memos(graphs):
+    return all(set(vars(g)) <= FIELDS_AND_MEMOS for g in graphs)
+
+
+def test_the_class_has_no_per_node_rows():
+    for name in ("adjacency", "neighbors", "edge_id", "_edge_index"):
+        assert not hasattr(WeightedGraph, name)
 
 
 @pytest.mark.parametrize("connectivity", (4, 8))
@@ -151,19 +162,19 @@ def test_flooding_and_pruning_an_image_never_build_the_adjacency(connectivity, m
         g = image_to_graph(data, connectivity)
         fg = as_flooding(g)
         pruned = local_prune(fg, 2)
-        for x in (g, fg, pruned):
-            assert "adjacency" not in vars(x)
-        _refuse_adjacency(monkeypatch)
+        assert _only_fields_and_memos((g, fg, pruned))
+        built = _record_graphs(monkeypatch)
         assert local_prune(as_flooding(image_to_graph(data, connectivity)), 2) == pruned
         assert zero_minima(fg).edges == fg.edges
         write_wgr(pruned)
+        assert built and _only_fields_and_memos(built)
         monkeypatch.undo()
 
 
 def test_flood_and_prune_commands_never_build_the_adjacency(tmp_path, capsys, monkeypatch):
     path = tmp_path / "t.pgm"
     path.write_bytes(write_pgm(12, 10, _terrain(random.Random(1), 12, 10), 4))
-    _refuse_adjacency(monkeypatch)
+    built = _record_graphs(monkeypatch)
     # the watershed labelers and the distance solvers walk the minimal-pair rows
     watersheds = [["watershed", "--algo", algo, "--format", fmt, "--depth", depth]
                   for algo in ("core", "dijkstra", "hq")
@@ -174,3 +185,32 @@ def test_flood_and_prune_commands_never_build_the_adjacency(tmp_path, capsys, mo
         assert main([argv[0], str(path), *argv[1:]]) == 0
         out = capsys.readouterr()
         assert out.out and not out.err
+        assert built and _only_fields_and_memos(built)
+        built.clear()
+
+
+def test_every_stage_leaves_each_graph_its_fields_and_memos(monkeypatch):
+    # a terrain image, and the .wgr text of its gradient (edge weight = gray
+    # difference), run through every stage of the pipeline
+    pixels = _terrain(random.Random(26), 9, 7)
+    image = image_to_graph(write_pgm(9, 7, pixels, 4), 4)
+    gradient = [abs(pixels[u] - pixels[v]) for u, v in image.edges]
+    text = write_wgr(WeightedGraph(image.num_nodes, image.edges, None, gradient))
+    for g in (image, parse_wgr(text)):
+        built = _record_graphs(monkeypatch)
+        fg = as_flooding(g)
+        for algo in ("core", "dijkstra", "hq"):
+            basin_labels(fg, 3, algo)
+        basins_with_zones(fg, 3)
+        prune_to_steepness(fg, 3)
+        local_prune(fg, 2)
+        drainage_forest(fg)
+        build_hierarchy(g, 2)
+        for method in ("closure", "jacobi", "gauss_seidel", "jordan", "gondran"):
+            distances_to_minima(fg, 3, method)
+        for mode in ("toll", "topographic"):
+            toll_distances(fg, minima_sets(minima_of_flooding(fg)), mode)
+        reconstruct_by_integration(fg)
+        assert {"_minima", "_node_walk", "_upstream"} <= set(vars(fg))
+        assert _only_fields_and_memos([g, *built])
+        monkeypatch.undo()

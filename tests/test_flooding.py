@@ -34,6 +34,7 @@ from conftest import (
     random_edge_weighted,
     random_flooding,
     random_node_weighted,
+    rows,
 )
 
 
@@ -219,7 +220,7 @@ def test_never_ascending_path_to_minimum(rng):
         fg = random_flooding(rng, 8)
         labeling = minima_of_flooding(fg)
         inside = {i for i, v in enumerate(labeling.values) if v != UNSET}
-        nw = fg.node_weights
+        nw, adj = fg.node_weights, rows(fg)
         for start in range(fg.num_nodes):
             if start in inside:
                 continue
@@ -230,7 +231,7 @@ def test_never_ascending_path_to_minimum(rng):
                 if i in inside:
                     reached = True
                     break
-                for j, _ in fg.neighbors(i):
+                for j, _ in adj[i]:
                     if j not in seen and nw[j] <= nw[i]:
                         seen.add(j)
                         stack.append(j)
@@ -243,8 +244,8 @@ def test_partial_graph_stays_flooding(rng):
         fg = random_flooding(rng)
         nw, ew = fg.node_weights, fg.edge_weights
         keep = set()
-        for i in range(fg.num_nodes):
-            cands = sorted(e for j, e in fg.neighbors(i) if ew[e] == nw[i])
+        for i, row in enumerate(rows(fg)):
+            cands = sorted(e for j, e in row if ew[e] == nw[i])
             if cands:
                 keep.add(cands[0])
         assert validate_flooding(fg.partial(keep)).ok

@@ -9,10 +9,17 @@ from morphograph import (
     NoRoots,
     UNIT,
     WeightedGraph,
+    ZERO,
     core_expanding,
     dijkstra_to_minima,
+    flooding_from_edges,
     flooding_from_nodes,
     hq_watershed,
+    incidence_matrix,
+    lex_compare,
+    linear_solve,
+    local_prune,
+    prune_to_steepness,
     reconstruct_by_integration,
     toll_distances,
 )
@@ -29,7 +36,9 @@ from conftest import (
     quantized_pixel_floodings,
     random_flooding,
     random_node_weighted,
+    rows,
 )
+from test_adjunction import small_graphs
 
 
 def test_parse_tie():
@@ -94,7 +103,7 @@ def _bucket_queue_hq(g):
     pinned to 0, each extracted node labeling every unlabeled neighbor."""
     labels = list(minima_of_flooding(g).values)
     nw = [w if labels[i] == UNSET else 0 for i, w in enumerate(g.node_weights)]
-    buckets, levels = {}, []
+    buckets, levels, adj = {}, [], rows(g)
 
     def push(i):
         if nw[i] not in buckets:
@@ -111,7 +120,7 @@ def _bucket_queue_hq(g):
             del buckets[heapq.heappop(levels)]
             continue
         j = bucket.popleft()
-        for i, _ in g.neighbors(j):
+        for i, _ in adj[j]:
             if labels[i] == UNSET:
                 labels[i] = labels[j]
                 push(i)
@@ -130,43 +139,90 @@ def test_core_expanding_depth2_matches_hq(rng):
         assert hq.values == labeling.values == _bucket_queue_hq(fg)
 
 
+def _sole_minimum(fg, k):
+    """Per node, the label of the one minimum attaining its depth-k
+    distance, or None where several or none attain it."""
+    sets = minima_sets(minima_of_flooding(fg))
+    a = incidence_matrix(fg, k)
+    b = [[ZERO] * len(sets) for _ in range(fg.num_nodes)]
+    for c, nodes in enumerate(sets):
+        for m in nodes:
+            b[m][c] = UNIT
+    sole = []
+    for row in linear_solve(a, b, k, "jacobi"):
+        best, winners = ZERO, []
+        for c, x in enumerate(row):
+            cmp = lex_compare(x, best)
+            if cmp < 0:
+                best, winners = x, [c + 1]
+            elif cmp == 0 and best is not ZERO:
+                winners.append(c + 1)
+        sole.append(winners[0] if len(winners) == 1 else None)
+    return sole
+
+
 def test_label_agreement_where_distance_unique(rng):
     # wherever exactly one minimum attains the depth-k distance, all three
     # algorithms must name it
-    from morphograph.lexalgebra import (
-        UNIT,
-        ZERO,
-        incidence_matrix,
-        lex_compare,
-        linear_solve,
-    )
-
     for _ in range(40):
         fg = random_flooding(rng, 9)
         k = rng.randint(1, 3)
-        sets = minima_sets(minima_of_flooding(fg))
-        a = incidence_matrix(fg, k)
-        b = [[ZERO] * len(sets) for _ in range(fg.num_nodes)]
-        for c, nodes in enumerate(sets):
-            for m in nodes:
-                b[m][c] = UNIT
-        y = linear_solve(a, b, k, "jacobi")
         _, lab_d = dijkstra_to_minima(fg, k)
         _, lab_c, _ = core_expanding(fg, k)
         lab_h = hq_watershed(fg).values if k == 2 else None
-        for i in range(fg.num_nodes):
-            best, winners = ZERO, []
-            for c in range(len(sets)):
-                cmp = lex_compare(y[i][c], best)
-                if cmp < 0:
-                    best, winners = y[i][c], [c + 1]
-                elif cmp == 0 and best is not ZERO:
-                    winners.append(c + 1)
-            if len(winners) == 1:
-                assert lab_d.values[i] == winners[0]
-                assert lab_c.values[i] == winners[0]
+        for i, sole in enumerate(_sole_minimum(fg, k)):
+            if sole is not None:
+                assert lab_d.values[i] == sole
+                assert lab_c.values[i] == sole
                 if lab_h is not None:
-                    assert lab_h[i] == winners[0]
+                    assert lab_h[i] == sole
+
+
+def _one_graph_per_shape(max_nodes):
+    """The first labelled graph of each isomorphism class of ``small_graphs``."""
+    seen = set()
+    for g in small_graphs(max_nodes):
+        n = g.num_nodes
+        shape = min(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges)
+                    for p in itertools.permutations(range(n)))
+        if (n, tuple(shape)) not in seen:
+            seen.add((n, tuple(shape)))
+            yield g
+
+
+DENSE_METHODS = ("closure", "jacobi", "gauss_seidel", "jordan", "gondran")
+
+
+def test_every_small_flooding_prunes_and_measures_alike_in_every_flavour():
+    # one graph per shape on up to 4 nodes, weighted on its nodes and, if it
+    # has an edge, on its edges in {0, 1, 2} in every way: complete up to
+    # isomorphism.  Local pruning is depth pruning, and the seven distance
+    # flavours agree, on distances and on every label one minimum decides
+    shapes = list(_one_graph_per_shape(4))
+    assert len(shapes) == 18
+    cases = []
+    for g in shapes:
+        cases += [(g.num_nodes, flooding_from_nodes(g.with_weights(node_weights=nw)))
+                  for nw in itertools.product(range(3), repeat=g.num_nodes)]
+        if g.edges:
+            cases += [(g.num_nodes, flooding_from_edges(g.with_weights(edge_weights=ew)))
+                      for ew in itertools.product(range(3), repeat=len(g.edges))]
+    assert len(cases) == 2298
+    for n, fg in cases:
+        for refused in (prune_to_steepness, dijkstra_to_minima, core_expanding):
+            with pytest.raises(ValueError, match="depth must be >= 1$"):
+                refused(fg, 0)
+        for method in DENSE_METHODS:
+            with pytest.raises(ValueError, match="^depth must be >= 1$"):
+                distances_to_minima(fg, 0, method)
+        for k in range(1, n + 2):
+            assert local_prune(fg, k - 1).edges == prune_to_steepness(fg, k).edges
+            dists, labelings = zip(dijkstra_to_minima(fg, k), core_expanding(fg, k)[:2],
+                                   *(distances_to_minima(fg, k, m) for m in DENSE_METHODS))
+            assert all(d == dists[0] for d in dists)
+            for i, sole in enumerate(_sole_minimum(fg, k)):
+                if sole is not None:
+                    assert all(lab.values[i] == sole for lab in labelings)
 
 
 def test_hq_five_path_documented_tie(five_path_flooding):
@@ -254,13 +310,40 @@ def test_topographic_distance_along_steepest_descent():
     assert dists == [0, 1, 3]  # each node's distance equals its altitude
 
 
+def test_toll_distances_visit_neighbors_in_node_order():
+    # on a plateau every topographic step costs 0, so the order in which a
+    # node's neighbors are relaxed decides the labels; it must not follow
+    # the order of the edge list
+    for edges in (((0, 2), (0, 3), (1, 2), (1, 4), (2, 4)),
+                  ((2, 4), (1, 4), (0, 2), (0, 3), (1, 2))):
+        g = WeightedGraph(5, edges, (1,) * 5, None)
+        dists, labeling = toll_distances(g, [3, 1], mode="topographic")
+        assert labeling.values == (1, 2, 1, 1, 1)
+        assert dists == [1] * 5
+
+
+def test_toll_distances_ignore_the_order_of_the_edge_list(rng):
+    # dense graphs of two levels tie often, and a sorted edge list visits
+    # each node's neighbors in node order
+    for _ in range(300):
+        g = random_node_weighted(rng, 10, w_max=1, edge_prob=0.6)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        shuffled = WeightedGraph(g.num_nodes, edges, g.node_weights, None)
+        roots = [rng.randrange(g.num_nodes) for _ in range(rng.randint(2, 4))]
+        for mode, root_cost in (("toll", True), ("toll", False), ("topographic", True)):
+            assert (toll_distances(shuffled, roots, mode, root_cost)
+                    == toll_distances(g, roots, mode, root_cost))
+        assert reconstruct_by_integration(shuffled) == reconstruct_by_integration(g)
+
+
 def test_topographic_cost_definition(rng):
     for _ in range(30):
         g = random_node_weighted(rng, 8)
         eroded = node_erosion(g, g.node_weights)
         assert all(
-            e == min([g.node_weights[i]] + [g.node_weights[j] for j, _ in g.neighbors(i)])
-            for i, e in enumerate(eroded)
+            e == min([g.node_weights[i]] + [g.node_weights[j] for j, _ in row])
+            for i, (e, row) in enumerate(zip(eroded, rows(g)))
         )
 
 
@@ -299,8 +382,8 @@ def test_depth2_geodesics_are_minimal_topographic_paths(rng):
                     hops[i] = best + 1
                     changed = True
 
-        for start in range(z.num_nodes):
-            if start in inside or not z.neighbors(start):
+        for start, row in enumerate(rows(z)):
+            if start in inside or not row:
                 continue
             i, total = start, nw[start] - eroded[start]
             while i not in inside:
@@ -345,7 +428,7 @@ def _tuple_keyed(g, k, tie, core):
     settled = [lab != UNSET for lab in labels]
     inside = [i for i, s in enumerate(settled) if s]
     rng = parse_tie(tie)
-    nw, ew = g.node_weights, g.edge_weights
+    nw, ew, adj = g.node_weights, g.edge_weights, rows(g)
     counter, heap, pushes = itertools.count(), [], []
     if core:
         def push(t):
@@ -357,7 +440,7 @@ def _tuple_keyed(g, k, tie, core):
             push(m)
         while heap:
             t = heapq.heappop(heap)[3]
-            for s, eid in g.neighbors(t):
+            for s, eid in adj[t]:
                 if not settled[s] and ew[eid] == nw[s]:
                     settled[s] = True
                     dist[s] = lex_chain((nw[s],), dist[t][:k - 1], k)
@@ -368,7 +451,7 @@ def _tuple_keyed(g, k, tie, core):
     best, ties = {}, {}
 
     def relax(l):
-        for j, eid in g.neighbors(l):
+        for j, eid in adj[l]:
             if settled[j] or ew[eid] != nw[j]:
                 continue
             est = lex_chain((nw[j],), dist[l], k)

@@ -15,8 +15,10 @@ from morphograph import (
     lex_weight,
     linear_solve,
 )
-from morphograph.lexalgebra import UNIT_T, _mul_rows, flooding_distance_matrix, lift
-from conftest import brute_flooding_distance, enumerate_walks, random_edge_weighted
+from morphograph.lexalgebra import UNIT_T, _mul_rows, lift
+from conftest import (
+    brute_flooding_distance, enumerate_walks, flooding_distance_matrix, random_edge_weighted, rows,
+)
 
 
 # -- tail-tracked arithmetic, the oracle of the elimination kernel ------------
@@ -389,12 +391,12 @@ def test_closure_matches_walk_enumeration(rng):
         g = random_edge_weighted(rng, 5)
         k = rng.randint(1, 3)
         st_ = closure(incidence_matrix(g, k), k)
-        ew = g.edge_weights
+        ew, adj = g.edge_weights, [dict(r) for r in rows(g)]
         for x in range(g.num_nodes):
             best = [None if x != y else UNIT for y in range(g.num_nodes)]
             for walk in enumerate_walks(g, x, g.num_nodes - 1):
                 w = lex_weight(
-                    [ew[g.edge_id(walk[t], walk[t + 1])] for t in range(len(walk) - 1)],
+                    [ew[adj[walk[t]][walk[t + 1]]] for t in range(len(walk) - 1)],
                     k,
                 )
                 best[walk[-1]] = lex_min(best[walk[-1]], w)
@@ -774,12 +776,12 @@ def test_jordan_matches_walk_enumeration(rng):
         k = rng.randint(1, 3)
         n = g.num_nodes
         y = linear_solve(incidence_matrix(g, k), identity_matrix(n), k, "jordan")
-        ew = g.edge_weights
+        ew, adj = g.edge_weights, [dict(r) for r in rows(g)]
         for x in range(n):
             best = [None if x != t else UNIT for t in range(n)]
             for walk in enumerate_walks(g, x, n - 1):
                 w = lex_weight(
-                    [ew[g.edge_id(walk[t], walk[t + 1])] for t in range(len(walk) - 1)],
+                    [ew[adj[walk[t]][walk[t + 1]]] for t in range(len(walk) - 1)],
                     k,
                 )
                 best[walk[-1]] = lex_min(best[walk[-1]], w)

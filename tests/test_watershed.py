@@ -255,7 +255,7 @@ def test_pairing_kernel_equals_the_drainage_forest_of_the_pruned_graph():
                 continue
             last = picked
             pruned = prune_to_steepness(fg, k)
-            ids = [fg.edge_id(*e) for e in pruned.edges]
+            ids = [fg.edges.index(e) for e in pruned.edges]
             for tie in (None, *(rng.randrange(2**32) for _ in range(3))):
                 want_rng, got_rng = (None, None) if tie is None else (
                     random.Random(tie), random.Random(tie))
