@@ -262,10 +262,10 @@ def reconstruct_by_integration(g: WeightedGraph) -> tuple[tuple[int, ...], Label
     groups = regional_minima(g, "nodes")
     span = {i for m in groups for i in m}
     eroded = node_erosion(g, nw)
-    tolls = tuple(
-        nw[i] if i in span else nw[i] - eroded[i] for i in range(g.num_nodes)
-    )
-    dist, labeling = toll_distances(g, groups, mode="topographic")
+    tolls = tuple(nw[i] if i in span else nw[i] - eroded[i] for i in range(g.num_nodes))
+    # topographic distances from one erosion: a minimum settles at its altitude
+    # before any higher neighbor, so its toll (>= 0) changes no distance or label
+    dist, labeling = toll_distances(g.with_weights(node_weights=tolls), groups)
     for i in range(g.num_nodes):
         if dist[i] is not None and dist[i] != nw[i]:
             raise MorphographError(

@@ -18,12 +18,13 @@ compute the smallest solution of ``Y = A (x) Y (+) B``, which is
 that tracks truncated tails, serves both exact paths: ``closure`` pivots
 A and keeps every column of A*, and Jordan pivots ``[A | B]``, each
 column of B a sink node, updating only the columns not yet pivoted and
-B's.  Dense matrices here are the oracle path, kept to modest sizes;
-they are lists of lists at the public edges (``closure``,
-``linear_solve``, ``incidence_matrix``; all three refuse k < 1, the
-first two a non-square A, a ragged B or an entry out of contract), and
-everything inside runs on sparse rows ``{col: entry}`` of the non-ZERO
-entries.  The graph-native algorithms live in ``geodesics``.
+B's; it inserts a new entry without a scan, and it and ``_mul_rows``
+(Jacobi, Gauss-Seidel) inline the dioid ops.  Dense matrices here are
+the oracle path, kept to modest sizes: lists of lists at the public
+edges (``closure``, ``linear_solve``, ``incidence_matrix``; all three
+refuse k < 1, the first two a non-square A, a ragged B or an entry out
+of contract), sparse rows ``{col: entry}`` of the non-ZERO entries
+inside.  The graph-native algorithms live in ``geodesics``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ UNIT: LexWeight = ()
 
 # Sized by timing on a 2-vCPU host: the five solvers together took
 # 7-10 s at 400 nodes with dense loops; on level-ordered sparse rows
-# they take 0.11-0.18 s on a 20x19 relief image (386 flooding nodes,
-# depth 3), closure 0.073-0.115 s, Jordan 0.009-0.017 s, and Jordan
-# with an identity B, which then builds all of A*, 0.10-0.20 s.
+# they take 0.12-0.22 s on a 20x19 relief image (386 flooding nodes,
+# depth 3), closure 0.083-0.149 s, Jordan 0.010-0.019 s, and Jordan
+# with an identity B, which then builds all of A*, 0.12-0.21 s.
 MAX_DENSE_NODES = 400
 
 
@@ -171,15 +172,25 @@ def _dense(rows: list[dict], cols: int) -> LexMatrix:
 
 
 def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
-    """Plain product of sparse rows, plus the sparse rows ``add`` if given."""
+    """Plain product of sparse rows, plus the sparse rows ``add`` if given;
+    ``lex_chain`` and ``lex_min`` inlined, the left entry's tail read once."""
     out = []
     for i, row in enumerate(a):
         acc = dict(add[i]) if add else {}
         for t, x in row.items():
+            tail = x[-1] if x else None
             for j, y in b[t].items():
-                z = lex_chain(x, y, k)
-                if z is not None:
-                    acc[j] = lex_min(acc.get(j), z)
+                if tail is None:
+                    z = y[:k]
+                elif not y:
+                    z = x[:k]
+                elif tail < y[0]:
+                    continue  # ZERO
+                else:
+                    z = (x + y)[:k]
+                old = acc.get(j)
+                if old is None or z < old:
+                    acc[j] = z
         out.append(acc)
     return out
 
@@ -197,12 +208,13 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> l
     which must hold every node a walk can pass through, in any order;
     the diagonal is UNIT.  ``closure`` reads it on A, Jordan on ``[A | B]``
     with B's columns as sink nodes.  A lexicographic walk never climbs,
-    so pivoting from the lowest level up (``_upward``) keeps each
-    pivot's column short, and a column index ``col`` visits only the
-    rows holding an entry in it.  Unless ``keep``, each entry (i, p) is
-    dropped once pivot p has read it, Gauss-Jordan style: column p is
-    never read again, so the rows hold only the columns still to pivot
-    and the never-pivoted sinks, whose fronts are unchanged.
+    so pivoting from the lowest level up (``_upward``) keeps each pivot's
+    column short, a column index ``col`` visits only the rows holding an
+    entry in it, and a new entry is set as one element, without a scan.
+    Unless ``keep``, each entry (i, p) is dropped once pivot p has read
+    it, Gauss-Jordan style: column p is never read again, so the rows
+    hold only the columns still to pivot and the never-pivoted sinks,
+    whose fronts are unchanged.
 
     Pivoting chains accumulated (truncated) paths, so one element per
     entry is not enough: one is dropped only for another with a window
@@ -217,13 +229,14 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> l
         for j in row:
             col[j].append(i)
     for p in pivots:
+        row_p = c[p]
         for i in col[p]:  # never p itself: the diagonal is not kept
             row_i = c[i]
             front_ip = row_i[p] if keep else row_i.pop(p)
-            for j, front_pj in c[p].items():
+            for j, front_pj in row_p.items():
                 if j == i:
                     continue
-                front = row_i.get(j, ())
+                front = row_i.get(j)
                 for wa, ta in front_ip:
                     for wb, tb in front_pj:
                         # windows chain, cut to k, unless the left tail is under the right head
@@ -235,14 +248,16 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> l
                             continue
                         else:
                             w, t = (wa + wb)[:k], tb
-                        for e in front:
-                            if e[0] <= w and e[1] >= t:
+                        if front is None:  # a new entry: nothing to dominate
+                            col[j].append(i)
+                            front = row_i[j] = ((w, t),)
+                            continue
+                        for we, te in front:
+                            if we <= w and te >= t:
                                 break  # dominated
                         else:
-                            if not front:
-                                col[j].append(i)
                             front = row_i[j] = (
-                                *(e for e in front if e[0] < w or e[1] > t), (w, t))
+                                *[e for e in front if e[0] < w or e[1] > t], (w, t))
     for i, row in enumerate(c):
         row[i] = (UNIT_T,)
     return c

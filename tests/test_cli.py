@@ -533,6 +533,49 @@ def test_exit_code_contract(name, command, tmp_path, capsysbinary):
     assert json.loads(lines[0])["error"] == want
 
 
+def test_every_small_shape_gets_its_exit_code(tmp_path, capsysbinary):
+    # one graph per isomorphism class on up to 4 nodes, written as .wgr with
+    # weights on its nodes and, if it has an edge, on its edges: mst and
+    # waterfall exit 0 on a connected shape and 3 with one DisconnectedInput
+    # line on a disconnected one, a zero depth is a MalformedInput and the
+    # shape without weights is a MissingWeights for every command
+    from morphograph.graphs import connected_components
+    from test_geodesics import _one_graph_per_shape
+
+    def run(text, argv):
+        path = tmp_path / "shape.wgr"
+        path.write_text(text)
+        code = main([argv[0], str(path), *argv[1:]])
+        out, err = capsysbinary.readouterr()
+        return code, out, err.decode().splitlines()
+
+    def refused(result, code, error):
+        got, out, lines = result
+        return (got, out, len(lines)) == (code, b"", 1) and json.loads(lines[0])["error"] == error
+
+    shapes = list(_one_graph_per_shape(4))
+    assert len(shapes) == 18
+    for g in shapes:
+        edges = [f"edge {u} {v}" for u, v in g.edges]
+        weighted = ["".join(f"node {i} {i % 3}\n" for i in range(g.num_nodes))
+                    + "".join(f"{e}\n" for e in edges)]
+        if edges:
+            weighted.append("".join(f"node {i}\n" for i in range(g.num_nodes))
+                            + "".join(f"{e} {eid % 3}\n" for eid, e in enumerate(edges)))
+        connected = connected_components(g).num_labels == 1
+        for text in weighted:
+            for command in ("mst", "waterfall"):
+                result = run(text, [command])
+                if connected:
+                    assert result[0] == 0 and result[1] and not result[2], (g, command)
+                else:
+                    assert refused(result, 3, "DisconnectedInput"), (g, command)
+            assert refused(run(text, ["dist", "--depth", "0"]), 2, "MalformedInput"), g
+        plain = "".join(f"node {i}\n" for i in range(g.num_nodes)) + "".join(f"{e}\n" for e in edges)
+        for command in COMMANDS:
+            assert refused(run(plain, command.split()), 2, "MissingWeights"), (g, command)
+
+
 def test_empty_graph_has_its_own_message(tmp_path, capsys):
     p = tmp_path / "empty.wgr"
     p.write_text("")

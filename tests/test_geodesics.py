@@ -407,6 +407,36 @@ def test_reconstruct_five_path(five_path):
     assert labeling.values == (1, 1, 1, 2, 2)  # crest tie resolves to label 1
 
 
+def _reconstruct_by_two_erosions(g):
+    """``reconstruct_by_integration`` as it was when it eroded the field
+    for its tolls and ``toll_distances(..., "topographic")`` eroded it
+    again: the oracle of the one-erosion body."""
+    from morphograph import regional_minima
+
+    nw = g.node_weights
+    groups = regional_minima(g, "nodes")
+    span = {i for m in groups for i in m}
+    eroded = node_erosion(g, nw)
+    tolls = tuple(nw[i] if i in span else nw[i] - eroded[i] for i in range(g.num_nodes))
+    return tolls, toll_distances(g, groups, mode="topographic")[1]
+
+
+def test_reconstruct_erodes_once_and_matches_two_erosions(rng, monkeypatch):
+    # the tolls stand in for the topographic costs, so the field is eroded
+    # once; tolls and labels must be those of the two-erosion body, also on
+    # two-level fields, whose plateaus tie, and with zero-weight minima
+    import morphograph.geodesics as geodesics
+
+    calls = []
+    monkeypatch.setattr(geodesics, "node_erosion", lambda g, n: calls.append(n) or node_erosion(g, n))
+    for trial in range(400):
+        g = random_node_weighted(rng, 12, w_max=(1, 3, 9)[trial % 3], edge_prob=0.3 + trial % 4 / 10)
+        want = _reconstruct_by_two_erosions(g)
+        calls.clear()
+        assert reconstruct_by_integration(g) == want
+        assert len(calls) == 1
+
+
 def test_reconstruct_roundtrip_random(rng):
     from morphograph import regional_minima
 

@@ -120,7 +120,21 @@ def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
 
 # -- the kernels before level-ordered pivots and change-driven sweeps ---------
 # Kept with their bodies unchanged as the oracles of lexalgebra's
-# ``_fronts``, ``_solve_jacobi`` and ``_solve_gauss_seidel``.
+# ``_fronts``, ``_solve_jacobi``, ``_solve_gauss_seidel`` and ``_mul_rows``.
+
+
+def _mul_rows_by_dioid_ops(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
+    """Plain product of sparse rows, plus the sparse rows ``add`` if given."""
+    out = []
+    for i, row in enumerate(a):
+        acc = dict(add[i]) if add else {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                z = lex_chain(x, y, k)
+                if z is not None:
+                    acc[j] = lex_min(acc.get(j), z)
+        out.append(acc)
+    return out
 
 
 def _pixel_order_fronts(rows: list[dict], k: int) -> list[dict]:
@@ -159,10 +173,29 @@ def _pixel_order_fronts(rows: list[dict], k: int) -> list[dict]:
     return c
 
 
+def test_row_product_matches_the_dioid_ops(rng):
+    # _mul_rows inlines lex_chain and lex_min; on sparse rows with UNIT
+    # entries, empty rows and with or without ``add`` rows it must give the
+    # rows of the dioid ops, each with its keys in the same order
+    def entry(k):
+        return tuple(sorted((rng.randint(0, 6) for _ in range(rng.randint(0, k))), reverse=True))
+
+    def sparse(rows, cols, k):
+        return [{j: entry(k) for j in range(cols) if rng.random() < rng.choice((0.0, 0.3, 0.8))}
+                for _ in range(rows)]
+
+    for _ in range(2000):
+        n, m, cols, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+        a, b = sparse(n, m, k), sparse(m, cols, k)
+        add = sparse(n, cols, k) if rng.random() < 0.5 else None
+        got, want = _mul_rows(a, b, k, add), _mul_rows_by_dioid_ops(a, b, k, add)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
 def _full_sweep_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
     y: list[dict] = [{} for _ in b]
     while True:
-        y2 = _mul_rows(a, y, k, b)
+        y2 = _mul_rows_by_dioid_ops(a, y, k, b)
         if y2 == y:
             return y
         y = y2
@@ -176,7 +209,7 @@ def _bottom_up_gauss_seidel(a: list[dict], b: list[dict], k: int) -> list[dict]:
     while True:
         changed = False
         for i in range(len(b) - 1, -1, -1):
-            row = _mul_rows([rows[i]], y, k, [b[i]])[0]
+            row = _mul_rows_by_dioid_ops([rows[i]], y, k, [b[i]])[0]
             if row != y[i]:
                 y[i] = row
                 changed = True
@@ -819,7 +852,7 @@ def _distances_by_closure_product(g, k):
     for c, nodes in enumerate(minima_sets(minima_of_flooding(g))):
         for m in nodes:
             b[m][c] = UNIT
-    y = _mul_rows(_closure_rows(a, k, _upward(a)), b, k)
+    y = _mul_rows_by_dioid_ops(_closure_rows(a, k, _upward(a)), b, k)
     best = [min(((x, c + 1) for c, x in row.items()), default=(ZERO, UNSET)) for row in y]
     return [x for x, _ in best], Labeling(tuple(lab for _, lab in best), "nodes")
 
