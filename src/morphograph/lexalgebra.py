@@ -15,16 +15,16 @@ weights through powers of the incidence matrix; the classical linear
 solvers (Jacobi, Gauss-Seidel, Jordan pivoting, greedy elimination) all
 compute the smallest solution of ``Y = A (x) Y (+) B``, which is
 ``closure(A) (x) B``.  The elimination kernel ``_fronts``, the one place
-that tracks truncated tails, serves both exact paths: ``closure`` pivots
-A and keeps every column of A*, and Jordan pivots ``[A | B]``, each
-column of B a sink node, updating only the columns not yet pivoted and
-B's; it inserts a new entry without a scan, and it and ``_mul_rows``
-(Jacobi, Gauss-Seidel) inline the dioid ops.  Dense matrices here are
-the oracle path, kept to modest sizes: lists of lists at the public
-edges (``closure``, ``linear_solve``, ``incidence_matrix``; all three
-refuse k < 1, the first two a non-square A, a ragged B or an entry out
-of contract), sparse rows ``{col: entry}`` of the non-ZERO entries
-inside.  The graph-native algorithms live in ``geodesics``.
+that tracks truncated tails, serves every exact path, each keeping only
+the columns it reads: ``closure`` all of A*, ``distances_to_minima`` the
+minima's, and Jordan, which pivots ``[A | B]`` with each column of B a
+sink node, B's alone.  It and ``_mul_row`` (Jacobi, Gauss-Seidel) inline
+the dioid ops.  Dense matrices here are the oracle path, kept to modest
+sizes: lists of lists at the public edges (``closure``, ``linear_solve``,
+``incidence_matrix``; all three refuse k < 1, the first two a non-square
+A, a ragged B or an entry out of contract), sparse rows ``{col: entry}``
+of the non-ZERO entries inside.  The graph-native algorithms live in
+``geodesics``.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ LexWeight = Optional[tuple[int, ...]]
 ZERO: LexWeight = None
 UNIT: LexWeight = ()
 
-# Sized by timing on a 2-vCPU host: the five solvers together took
-# 7-10 s at 400 nodes with dense loops; on level-ordered sparse rows
-# they take 0.12-0.22 s on a 20x19 relief image (386 flooding nodes,
-# depth 3), closure 0.083-0.149 s, Jordan 0.010-0.019 s, and Jordan
-# with an identity B, which then builds all of A*, 0.12-0.21 s.
+# Sized by timing on a 2-vCPU host: the five solvers together took 7-10 s
+# at 400 nodes with dense loops; on sparse rows distances_to_minima takes
+# 0.05-0.07 s by all five on a 20x19 relief image (386 flooding nodes,
+# depth 3), 0.014-0.026 s by closure, while all of A* (closure(), or
+# Jordan with an identity B) takes 0.10-0.21 s.
 MAX_DENSE_NODES = 400
 
 
@@ -171,28 +171,25 @@ def _dense(rows: list[dict], cols: int) -> LexMatrix:
     return [[row.get(j) for j in range(cols)] for row in rows]
 
 
-def _mul_rows(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
-    """Plain product of sparse rows, plus the sparse rows ``add`` if given;
-    ``lex_chain`` and ``lex_min`` inlined, the left entry's tail read once."""
-    out = []
-    for i, row in enumerate(a):
-        acc = dict(add[i]) if add else {}
-        for t, x in row.items():
-            tail = x[-1] if x else None
-            for j, y in b[t].items():
-                if tail is None:
-                    z = y[:k]
-                elif not y:
-                    z = x[:k]
-                elif tail < y[0]:
-                    continue  # ZERO
-                else:
-                    z = (x + y)[:k]
-                old = acc.get(j)
-                if old is None or z < old:
-                    acc[j] = z
-        out.append(acc)
-    return out
+def _mul_row(row: dict, b: list[dict], k: int, add: dict) -> dict:
+    """One sparse row times the rows ``b``, plus the row ``add``; ``lex_chain``
+    and ``lex_min`` inlined, the left entry's tail read once."""
+    acc = dict(add)
+    for t, x in row.items():
+        tail = x[-1] if x else None
+        for j, y in b[t].items():
+            if tail is None:
+                z = y[:k]
+            elif not y:
+                z = x[:k]
+            elif tail < y[0]:
+                continue  # ZERO
+            else:
+                z = (x + y)[:k]
+            old = acc.get(j)
+            if old is None or z < old:
+                acc[j] = z
+    return acc
 
 
 def _upward(rows: list[dict]) -> list[int]:
@@ -202,7 +199,7 @@ def _upward(rows: list[dict]) -> list[int]:
     return sorted(range(len(rows)), key=lambda i: (not rows[i], min(rows[i].values(), default=())))
 
 
-def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> list[dict]:
+def _fronts(rows: list[dict], k: int, pivots: list[int], keep: Optional[set] = None) -> list[dict]:
     """Per-row ``{j: front}``: the walks i -> j of A as a Pareto front of
     tracked elements, by Floyd-Warshall pivoting on ``pivots`` in turn,
     which must hold every node a walk can pass through, in any order;
@@ -211,10 +208,10 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> l
     so pivoting from the lowest level up (``_upward``) keeps each pivot's
     column short, a column index ``col`` visits only the rows holding an
     entry in it, and a new entry is set as one element, without a scan.
-    Unless ``keep``, each entry (i, p) is dropped once pivot p has read
-    it, Gauss-Jordan style: column p is never read again, so the rows
-    hold only the columns still to pivot and the never-pivoted sinks,
-    whose fronts are unchanged.
+    Columns not in ``keep`` (default: all kept) drop each entry (i, p)
+    once pivot p has read it, Gauss-Jordan style: later pivots read column
+    p only to update column p, so every column left, kept, unpivoted or a
+    sink, holds the fronts the full elimination gives it.
 
     Pivoting chains accumulated (truncated) paths, so one element per
     entry is not enough: one is dropped only for another with a window
@@ -230,9 +227,10 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: bool = True) -> l
             col[j].append(i)
     for p in pivots:
         row_p = c[p]
+        drop = keep is not None and p not in keep
         for i in col[p]:  # never p itself: the diagonal is not kept
             row_i = c[i]
-            front_ip = row_i[p] if keep else row_i.pop(p)
+            front_ip = row_i.pop(p) if drop else row_i[p]
             for j, front_pj in row_p.items():
                 if j == i:
                     continue
@@ -305,7 +303,7 @@ def _solve_gauss_seidel(a: list[dict], b: list[dict], k: int, at_once: bool = Tr
         for i in order:
             if stale[i]:
                 stale[i] = False
-                row = _mul_rows([rows[i]], src, k, [b[i]])[0]
+                row = _mul_row(rows[i], src, k, b[i])
                 if row != y[i]:
                     y[i] = row
                     for r in readers[i]:
@@ -323,12 +321,12 @@ def _solve_jordan(a: list[dict], b: list[dict], k: int) -> list[dict]:
     # pivot [A | B]: column c of B is a sink node n + c, entered by the
     # edges of B and left by none, so the fronts into it are A* (x) B; A's
     # rows alone order the pivots (B's UNITs would tie them), no sink is one;
-    # only the sinks are read, so each pivoted column is dropped (keep=False)
+    # only the sinks are read, so each pivoted column is dropped (keep=set())
     n = len(a)
     rows = [{**row, **{n + c: x for c, x in brow.items()}} for row, brow in zip(a, b)]
     rows += [{} for _ in range(1 + max((c for brow in b for c in brow), default=-1))]
     return [{j - n: min(front)[0] for j, front in row.items() if j >= n}
-            for row in _fronts(rows, k, _upward(a), keep=False)[:n]]
+            for row in _fronts(rows, k, _upward(a), keep=set())[:n]]
 
 
 def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
@@ -394,17 +392,17 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
 
     Matrix-algebra counterpart of the graph-native algorithms: solve one
     column per minimum and reduce.  B is UNIT only on the minima's rows,
-    so ``closure`` builds all of A* and then reads only the minima's
-    columns of it.  Returns (distances, labeling) where minima themselves
-    sit at UNIT.  Ties between minima resolve to the smallest label.
+    so A* (x) B reads A* only at their columns, and ``closure`` keeps
+    just those as it eliminates A (``_fronts``).  Returns (distances,
+    labeling) where minima themselves sit at UNIT.  Ties between minima
+    resolve to the smallest label.
     """
     _require_depth(k)
-    labeling = minima_of_flooding(g)
     a = _incidence_rows(g, k)
-    minima = [(m, c) for c, nodes in enumerate(minima_sets(labeling)) for m in nodes]
+    minima = [(m, c) for c, nodes in enumerate(minima_sets(minima_of_flooding(g))) for m in nodes]
     if method == "closure":
         y: list[dict] = [{} for _ in a]
-        for row, y_row in zip(_fronts(a, k, _upward(a)), y):
+        for row, y_row in zip(_fronts(a, k, _upward(a), {m for m, _ in minima}), y):
             for m, c in minima:
                 if m in row:
                     y_row[c] = lex_min(y_row.get(c), min(row[m])[0])

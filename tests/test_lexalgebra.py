@@ -15,7 +15,7 @@ from morphograph import (
     lex_weight,
     linear_solve,
 )
-from morphograph.lexalgebra import UNIT_T, _mul_rows, lift
+from morphograph.lexalgebra import UNIT_T, _mul_row, lift
 from conftest import (
     brute_flooding_distance, enumerate_walks, flooding_distance_matrix, random_edge_weighted, rows,
 )
@@ -120,7 +120,7 @@ def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
 
 # -- the kernels before level-ordered pivots and change-driven sweeps ---------
 # Kept with their bodies unchanged as the oracles of lexalgebra's
-# ``_fronts``, ``_solve_jacobi``, ``_solve_gauss_seidel`` and ``_mul_rows``.
+# ``_fronts``, ``_solve_jacobi``, ``_solve_gauss_seidel`` and ``_mul_row``.
 
 
 def _mul_rows_by_dioid_ops(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
@@ -174,7 +174,7 @@ def _pixel_order_fronts(rows: list[dict], k: int) -> list[dict]:
 
 
 def test_row_product_matches_the_dioid_ops(rng):
-    # _mul_rows inlines lex_chain and lex_min; on sparse rows with UNIT
+    # _mul_row inlines lex_chain and lex_min; on sparse rows with UNIT
     # entries, empty rows and with or without ``add`` rows it must give the
     # rows of the dioid ops, each with its keys in the same order
     def entry(k):
@@ -188,7 +188,8 @@ def test_row_product_matches_the_dioid_ops(rng):
         n, m, cols, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
         a, b = sparse(n, m, k), sparse(m, cols, k)
         add = sparse(n, cols, k) if rng.random() < 0.5 else None
-        got, want = _mul_rows(a, b, k, add), _mul_rows_by_dioid_ops(a, b, k, add)
+        got = [_mul_row(row, b, k, add[i] if add else {}) for i, row in enumerate(a)]
+        want = _mul_rows_by_dioid_ops(a, b, k, add)
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
 
 
@@ -867,3 +868,33 @@ def test_closure_distances_read_only_the_minima_columns(rng):
         fg = _quantized_pixel_flooding(rng) if trial % 4 == 0 else random_flooding(rng, 14)
         for k in (1, 2, 3, 4):
             assert distances_to_minima(fg, k, "closure") == _distances_by_closure_product(fg, k)
+
+
+def test_closure_route_keeps_only_the_minima_columns(rng, monkeypatch):
+    # the closure route of distances_to_minima drops every pivoted column
+    # but the minima's; each front it keeps, at (i, minimum node), must be
+    # the front the full elimination on A gives there, and no row may hold
+    # another column than those and its own diagonal
+    from conftest import random_flooding
+    from morphograph import lexalgebra
+    from morphograph.flooding import minima_of_flooding, minima_sets
+    from morphograph.lexalgebra import _fronts, _incidence_rows, _upward, distances_to_minima
+
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(_fronts(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(lexalgebra, "_fronts", recorded)
+    for trial in range(20):
+        fg = _quantized_pixel_flooding(rng) if trial % 4 == 0 else random_flooding(rng, 14)
+        minima = {m for nodes in minima_sets(minima_of_flooding(fg)) for m in nodes}
+        for k in (1, 2, 3, 4):
+            a = _incidence_rows(fg, k)
+            full = _fronts(a, k, _upward(a))
+            distances_to_minima(fg, k, "closure")
+            route = seen.pop()
+            assert [{m: row[m] for m in minima if m in row} for row in route] == \
+                [{m: row[m] for m in minima if m in row} for row in full]
+            assert all(set(row) <= minima | {i} for i, row in enumerate(route))
