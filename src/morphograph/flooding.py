@@ -136,11 +136,6 @@ def _certify(g: WeightedGraph, minima: Optional[Labeling] = None) -> WeightedGra
     return g
 
 
-def _minimum_nodes(labeling: Labeling) -> frozenset[int]:
-    """The nodes of the minima in a ``minima_of_flooding`` labeling."""
-    return frozenset(i for i, v in enumerate(labeling.values) if v != UNSET)
-
-
 def minima_sets(labeling: Labeling) -> list[frozenset[int]]:
     """Minima as node sets, ordered by label."""
     return [ids for _, ids in sorted(labeling.label_sets().items())]
@@ -195,11 +190,13 @@ def parse_tie(tie: Union[str, random.Random, None]) -> Optional[random.Random]:
     raise ValueError(f"unknown tie policy {tie!r}")
 
 
-def _flooding_pairs(g: WeightedGraph, in_min: list) -> tuple[list, list, array]:
-    """Flat parallel lists (tails, heads, edge ids): node ``tails[p]``
-    outside the minima floods edge ``eids[p]`` down to ``heads[p]``.  The
-    two pairs of an edge come one after the other, and the ids are a
-    machine-int array, so no int object is kept per pair."""
+def _flooding_pairs(g: WeightedGraph) -> tuple[list, list, list, array]:
+    """Per node whether it is in a minimum (this mask is derived here
+    alone), then flat parallel lists (tails, heads, edge ids): node
+    ``tails[p]`` outside the minima floods edge ``eids[p]`` down to
+    ``heads[p]``.  The two pairs of an edge come one after the other, and
+    the ids are a machine-int array, so no int object is kept per pair."""
+    in_min = [v != UNSET for v in minima_of_flooding(g).values]
     free = [None if m else w for w, m in zip(g.node_weights, in_min)]
     tails, heads, eids = [], [], array("i")
     tail, head, edge = tails.append, heads.append, eids.append
@@ -212,7 +209,7 @@ def _flooding_pairs(g: WeightedGraph, in_min: list) -> tuple[list, list, array]:
             tail(v)
             head(u)
             edge(eid)
-    return tails, heads, eids
+    return in_min, tails, heads, eids
 
 
 def _reach(start: int, rows: dict, edges: tuple, seen: bytearray, tree: list) -> list[int]:
@@ -286,8 +283,7 @@ def assign_pairs(g: WeightedGraph, rng: Optional[random.Random] = None) -> dict[
     are drawn uniformly instead, plateau by plateau in order of their
     smallest node.  ``g`` must be a flooding graph.
     """
-    in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    pair = _pair_nodes(g, zip(*_flooding_pairs(g, in_min)), rng)
+    pair = _pair_nodes(g, zip(*_flooding_pairs(g)[1:]), rng)
     return {i: eid for i, eid in enumerate(pair) if eid >= 0}
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
-from .flooding import _certify, _flooding_pairs, _minimum_nodes, _zeroed_nodes, minima_of_flooding
+from .flooding import _certify, _flooding_pairs, _zeroed_nodes, minima_of_flooding
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
 from .weights import TOP
 
@@ -43,9 +43,10 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
 
 
 def _kept_pairs(g: WeightedGraph, k: int) -> tuple[list, Iterator]:
-    """Per node, whether it is in a minimum, and the pairs depth-``k`` pruning keeps."""
-    in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    return in_min, _minimal_pairs(g, k, in_min, _flooding_pairs(g, in_min))[2]
+    """The minima mask of ``_flooding_pairs`` and the pairs depth-``k`` pruning
+    keeps, (tail, head, edge id) in its order; at k = 1, every pair."""
+    pairs = _flooding_pairs(g)
+    return pairs[0], _minimal_pairs(g, k, pairs)[2]
 
 
 def _inner_edges(g: WeightedGraph, in_min: list) -> list[int]:
@@ -72,13 +73,13 @@ def _refine(nw, lo: list, stride: int) -> list[int]:
     return [dense[key] for key in keys]
 
 
-def _refined(nw, in_min: list, pairs: tuple, depth: int) -> list[int]:
-    """``track_ranks`` over the lists of ``_flooding_pairs``."""
+def _refined(nw, pairs: tuple, depth: int) -> list[int]:
+    """``track_ranks`` over the mask and lists of ``_flooding_pairs``."""
     if depth < 1:
         return [0] * len(nw)
+    in_min, tails, heads, _ = pairs
     rank = [0 if m else w + 1 for w, m in zip(nw, in_min)]  # depth 1
     stride = max(rank, default=0) + 1
-    tails, heads, _ = pairs
     for _ in range(depth - 1):
         nxt = _refine(nw, _least(rank, tails, heads, stride), stride)
         if nxt == rank:
@@ -100,13 +101,10 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
     ranks repeat every later pass repeats them, and a huge depth costs
     only the passes to that fixed point.
     """
-    in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    pairs = _flooding_pairs(g, in_min) if depth > 1 else ((), (), ())
-    return _refined(g.node_weights, in_min, pairs, depth)
+    return _refined(g.node_weights, _flooding_pairs(g), depth)
 
 
-def _minimal_pairs(g: WeightedGraph, k: int, in_min: list,
-                   pairs: tuple) -> tuple[list, list, Iterator]:
+def _minimal_pairs(g: WeightedGraph, k: int, pairs: tuple) -> tuple[list, list, Iterator]:
     """The depth-(k-1) track ranks, each node's least head rank (``_least``)
     and the flooding pairs (tail, head, edge id) of ``_flooding_pairs``
     that start minimal depth-k tracks: those whose head has that rank.
@@ -114,8 +112,8 @@ def _minimal_pairs(g: WeightedGraph, k: int, in_min: list,
     refuses k < 1."""
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
-    tails, heads, eids = pairs
-    rank = _refined(g.node_weights, in_min, pairs, k - 1)
+    _, tails, heads, eids = pairs
+    rank = _refined(g.node_weights, pairs, k - 1)
     lo = _least(rank, tails, heads, max(rank, default=0) + 1)
     return rank, lo, ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
 
@@ -124,21 +122,18 @@ def _upstream(g: WeightedGraph, k: int, deeper: bool = False) -> tuple[list, lis
     """The depth-(k-1) track ranks (depth k if ``deeper``) and, per node,
     the ascending tails of the minimal depth-k pairs it heads: the rows
     every watershed labeler walks upward from the minima.  Memoised on
-    ``g``: the flooding pairs, which do not depend on ``k``, and the
+    ``g``: ``_flooding_pairs``, which does not depend on ``k``, and the
     ranks, least head ranks and rows of the last ``k``."""
-    memo = vars(g).get("_upstream")
-    if memo is None:
-        in_min = [v != UNSET for v in minima_of_flooding(g).values]
-        memo = (in_min, _flooding_pairs(g, in_min), None, None, None, None)
-    in_min, pairs, last, rank, lo, rows = memo
+    memo = vars(g).get("_upstream") or (_flooding_pairs(g), None, None, None, None)
+    pairs, last, rank, lo, rows = memo
     if last != k:
-        rank, lo, picked = _minimal_pairs(g, k, in_min, pairs)
+        rank, lo, picked = _minimal_pairs(g, k, pairs)
         rows = [[] for _ in range(g.num_nodes)]
         for i, j, _ in picked:
             rows[j].append(i)
         for row in rows:
             row.sort()  # the order of the edge list is the input's
-        vars(g)["_upstream"] = (in_min, pairs, k, rank, lo, rows)
+        vars(g)["_upstream"] = (pairs, k, rank, lo, rows)
     if deeper:
         return _refine(g.node_weights, lo, max(rank, default=0) + 1), rows
     return rank, rows
@@ -203,7 +198,7 @@ def _local_survivors(g: WeightedGraph, m: int) -> set[int]:
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    nw = _zeroed_nodes(g, _minimum_nodes(minima_of_flooding(g)))
+    nw = _zeroed_nodes(g, {i for i, v in enumerate(minima_of_flooding(g).values) if v != UNSET})
     live = [(u, v, eid) for eid, (u, v) in enumerate(g.edges)]
     live += [(v, u, eid) for u, v, eid in live]
     for _ in range(m):

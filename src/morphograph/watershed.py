@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .flooding import _pair_nodes, _reach, assign_pairs, minima_of_flooding, parse_tie
+from .flooding import _flooding_pairs, _pair_nodes, _reach, minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph
-from .steepness import _inner_edges, _kept_pairs, _upstream
+from .steepness import _inner_edges, _upstream
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ def unique_drain(
     Edges inside the minima survive untouched; everything else not chosen
     by the pairing is cut, leaving one and only one descent per node.
     """
-    in_min = [v != UNSET for v in minima_of_flooding(g).values]
-    return g.partial(_inner_edges(g, in_min) + list(assign_pairs(g, parse_tie(tie)).values()))
+    in_min, *pairs = _flooding_pairs(g)
+    pair = _pair_nodes(g, zip(*pairs), parse_tie(tie))
+    return g.partial(_inner_edges(g, in_min) + [eid for eid in pair if eid >= 0])
 
 
 def drainage_forest(
@@ -61,12 +62,12 @@ def drainage_forest(
     weights plus (size - 1) times the level per minimum, independent of
     the tie policy.
     """
-    return _drain(g, _kept_pairs(g, 1)[1], parse_tie(tie))  # k = 1 keeps every pair
+    return _drain(g, zip(*_flooding_pairs(g)[1:]), parse_tie(tie))
 
 
 def _drain(g: WeightedGraph, picked: Iterable, rng) -> SpanningForest:
-    """``drainage_forest`` of the partial graph of ``g`` keeping the minima and the pairs
-    ``picked`` (``_pair_nodes``), in ``g``'s edge ids: with ``_kept_pairs``, no pruned graph."""
+    """The drainage forest, in ``g``'s edge ids, of the partial graph of ``g`` keeping the
+    minima and the pairs ``picked`` (``_flooding_pairs``' or ``_kept_pairs``'), unbuilt."""
     labels, edges, rows = list(minima_of_flooding(g).values), g.edges, {}
     for eid, (u, v) in enumerate(edges):  # the inner edges, in neighbor order
         if labels[u] and labels[v]:

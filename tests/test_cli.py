@@ -323,7 +323,7 @@ def test_main_pauses_the_collector_and_gives_it_back(
 
 def test_watershed_validates_and_finds_minima_once(five_path_file, tmp_path, monkeypatch,
                                                    capsys):
-    from morphograph import flooding, graphs, steepness
+    from morphograph import flooding, graphs, steepness, watershed
 
     calls = {"validate": 0, "minima": 0, "pairs": 0}
 
@@ -347,7 +347,11 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, tmp_path, mon
     both.write_text(flooded)
     monkeypatch.setattr(flooding, "validate_flooding", counted("validate", flooding.validate_flooding))
     monkeypatch.setattr(graphs, "_zone_walk", node_walk)
-    monkeypatch.setattr(steepness, "_flooding_pairs", counted("pairs", steepness._flooding_pairs))
+    # the pairs (and with them the minima mask) are derived by _flooding_pairs
+    # alone; each module that binds it is counted
+    pairs = counted("pairs", flooding._flooding_pairs)
+    for module in (flooding, steepness, watershed):
+        monkeypatch.setattr(module, "_flooding_pairs", pairs)
     # the node-weighted file is flooded by a constructor, which certifies
     # its graph: no validation; a .wgr that comes with both weights is
     # validated once.  Either way one node zone walk: the two single-node
@@ -367,7 +371,14 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, tmp_path, mon
             code, out, _ = run_cli(capsys, "watershed", path, "--depth", "3", "--algo", algo)
             assert code == 0 and "zones" in json.loads(out)
             assert calls == {"validate": validations, "minima": 1, "pairs": 1}
-    # every waterfall level floods its contracted graph with a constructor
+        # both sparse distance methods read the memoised rows of one derivation
+        for method in ("core", "dijkstra"):
+            calls.update(validate=0, minima=0, pairs=0)
+            code, _, _ = run_cli(capsys, "dist", path, "--method", method)
+            assert code == 0
+            assert calls == {"validate": validations, "minima": 1, "pairs": 1}
+    # every waterfall level floods its contracted graph with a constructor,
+    # and its pruning and drainage forest share one derivation of the pairs
     edges = tmp_path / "edges.wgr"
     # a ruler profile on a path: its passes rise 5, 6, 5, 7, 5, 6, 5, 8, ...
     weights = [1 if i % 2 else 3 + (i & -i).bit_length() for i in range(1, 28)]
@@ -376,7 +387,11 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, tmp_path, mon
     calls.update(validate=0, minima=0, pairs=0)
     code, out, _ = run_cli(capsys, "waterfall", str(edges))
     assert [level["regions"] for level in json.loads(out)["levels"]] == [14, 7, 3, 1]
-    assert code == 0 and calls["validate"] == 0
+    assert code == 0 and calls["validate"] == 0 and calls["pairs"] == 4
+    calls.update(validate=0, minima=0, pairs=0)
+    code, out, _ = run_cli(capsys, "mst", str(edges))
+    assert code == 0 and len(json.loads(out)["edges"]) == 27
+    assert calls["validate"] == 0 and calls["pairs"] == 4
 
 
 def test_pgm_watershed_walks_the_pixel_zones_once(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from morphograph import (
+    UNSET,
     basins_with_zones,
     drainage_forest,
     flooding_from_nodes,
@@ -21,6 +22,7 @@ from morphograph import (
     prune_to_steepness,
     unique_drain,
 )
+from morphograph.flooding import assign_pairs, minima_of_flooding
 from morphograph.formats import pixel_graph
 from conftest import random_flooding
 from test_golden import terrain
@@ -113,3 +115,21 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_watershed_layer_golden(name, family, inputs):
     assert digest(FUNCTIONS[name], inputs[family]) == GOLDEN[f"{family}:{name}"]
+
+
+@pytest.mark.parametrize("family", ("random", "pixel"))
+def test_unique_drain_keeps_the_inner_edges_and_the_assigned_pairs(family, inputs):
+    # unique_drain pairs the nodes as assign_pairs does, without its dict:
+    # the same edges, and under a seed the same draws from the generator
+    for i, fg in enumerate(inputs[family]):
+        for k in DEPTHS:
+            g = prune_to_steepness(fg, k)
+            labels = minima_of_flooding(g).values
+            inner = [eid for eid, (u, v) in enumerate(g.edges)
+                     if labels[u] != UNSET and labels[v] != UNSET]
+            for seed in (None, i):
+                r1, r2 = [None if seed is None else random.Random(seed) for _ in range(2)]
+                got = unique_drain(g, "min-label" if seed is None else r1)
+                want = g.partial(inner + list(assign_pairs(g, r2).values()))
+                assert got.edges == want.edges and got.edge_weights == want.edge_weights
+                assert seed is None or r1.getstate() == r2.getstate()
