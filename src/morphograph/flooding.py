@@ -17,7 +17,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .adjunction import dilate_nodes_to_edges, erode_edges_to_nodes
 from .errors import InvalidFloodingGraph, MissingWeights, ZeroNonMinimum
@@ -226,17 +226,22 @@ def _reach(start: int, rows: dict, edges: tuple, seen: bytearray, tree: list) ->
     return queue
 
 
-def _pair_nodes(g: WeightedGraph, picked: Iterable, rng: Optional[random.Random]) -> list[int]:
+def _pair_nodes(g: WeightedGraph, pairs: tuple, kept: Optional[tuple],
+                rng: Optional[random.Random]) -> list[int]:
     """Per node, the edge id of its pair (-1 in the minima), as
     ``assign_pairs`` pairs the partial graph of ``g`` that keeps the minima
-    and the flooding pairs ``picked`` (tail, head, edge id, in the order of
-    ``_flooding_pairs``), unbuilt: an edge weighs its higher end, so a
-    node's edges down are its picked pairs with a lower head, and the only
-    rows built, its plateau edges, those with an equal head either way."""
+    and the flooding pairs ``pairs`` (``_flooding_pairs``'), or those the
+    ranks ``kept`` of ``steepness._minimal_pairs`` keep, unbuilt: an edge
+    weighs its higher end, so a node's edges down are its kept pairs with
+    a lower head, and the only rows built, its plateau edges, those with
+    an equal head either way."""
     nw, edges, n = g.node_weights, g.edges, g.num_nodes
+    rank, lo = kept or (None, None)
     pair, least, top = [-1] * n, [n] * n, [-1] * n if rng else None  # least: lowest head
     lower, links, rows, last = [], [], {}, -1  # under rng, each tail's lower pairs chain from top
-    for i, j, eid in picked:
+    for i, j, eid in zip(*pairs[1:]):
+        if rank and rank[j] != lo[i]:  # a pair depth-k pruning drops
+            continue
         if nw[j] < nw[i]:
             if j < least[i]:
                 least[i], pair[i] = j, eid
@@ -244,7 +249,7 @@ def _pair_nodes(g: WeightedGraph, picked: Iterable, rng: Optional[random.Random]
                 links.append(top[i])
                 top[i] = len(lower)
                 lower.append(eid)
-        elif eid != last:  # once per edge, though both its pairs are picked
+        elif eid != last:  # once per edge, though both its pairs are kept
             last = eid
             rows.setdefault(i, []).append(eid)
             rows.setdefault(j, []).append(eid)
@@ -283,7 +288,7 @@ def assign_pairs(g: WeightedGraph, rng: Optional[random.Random] = None) -> dict[
     are drawn uniformly instead, plateau by plateau in order of their
     smallest node.  ``g`` must be a flooding graph.
     """
-    pair = _pair_nodes(g, zip(*_flooding_pairs(g)[1:]), rng)
+    pair = _pair_nodes(g, _flooding_pairs(g), None, rng)
     return {i: eid for i, eid in enumerate(pair) if eid >= 0}
 
 

@@ -164,7 +164,7 @@ def parse_pgm(data: bytes) -> tuple[int, int, int, list[int]]:
             pixels = [
                 (raw[2 * i] << 8) | raw[2 * i + 1] for i in range(count)
             ]
-    if any(p < 0 or p > maxval for p in pixels):
+    if min(pixels) < 0 or max(pixels) > maxval:  # count > 0: width, height >= 1
         raise MalformedImage("pixel outside [0, maxval]")
     return width, height, maxval, pixels
 

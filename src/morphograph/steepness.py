@@ -19,8 +19,6 @@ adjunction operators.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
 from .flooding import _certify, _flooding_pairs, _zeroed_nodes, minima_of_flooding
 from .graphs import UNSET, WeightedGraph, lowest_edge_filter
@@ -37,16 +35,16 @@ def prune_to_steepness(g: WeightedGraph, k: int) -> WeightedGraph:
     node outside them keeps a flooding pair and the minima keep their
     edges, so it is certified with the cached minima of ``g``.
     """
-    in_min, picked = _kept_pairs(g, k)
-    kept = _inner_edges(g, in_min) + [eid for _, _, eid in picked]
-    return _certify(g.partial(kept), minima_of_flooding(g))
+    (in_min, tails, heads, eids), (rank, lo) = _kept_pairs(g, k)
+    kept = [eid for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i]]
+    return _certify(g.partial(_inner_edges(g, in_min) + kept), minima_of_flooding(g))
 
 
-def _kept_pairs(g: WeightedGraph, k: int) -> tuple[list, Iterator]:
-    """The minima mask of ``_flooding_pairs`` and the pairs depth-``k`` pruning
-    keeps, (tail, head, edge id) in its order; at k = 1, every pair."""
+def _kept_pairs(g: WeightedGraph, k: int) -> tuple[tuple, tuple]:
+    """``_flooding_pairs(g)`` and the ranks ``(rank, lo)`` of ``_minimal_pairs``
+    that tell which of them depth-``k`` pruning keeps; at k = 1, every pair."""
     pairs = _flooding_pairs(g)
-    return pairs[0], _minimal_pairs(g, k, pairs)[2]
+    return pairs, _minimal_pairs(g, k, pairs)
 
 
 def _inner_edges(g: WeightedGraph, in_min: list) -> list[int]:
@@ -104,33 +102,34 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
     return _refined(g.node_weights, _flooding_pairs(g), depth)
 
 
-def _minimal_pairs(g: WeightedGraph, k: int, pairs: tuple) -> tuple[list, list, Iterator]:
-    """The depth-(k-1) track ranks, each node's least head rank (``_least``)
-    and the flooding pairs (tail, head, edge id) of ``_flooding_pairs``
-    that start minimal depth-k tracks: those whose head has that rank.
-    Pruning and every watershed labeler come through here, so it alone
-    refuses k < 1."""
+def _minimal_pairs(g: WeightedGraph, k: int, pairs: tuple) -> tuple[list, list]:
+    """The depth-(k-1) track ranks and each node's least head rank
+    (``_least``) over the flooding pairs ``pairs`` of ``_flooding_pairs``.
+    Pair p starts a minimal depth-k track, and depth-k pruning keeps it,
+    iff ``rank[heads[p]] == lo[tails[p]]``; each caller tests that in place
+    over the pair columns.  Pruning and every watershed labeler come
+    through here, so it alone refuses k < 1."""
     if k < 1:
         raise ValueError("steepness depth must be >= 1")
-    _, tails, heads, eids = pairs
+    _, tails, heads, _ = pairs
     rank = _refined(g.node_weights, pairs, k - 1)
-    lo = _least(rank, tails, heads, max(rank, default=0) + 1)
-    return rank, lo, ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
+    return rank, _least(rank, tails, heads, max(rank, default=0) + 1)
 
 
 def _upstream(g: WeightedGraph, k: int, deeper: bool = False) -> tuple[list, list]:
     """The depth-(k-1) track ranks (depth k if ``deeper``) and, per node,
-    the ascending tails of the minimal depth-k pairs it heads: the rows
-    every watershed labeler walks upward from the minima.  Memoised on
-    ``g``: ``_flooding_pairs``, which does not depend on ``k``, and the
-    ranks, least head ranks and rows of the last ``k``."""
+    the ascending tails of the minimal depth-k pairs it heads, filled
+    straight from the pair columns: the rows every watershed labeler walks
+    upward from the minima.  Memoised on ``g``: ``_flooding_pairs`` (not
+    per ``k``) and the last ``k``'s ranks, least head ranks and rows."""
     memo = vars(g).get("_upstream") or (_flooding_pairs(g), None, None, None, None)
     pairs, last, rank, lo, rows = memo
     if last != k:
-        rank, lo, picked = _minimal_pairs(g, k, pairs)
+        rank, lo = _minimal_pairs(g, k, pairs)
         rows = [[] for _ in range(g.num_nodes)]
-        for i, j, _ in picked:
-            rows[j].append(i)
+        for i, j in zip(pairs[1], pairs[2]):
+            if rank[j] == lo[i]:
+                rows[j].append(i)
         for row in rows:
             row.sort()  # the order of the edge list is the input's
         vars(g)["_upstream"] = (pairs, k, rank, lo, rows)
@@ -147,10 +146,11 @@ def minimal_track_edges(g: WeightedGraph, k: int) -> dict:
     candidate edges of a node share the node's own weight, so a node
     picks the pairs whose head has the least track rank.
     """
-    in_min, pairs = _kept_pairs(g, k)
+    (in_min, tails, heads, eids), (rank, lo) = _kept_pairs(g, k)
     picked: dict = {}
-    for i, _, eid in pairs:
-        picked.setdefault(i, []).append(eid)
+    for i, j, eid in zip(tails, heads, eids):
+        if rank[j] == lo[i]:
+            picked.setdefault(i, []).append(eid)
     out: dict = {None: frozenset(_inner_edges(g, in_min))}
     out.update((i, frozenset(picked[i])) for i in sorted(picked))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DisconnectedInput, IncompleteHierarchy
-from .flooding import _from_edges, as_flooding, parse_tie
+from .flooding import _from_edges, _pair_nodes, as_flooding, parse_tie
 from .graphs import Labeling, WeightedGraph, collapse
 from .steepness import _kept_pairs
 from .watershed import _drain
@@ -69,7 +69,7 @@ def build_hierarchy(
 
     while True:
         # the drainage forest of the depth-k pruned graph, which is not built
-        forest = _drain(cur_flood, _kept_pairs(cur_flood, k)[1], rng)
+        forest = _drain(cur_flood, _pair_nodes(cur_flood, *_kept_pairs(cur_flood, k), rng))
         base_ids = frozenset([to_base_edge[kept[eid]] for eid in forest.edges])
         labels = forest.labels.values
         part = Labeling(tuple([labels[r] for r in to_region]), "nodes")

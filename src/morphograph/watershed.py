@@ -8,14 +8,17 @@ tree per minimum; its total weight does not depend on the choices made.
 ``basins_with_zones`` labels nodes by upward propagation along minimal
 descent tracks and marks nodes (and their upstream) reached by two
 distinct labels simultaneously with ZONE; ``partition`` resolves those
-ties by policy instead.
+ties by policy instead.  A wavefront folds as it is scanned: a reached
+node keeps its sources' common label, ZONE once two disagree (ZONE
+disagrees with every label) or, under min-label, the least label; only
+a seeded ``partition``, drawing uniformly over them, lists the sources.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .flooding import _flooding_pairs, _pair_nodes, _reach, minima_of_flooding, parse_tie
 from .graphs import Labeling, UNSET, ZONE, WeightedGraph
@@ -46,9 +49,9 @@ def unique_drain(
     Edges inside the minima survive untouched; everything else not chosen
     by the pairing is cut, leaving one and only one descent per node.
     """
-    in_min, *pairs = _flooding_pairs(g)
-    pair = _pair_nodes(g, zip(*pairs), parse_tie(tie))
-    return g.partial(_inner_edges(g, in_min) + [eid for eid in pair if eid >= 0])
+    pairs = _flooding_pairs(g)
+    pair = _pair_nodes(g, pairs, None, parse_tie(tie))
+    return g.partial(_inner_edges(g, pairs[0]) + [eid for eid in pair if eid >= 0])
 
 
 def drainage_forest(
@@ -62,12 +65,12 @@ def drainage_forest(
     weights plus (size - 1) times the level per minimum, independent of
     the tie policy.
     """
-    return _drain(g, zip(*_flooding_pairs(g)[1:]), parse_tie(tie))
+    return _drain(g, _pair_nodes(g, _flooding_pairs(g), None, parse_tie(tie)))
 
 
-def _drain(g: WeightedGraph, picked: Iterable, rng) -> SpanningForest:
+def _drain(g: WeightedGraph, pair: list) -> SpanningForest:
     """The drainage forest, in ``g``'s edge ids, of the partial graph of ``g`` keeping the
-    minima and the pairs ``picked`` (``_flooding_pairs``' or ``_kept_pairs``'), unbuilt."""
+    minima and each node's edge in ``pair`` (``_pair_nodes``'), unbuilt."""
     labels, edges, rows = list(minima_of_flooding(g).values), g.edges, {}
     for eid, (u, v) in enumerate(edges):  # the inner edges, in neighbor order
         if labels[u] and labels[v]:
@@ -75,7 +78,7 @@ def _drain(g: WeightedGraph, picked: Iterable, rng) -> SpanningForest:
             rows.setdefault(v, []).append(eid)
     for row in rows.values():
         row.sort(key=lambda e: sum(edges[e]))
-    for i, eid in enumerate(_pair_nodes(g, picked, rng)):  # each pair, up from its head
+    for i, eid in enumerate(pair):  # each pair, up from its head
         if eid >= 0:
             u, v = edges[eid]
             rows.setdefault(u + v - i, []).append(eid)
@@ -105,33 +108,27 @@ def _propagate(g: WeightedGraph, k: int, rng, keep_zones: bool) -> Labeling:
     _, rows = _upstream(g, k)  # the nodes whose minimal tracks start toward each node
 
     # Each wavefront takes its labels from the previous one: a newly
-    # reached node looks at the previous-wavefront nodes its minimal
-    # tracks reach, listed in increasing id order.  A node is reached
-    # once it holds a label (the minima's, a propagated one or ZONE).
+    # reached node folds its sources, the previous-wavefront nodes its
+    # minimal tracks reach, into one value (module docstring), or under rng
+    # lists them in increasing id order.  A node is reached once it holds
+    # a label (the minima's, a propagated one or ZONE).
     frontier = [i for i, lab in enumerate(labels) if lab != UNSET]
     while frontier:
-        sources: dict[int, list[int]] = {}
+        got: dict = {}
         for f in frontier:
+            lab = labels[f]
             for i in rows[f]:
                 if labels[i] == UNSET:
-                    sources.setdefault(i, []).append(f)
-        frontier = sorted(sources)
+                    if rng:
+                        got.setdefault(i, []).append(f)
+                    elif got.setdefault(i, lab) != lab:
+                        got[i] = ZONE if keep_zones else min(got[i], lab)
+        frontier = sorted(got)
         for i in frontier:
-            src = sources[i]
-            if len(src) == 1:  # one source draws nothing from rng
-                labels[i] = labels[src[0]]
-                continue
-            got = sorted({labels[j] for j in src})
-            if ZONE in got:
-                labels[i] = ZONE
-            elif len(got) == 1:
-                labels[i] = got[0]
-            elif keep_zones:
-                labels[i] = ZONE
-            elif rng is None:
-                labels[i] = got[0]
-            else:
-                labels[i] = labels[rng.choice(src)]
+            if rng:  # one label draws nothing from rng
+                src = got[i]
+                got[i] = labels[rng.choice(src) if len({labels[j] for j in src}) > 1 else src[0]]
+            labels[i] = got[i]
     return Labeling(tuple(labels), "nodes")
 
 

@@ -98,6 +98,18 @@ def test_pgm_maxval_outside_the_format_is_refused(data):
         parse_pgm(data)
 
 
+@pytest.mark.parametrize("data", [
+    b"P2 2 1 9\n10 0\n",
+    b"P2 2 1 9\n0 -1\n",
+    b"P2 1 1 65535\n65536\n",
+    b"P5 2 1 9\n" + bytes([0, 10]),
+    b"P5 2 1 300\n" + bytes([1, 45, 0, 0]),  # 301, two bytes a sample
+])
+def test_pgm_pixel_outside_the_range_is_refused_in_both_encodings(data):
+    with pytest.raises(MalformedImage, match=r"^pixel outside \[0, maxval\]$"):
+        parse_pgm(data)
+
+
 @pytest.mark.parametrize("maxval", [1, 9, 255, 256, 65535])
 def test_pgm_roundtrip_at_every_sample_width(maxval):
     pixels = [0, maxval, maxval // 2, 1, maxval - 1, maxval // 3]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from morphograph import (
+    DisconnectedInput,
     InvalidFloodingGraph,
     UNSET,
     WeightedGraph,
@@ -18,14 +19,21 @@ from morphograph import (
     unique_drain,
     validate_flooding,
 )
-from morphograph.flooding import minima_of_flooding, minima_sets
-from morphograph.graphs import connected_components
-from morphograph.steepness import _kept_pairs, prune_to_steepness
+from morphograph import build_hierarchy, waterfall
+from morphograph.flooding import _flooding_pairs, _pair_nodes, minima_of_flooding, minima_sets
+from morphograph.formats import image_to_graph, write_pgm
+from morphograph.graphs import Labeling, connected_components
+from morphograph.steepness import (
+    _inner_edges, _kept_pairs, _least, _refined, _upstream, minimal_track_edges,
+    prune_to_steepness, track_ranks,
+)
 from morphograph.watershed import _drain
 from conftest import (
-    adjacency_drainage_forest, constrained_msf_weight, random_edge_weighted, random_flooding,
+    adjacency_drainage_forest, constrained_msf_weight, quantized_pixel_floodings,
+    random_edge_weighted, random_flooding,
 )
 from test_adjunction import small_graphs
+from test_geodesics import _one_graph_per_shape
 
 
 def outside_nodes(fg):
@@ -250,7 +258,7 @@ def test_pairing_kernel_equals_the_drainage_forest_of_the_pruned_graph():
     for fg, n in _pairing_kernel_corpus(rng):
         last = None
         for k in range(1, n + 2):
-            picked = list(_kept_pairs(fg, k)[1])
+            picked = list(_kept_triples(fg, k))
             if picked == last:  # the fixed point: every deeper k repeats this one
                 continue
             last = picked
@@ -260,7 +268,152 @@ def test_pairing_kernel_equals_the_drainage_forest_of_the_pruned_graph():
                 want_rng, got_rng = (None, None) if tie is None else (
                     random.Random(tie), random.Random(tie))
                 want = adjacency_drainage_forest(pruned, want_rng)
-                got = _drain(fg, picked, got_rng)
+                got = _drain(fg, _pair_nodes(fg, *_kept_pairs(fg, k), got_rng))
                 assert got.edges == frozenset(ids[e] for e in want.edges)
                 assert got.labels == want.labels
                 assert tie is None or got_rng.getstate() == want_rng.getstate()
+
+
+def _kept_triples(g, k):
+    """The flooding pairs (tail, head, edge id) that depth-``k`` pruning
+    keeps, as ``steepness._minimal_pairs`` yielded them before its callers
+    tested the kept-pair rule in place; kept as their oracle."""
+    if k < 1:
+        raise ValueError("steepness depth must be >= 1")
+    pairs = _flooding_pairs(g)
+    _, tails, heads, eids = pairs
+    rank = _refined(g.node_weights, pairs, k - 1)
+    lo = _least(rank, tails, heads, max(rank, default=0) + 1)
+    return ((i, j, eid) for i, j, eid in zip(tails, heads, eids) if rank[j] == lo[i])
+
+
+def _kept_columns(g, k):
+    """``_flooding_pairs(g)`` with only the columns of ``_kept_triples``."""
+    triples = list(_kept_triples(g, k))
+    return _flooding_pairs(g)[0], *([t[c] for t in triples] for c in range(3))
+
+
+def test_kept_pairs_are_tested_in_place_as_the_triples_were_filtered():
+    # the consumers of the minimal pairs test rank[head] == lo[tail] over the
+    # pair columns; each must give what it gave when it read the triples
+    rng = random.Random(73)
+    corpus = [*_pairing_kernel_corpus(rng), *((fg, 0) for fg in quantized_pixel_floodings(rng, 15))]
+    for fg, _ in corpus:
+        for k in range(1, 5):
+            triples = list(_kept_triples(fg, k))
+            cols = _kept_columns(fg, k)
+            in_min = cols[0]
+            rank, rows = _upstream(fg, k)
+            want = [[] for _ in range(fg.num_nodes)]
+            for i, j, _ in triples:
+                want[j].append(i)
+            assert rank == track_ranks(fg, k - 1)
+            assert rows == [sorted(row) for row in want]
+            assert prune_to_steepness(fg, k) == fg.partial(
+                _inner_edges(fg, in_min) + [eid for _, _, eid in triples])
+            tracks = {}
+            for i, _, eid in triples:
+                tracks.setdefault(i, []).append(eid)
+            want_tracks = {None: frozenset(_inner_edges(fg, in_min))}
+            want_tracks.update((i, frozenset(tracks[i])) for i in sorted(tracks))
+            assert list(minimal_track_edges(fg, k).items()) == list(want_tracks.items())
+            for tie in (None, rng.randrange(2**32)):
+                want_rng, got_rng = (None, None) if tie is None else (
+                    random.Random(tie), random.Random(tie))
+                assert _pair_nodes(fg, *_kept_pairs(fg, k), got_rng) == _pair_nodes(
+                    fg, cols, None, want_rng)
+                assert tie is None or got_rng.getstate() == want_rng.getstate()
+
+
+def _levels(g, k, tie):
+    """Each level's forest and partition of ``build_hierarchy``, or
+    ``DisconnectedInput`` if it refuses ``g``."""
+    try:
+        return [(lvl.forest, lvl.partition) for lvl in build_hierarchy(g, k, tie).levels]
+    except DisconnectedInput:
+        return DisconnectedInput
+
+
+def test_hierarchy_levels_test_the_kept_pairs_in_place(monkeypatch):
+    # the oracle hands each level's pairing the kept pairs as the filtered
+    # columns of the triples, with no ranks to test
+    rng = random.Random(79)
+    corpus = [*_pairing_kernel_corpus(rng), *((fg, 0) for fg in quantized_pixel_floodings(rng, 15))]
+    for fg, _ in corpus:
+        for k in range(1, 5):
+            for tie in ("min-label", rng.randrange(2**32)):
+                want_rng, got_rng = ("min-label",) * 2 if tie == "min-label" else (
+                    random.Random(tie), random.Random(tie))
+                got = _levels(fg, k, got_rng)
+                with monkeypatch.context() as m:
+                    m.setattr(waterfall, "_kept_pairs", lambda g, k: (_kept_columns(g, k), None))
+                    assert got == _levels(fg, k, want_rng)
+                assert tie == "min-label" or got_rng.getstate() == want_rng.getstate()
+
+
+def _propagate_by_source_lists(g, k, rng, keep_zones):
+    """``watershed._propagate`` as it ran before it folded each wavefront,
+    kept as its oracle: every newly reached node lists its sources in
+    increasing id order, then resolves them."""
+    labels = list(minima_of_flooding(g).values)
+    _, rows = _upstream(g, k)
+    frontier = [i for i, lab in enumerate(labels) if lab != UNSET]
+    while frontier:
+        sources = {}
+        for f in frontier:
+            for i in rows[f]:
+                if labels[i] == UNSET:
+                    sources.setdefault(i, []).append(f)
+        frontier = sorted(sources)
+        for i in frontier:
+            src = sources[i]
+            if len(src) == 1:  # one source draws nothing from rng
+                labels[i] = labels[src[0]]
+                continue
+            got = sorted({labels[j] for j in src})
+            if ZONE in got:
+                labels[i] = ZONE
+            elif len(got) == 1:
+                labels[i] = got[0]
+            elif keep_zones:
+                labels[i] = ZONE
+            elif rng is None:
+                labels[i] = got[0]
+            else:
+                labels[i] = labels[rng.choice(src)]
+    return Labeling(tuple(labels), "nodes")
+
+
+def _propagation_corpus():
+    """(flooding graph, depths): one graph per shape on up to 4 nodes,
+    weighted on its nodes and, with an edge, on its edges in {0, 1, 2} in
+    every way, at k = 1 ... n + 1; then seeded 8-connected pixel floodings
+    at 4 gray levels, at k = 1 ... 5."""
+    for g in _one_graph_per_shape(4):
+        depths = range(1, g.num_nodes + 2)
+        for nw in itertools.product(range(3), repeat=g.num_nodes):
+            yield flooding_from_nodes(g.with_weights(node_weights=nw)), depths
+        for ew in itertools.product(range(3), repeat=len(g.edges)) if g.edges else ():
+            yield flooding_from_edges(g.with_weights(edge_weights=ew)), depths
+    rng = random.Random(83)
+    for _ in range(60):
+        w, h = rng.randint(2, 12), rng.randint(2, 12)
+        pixels = [rng.randrange(4) for _ in range(w * h)]
+        yield flooding_from_nodes(image_to_graph(write_pgm(w, h, pixels, 3), 8)), range(1, 6)
+
+
+def test_each_wavefront_folds_as_its_source_lists_resolve():
+    # basins_with_zones and partition fold each reached node's sources into
+    # one label as they scan a wavefront; they must label as the source
+    # lists did, and a seeded partition must draw the same numbers
+    rng = random.Random(89)
+    for fg, depths in _propagation_corpus():
+        for k in depths:
+            assert basins_with_zones(fg, k) == _propagate_by_source_lists(fg, k, None, True)
+            assert partition(fg, k) == _propagate_by_source_lists(fg, k, None, False)
+            seed = rng.randrange(2**32)
+            want = _propagate_by_source_lists(fg, k, random.Random(seed), False)
+            assert partition(fg, k, f"seed:{seed}") == want
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            assert partition(fg, k, got_rng) == _propagate_by_source_lists(fg, k, want_rng, False)
+            assert got_rng.getstate() == want_rng.getstate()
