@@ -40,7 +40,8 @@ class Labeling:
 
     @property
     def num_labels(self) -> int:
-        return max((v for v in self.values if v > 0), default=0)
+        """The greatest label, 0 when none is positive: ZONE and UNSET sit below 1."""
+        return max(0, max(self.values, default=0))
 
     def label_sets(self) -> dict[int, frozenset[int]]:
         """Map each label (including ZONE if present) to its member ids."""
@@ -309,33 +310,31 @@ def contract(g: WeightedGraph, h: Iterable[int]) -> Contraction:
 def collapse(g: WeightedGraph, labels: Sequence[int]) -> Contraction:
     """Merge the nodes that share a label (one label per node) into one node;
     new ids are dense, ordered by each group's smallest old id, and edges,
-    weights and dummies follow the rules of :func:`contract`."""
+    weights and dummies follow the rules of :func:`contract`.  A crossing
+    edge is keyed by one int, ``cu * count + cv`` with ``cu < cv``."""
     if len(labels) != g.num_nodes:
         raise ValueError("collapse needs one label per node")
     new_id: dict[int, int] = {}
     node_map = tuple([new_id.setdefault(lab, len(new_id)) for lab in labels])
     count = len(new_id)
-
     ew = g.edge_weights
-    best: dict[tuple[int, int], tuple[int, int]] = {}  # (u', v') -> (weight key, old eid)
+    w = bytes(len(g.edges)) if ew is None else ew  # unweighted: all ties
+    best: dict[int, int] = {}  # key -> old eid
     for eid, (u, v) in enumerate(g.edges):
         cu, cv = node_map[u], node_map[v]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        w = ew[eid] if ew is not None else 0
-        if key not in best or (w, eid) < best[key]:
-            best[key] = (w, eid)
-    pairs = sorted(best)
-    new_edges = tuple(pairs)
-    origins = tuple(best[p][1] for p in pairs)
-    new_ew = tuple(best[p][0] for p in pairs) if ew is not None else None
-
-    # a new node is a dummy when all its old nodes are
-    new_dummies = frozenset(range(count)).difference(
-        k for i, k in enumerate(node_map) if i not in g.dummies)
-    graph = WeightedGraph._derive(count, new_edges, None, new_ew, new_dummies)
-    return Contraction(graph, node_map, origins)
+        if cu != cv:
+            key = cu * count + cv if cu < cv else cv * count + cu
+            if w[eid] < w[best.setdefault(key, eid)]:  # ids rise: the least (w, eid) stays
+                best[key] = eid
+    keys = sorted(best)  # as the (cu, cv) pairs sort
+    origins = tuple([best[key] for key in keys])
+    new_ew = None if ew is None else tuple([ew[eid] for eid in origins])
+    new_dummies = frozenset(range(count)).difference(  # new nodes whose old nodes all are dummies
+        k for i, k in enumerate(node_map) if i not in g.dummies) if g.dummies else frozenset()
+    ids = list(new_id.values())  # node_map's ints, so the edges share them as the nodes do
+    new_edges = tuple([(ids[key // count], ids[key % count]) for key in keys])
+    return Contraction(WeightedGraph._derive(count, new_edges, None, new_ew, new_dummies),
+                       node_map, origins)
 
 
 def expand_isolated_minima(g: WeightedGraph) -> WeightedGraph:

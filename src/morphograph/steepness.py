@@ -94,10 +94,9 @@ def track_ranks(g: WeightedGraph, depth: int) -> list[int]:
     on a minimum; ranks compare as these tuples do, and a minimum ranks 0.
     Depth 1 ranks by weight alone.  Each deeper pass keys a node by its
     weight, then the least rank over its pair heads, and re-ranks the
-    distinct keys densely: the rank refinement of prefix-doubling suffix
-    sorting.  A pass refines the order of the one before, so once the
-    ranks repeat every later pass repeats them, and a huge depth costs
-    only the passes to that fixed point.
+    distinct keys densely, one pair deeper per pass (no doubling) until
+    the ranks repeat: a huge depth costs a pass per pair of the longest
+    minimal track, L passes on a one-pixel serpentine corridor of L pixels.
     """
     return _refined(g.node_weights, _flooding_pairs(g), depth)
 

@@ -71,17 +71,15 @@ def build_hierarchy(
         # the drainage forest of the depth-k pruned graph, which is not built
         forest = _drain(cur_flood, _pair_nodes(cur_flood, *_kept_pairs(cur_flood, k), rng))
         base_ids = frozenset([to_base_edge[kept[eid]] for eid in forest.edges])
-        labels = forest.labels.values
-        part = Labeling(tuple([labels[r] for r in to_region]), "nodes")
-        contraction = collapse(cur_full, labels)  # one node per tree
+        part = Labeling(tuple(map(forest.labels.values.__getitem__, to_region)), "nodes")
+        contraction = collapse(cur_full, forest.labels.values)  # one node per tree
         levels.append(HierarchyLevel(base_ids, part, forest.num_trees, contraction.graph))
         if contraction.graph.num_nodes <= 1:
             return Hierarchy(base, tuple(levels))
         if not contraction.graph.edges:  # the base graph was disconnected
             raise DisconnectedInput("waterfall needs a connected graph")
-        node_map = contraction.node_map
-        to_region = [node_map[r] for r in to_region]
-        to_base_edge = [to_base_edge[eid] for eid in contraction.edge_origins]
+        to_region = list(map(contraction.node_map.__getitem__, to_region))
+        to_base_edge = list(map(to_base_edge.__getitem__, contraction.edge_origins))
         cur_full = contraction.graph
         cur_flood, kept = _from_edges(cur_full)
 

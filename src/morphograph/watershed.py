@@ -70,25 +70,30 @@ def drainage_forest(
 
 def _drain(g: WeightedGraph, pair: list) -> SpanningForest:
     """The drainage forest, in ``g``'s edge ids, of the partial graph of ``g`` keeping the
-    minima and each node's edge in ``pair`` (``_pair_nodes``'), unbuilt."""
-    labels, edges, rows = list(minima_of_flooding(g).values), g.edges, {}
-    for eid, (u, v) in enumerate(edges):  # the inner edges, in neighbor order
-        if labels[u] and labels[v]:
-            rows.setdefault(u, []).append(eid)
-            rows.setdefault(v, []).append(eid)
-    for row in rows.values():
-        row.sort(key=lambda e: sum(edges[e]))
-    for i, eid in enumerate(pair):  # each pair, up from its head
-        if eid >= 0:
-            u, v = edges[eid]
-            rows.setdefault(u + v - i, []).append(eid)
-    # one search per tree, from its minimum's least node; rows list inner edges, then climbs
-    forest, seen = [], bytearray(g.num_nodes)
-    for start, lab in enumerate(labels):
-        if lab and not seen[start]:
-            for i in _reach(start, rows, edges, seen, forest):
-                labels[i] = lab
-    return SpanningForest(frozenset(forest), Labeling(tuple(labels), "nodes"))
+    minima and each node's edge in ``pair`` (``_pair_nodes``'), unbuilt: a breadth-first tree
+    per minimum from its least node, and each other node's pair edge and chain-end label."""
+    out = [m or (UNSET if e < 0 else None) for m, e in zip(minima_of_flooding(g).values, pair)]
+    edges, inner, rows, seen = g.edges, {}, {}, bytearray(g.num_nodes)
+    for eid in _inner_edges(g, out):
+        inner.setdefault(out[edges[eid][0]], []).append(eid)
+    forest = [ids[0] for ids in inner.values() if len(ids) == 1]  # a lone edge is its tree
+    for ids in inner.values():
+        if len(ids) > 1:  # by edge, so that each row lists its neighbors in ascending order
+            ids.sort(key=edges.__getitem__)
+            for eid in ids:
+                for end in edges[eid]:
+                    rows.setdefault(end, []).append(eid)
+            _reach(edges[ids[0]][0], rows, edges, seen, forest)
+    for i, lab in enumerate(out):  # None: resolved once, with the rest of its pair chain
+        if lab is None:
+            chain, j = [], i
+            while out[j] is None:
+                chain.append(j)
+                j = sum(edges[pair[j]]) - j
+            for x in chain:
+                out[x] = out[j]  # UNSET where the chain ends at an unpaired node
+    forest += [eid for eid, lab in zip(pair, out) if eid >= 0 and lab]
+    return SpanningForest(frozenset(forest), Labeling(tuple(out), "nodes"))
 
 
 def forest_weight(g: WeightedGraph, forest: SpanningForest) -> int:

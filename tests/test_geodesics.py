@@ -139,16 +139,16 @@ def test_core_expanding_depth2_matches_hq(rng):
         assert hq.values == labeling.values == _bucket_queue_hq(fg)
 
 
-def _sole_minimum(fg, k):
-    """Per node, the label of the one minimum attaining its depth-k
-    distance, or None where several or none attain it."""
+def _attaining_minima(fg, k):
+    """Per node, the labels of the minima attaining its depth-k distance,
+    ascending (empty where none does)."""
     sets = minima_sets(minima_of_flooding(fg))
     a = incidence_matrix(fg, k)
     b = [[ZERO] * len(sets) for _ in range(fg.num_nodes)]
     for c, nodes in enumerate(sets):
         for m in nodes:
             b[m][c] = UNIT
-    sole = []
+    out = []
     for row in linear_solve(a, b, k, "jacobi"):
         best, winners = ZERO, []
         for c, x in enumerate(row):
@@ -157,8 +157,14 @@ def _sole_minimum(fg, k):
                 best, winners = x, [c + 1]
             elif cmp == 0 and best is not ZERO:
                 winners.append(c + 1)
-        sole.append(winners[0] if len(winners) == 1 else None)
-    return sole
+        out.append(winners)
+    return out
+
+
+def _sole_minimum(fg, k):
+    """Per node, the label of the one minimum attaining its depth-k
+    distance, or None where several or none attain it."""
+    return [w[0] if len(w) == 1 else None for w in _attaining_minima(fg, k)]
 
 
 def test_label_agreement_where_distance_unique(rng):

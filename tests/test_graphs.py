@@ -15,6 +15,7 @@ from morphograph import (
 )
 from morphograph.flooding import flooding_from_nodes, minima_of_flooding
 from morphograph.formats import image_to_graph, write_pgm
+from morphograph.graphs import Contraction
 from conftest import random_edge_weighted, random_flooding, random_node_weighted, rows
 
 
@@ -206,6 +207,66 @@ def test_collapse_by_components_is_contract(rng):
         assert collapse(g, labels) == want
         assert collapse(g, _relabel(labels, rng)) == want
         assert collapse(g, [-lab for lab in labels]) == want
+
+
+def _collapse_by_pair_keys(g, labels):
+    """``collapse`` as it ran before it keyed each new edge by one int, kept
+    as its oracle: a (cu, cv) tuple key and a (weight, edge id) tuple value
+    per crossing edge, and a scan of every node for dummies."""
+    if len(labels) != g.num_nodes:
+        raise ValueError("collapse needs one label per node")
+    new_id = {}
+    node_map = tuple([new_id.setdefault(lab, len(new_id)) for lab in labels])
+    count = len(new_id)
+    ew = g.edge_weights
+    best = {}
+    for eid, (u, v) in enumerate(g.edges):
+        cu, cv = node_map[u], node_map[v]
+        if cu == cv:
+            continue
+        key = (cu, cv) if cu < cv else (cv, cu)
+        w = ew[eid] if ew is not None else 0
+        if key not in best or (w, eid) < best[key]:
+            best[key] = (w, eid)
+    pairs = sorted(best)
+    origins = tuple(best[p][1] for p in pairs)
+    new_ew = tuple(best[p][0] for p in pairs) if ew is not None else None
+    new_dummies = frozenset(range(count)).difference(
+        k for i, k in enumerate(node_map) if i not in g.dummies)
+    graph = WeightedGraph._derive(count, tuple(pairs), None, new_ew, new_dummies)
+    return Contraction(graph, node_map, origins)
+
+
+def _collapse_cases(rng, count):
+    """(graph, labels): seeded graphs of 1-12 nodes with shuffled edge
+    lists, weighted from a range of 1-10 values (so parallels often tie) or
+    unweighted, with dummy sets from none to all nodes, labeled from a pool
+    of negative, zero and sparse values."""
+    for m in range(count):
+        n = rng.randint(1, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        top = rng.choice((0, 1, 2, 9))
+        ew = None if m % 4 == 0 else [rng.randint(0, top) for _ in edges]
+        nw = [rng.randint(0, 3) for _ in range(n)] if m % 3 == 0 else None
+        dummies = {i for i in range(n) if rng.random() < rng.choice((0, 0.3, 1))}
+        pool = rng.sample(range(-30, 1000), rng.randint(1, n))
+        yield WeightedGraph(n, edges, nw, ew, dummies), [rng.choice(pool) for _ in range(n)]
+
+
+def test_collapse_keeps_what_the_pair_keys_kept(rng):
+    # each crossing edge keyed by cu * count + cv, the first edge seen kept
+    # unless a later one is strictly lighter: graph, node map and edge
+    # origins as the tuple keys gave them
+    cases = list(_collapse_cases(rng, 3000))
+    assert sum(bool(g.dummies) for g, _ in cases) > 1000
+    assert sum(g.edge_weights is None for g, _ in cases) >= 750
+    for g, labels in cases:
+        got, want = collapse(g, labels), _collapse_by_pair_keys(g, labels)
+        assert (got.graph, got.node_map, got.edge_origins) == (
+            want.graph, want.node_map, want.edge_origins)
+        assert all(type(e) is tuple for e in got.graph.edges)
 
 
 # -- expansion ---------------------------------------------------------------

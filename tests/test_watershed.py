@@ -20,20 +20,20 @@ from morphograph import (
     validate_flooding,
 )
 from morphograph import build_hierarchy, waterfall
-from morphograph.flooding import _flooding_pairs, _pair_nodes, minima_of_flooding, minima_sets
+from morphograph.flooding import _flooding_pairs, _pair_nodes, _reach, minima_of_flooding, minima_sets
 from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import Labeling, connected_components
 from morphograph.steepness import (
     _inner_edges, _kept_pairs, _least, _refined, _upstream, minimal_track_edges,
     prune_to_steepness, track_ranks,
 )
-from morphograph.watershed import _drain
+from morphograph.watershed import SpanningForest, _drain
 from conftest import (
     adjacency_drainage_forest, constrained_msf_weight, quantized_pixel_floodings,
     random_edge_weighted, random_flooding,
 )
 from test_adjunction import small_graphs
-from test_geodesics import _one_graph_per_shape
+from test_geodesics import _attaining_minima, _one_graph_per_shape
 
 
 def outside_nodes(fg):
@@ -274,6 +274,69 @@ def test_pairing_kernel_equals_the_drainage_forest_of_the_pruned_graph():
                 assert tie is None or got_rng.getstate() == want_rng.getstate()
 
 
+def _drain_by_climb_rows(g, pair):
+    """``watershed._drain`` as it ran before it followed the pair chains,
+    kept as its oracle: rows of inner edges sorted by neighbor, a climb
+    row entry per pair at its head, and one search per tree from each
+    minimum's least node."""
+    labels, edges, rows = list(minima_of_flooding(g).values), g.edges, {}
+    for eid, (u, v) in enumerate(edges):
+        if labels[u] and labels[v]:
+            rows.setdefault(u, []).append(eid)
+            rows.setdefault(v, []).append(eid)
+    for row in rows.values():
+        row.sort(key=lambda e: sum(edges[e]))
+    for i, eid in enumerate(pair):
+        if eid >= 0:
+            u, v = edges[eid]
+            rows.setdefault(u + v - i, []).append(eid)
+    forest, seen = [], bytearray(g.num_nodes)
+    for start, lab in enumerate(labels):
+        if lab and not seen[start]:
+            for i in _reach(start, rows, edges, seen, forest):
+                labels[i] = lab
+    return SpanningForest(frozenset(forest), Labeling(tuple(labels), "nodes"))
+
+
+def _shuffled_floodings(rng, count):
+    """Floodings of connected edge-weighted graphs of up to 14 nodes whose
+    edge lists are shuffled, weighted in {0, 1, 2} or {0 ... 5}: minima
+    with cycles whose least node is seldom the first one listed."""
+    for _ in range(count):
+        g = random_edge_weighted(rng, 14, rng.choice((2, 5)), rng.choice((0.3, 0.6)), True)
+        order = list(range(len(g.edges)))
+        rng.shuffle(order)
+        yield flooding_from_edges(WeightedGraph(
+            g.num_nodes, [g.edges[e] for e in order], None, [g.edge_weights[e] for e in order]))
+
+
+def test_drain_follows_the_pair_chains_as_the_climb_rows_did():
+    # each minimum spans itself from its least node and every other node
+    # takes the label at the end of its pair chain; forest and labels as the
+    # climb rows gave them, on the pairings of both tie policies, also where
+    # a node outside the minima has no pair (its chain stays UNSET)
+    rng = random.Random(97)
+    corpus = [fg for fg, _ in _pairing_kernel_corpus(rng)]
+    corpus += quantized_pixel_floodings(rng, 20)
+    corpus += _shuffled_floodings(rng, 300)
+    unpaired = cyclic = 0
+    for fg in corpus:
+        outside = outside_nodes(fg)
+        for k in (1, 2, 3):
+            for tie in (None, rng.randrange(2**32)):
+                pair = _pair_nodes(fg, *_kept_pairs(fg, k), tie and random.Random(tie))
+                assert _drain(fg, pair) == _drain_by_climb_rows(fg, pair)
+                if outside:
+                    cut = list(pair)
+                    cut[rng.choice(outside)] = -1
+                    got = _drain(fg, cut)
+                    assert got == _drain_by_climb_rows(fg, cut)
+                    unpaired += UNSET in got.labels.values
+        inner = _inner_edges(fg, _flooding_pairs(fg)[0])  # more than spanning trees need
+        cyclic += len(inner) > fg.num_nodes - len(outside) - minima_of_flooding(fg).num_labels
+    assert unpaired > 10000 and cyclic > 300
+
+
 def _kept_triples(g, k):
     """The flooding pairs (tail, head, edge id) that depth-``k`` pruning
     keeps, as ``steepness._minimal_pairs`` yielded them before its callers
@@ -417,3 +480,70 @@ def test_each_wavefront_folds_as_its_source_lists_resolve():
             want_rng, got_rng = random.Random(seed), random.Random(seed)
             assert partition(fg, k, got_rng) == _propagate_by_source_lists(fg, k, want_rng, False)
             assert got_rng.getstate() == want_rng.getstate()
+
+
+def _shortest_hop_minima(fg, k):
+    """Per node, the minima it reaches by its shortest-hop descents: paths
+    of flooding pairs of the depth-k pruned graph, built and read here
+    from its edges and weights alone."""
+    pruned, labels = prune_to_steepness(fg, k), minima_of_flooding(fg).values
+    nw, up = pruned.node_weights, [[] for _ in range(fg.num_nodes)]
+    for (u, v), w in zip(pruned.edges, pruned.edge_weights):
+        for i, j in ((u, v), (v, u)):
+            if not labels[i] and w == nw[i]:  # a pair: i floods the edge down to j
+                up[j].append(i)
+    reach = [{lab} if lab else set() for lab in labels]
+    hop = [0 if lab else None for lab in labels]
+    frontier = [i for i, lab in enumerate(labels) if lab]
+    while frontier:  # breadth first from the minima, up the pairs
+        nxt = []
+        for j in frontier:
+            for i in up[j]:
+                if hop[i] is None:
+                    hop[i] = hop[j] + 1
+                    nxt.append(i)
+                if hop[i] == hop[j] + 1:
+                    reach[i] |= reach[j]
+        frontier = nxt
+    return reach
+
+
+def test_tie_zones_are_the_shortest_hop_ties_inside_the_distance_ties():
+    # what a zone is: a node whose shortest-hop descents on the depth-k
+    # pruned graph reach two or more minima.  partition under min-label
+    # takes the least of them and a seeded partition one of them.  The
+    # nodes whose depth-k distance two or more minima attain include the
+    # zones: that distance reads only a path's first k steps, so it also
+    # ties two minima through a path that climbs after them.  On every
+    # graph of up to 4 nodes the two are equal from k = 2 on
+    rng = random.Random(101)
+    checks, wider = 0, {False: 0, True: 0}
+    for fg, depths in _propagation_corpus():
+        for k in depths:
+            reach = _shortest_hop_minima(fg, k)
+            zones = basins_with_zones(fg, k).values
+            least = partition(fg, k).values
+            drawn = partition(fg, k, f"seed:{rng.randrange(2**32)}").values
+            for i, minima in enumerate(reach):
+                assert zones[i] == (ZONE if len(minima) > 1 else min(minima))
+                assert least[i] == min(minima) and drawn[i] in minima
+            ties = [len(w) > 1 for w in _attaining_minima(fg, k)]
+            assert all(tie for tie, z in zip(ties, zones) if z == ZONE)
+            if k >= 2 and fg.num_nodes - len(fg.dummies) <= 4:
+                assert ties == [z == ZONE for z in zones]
+            wider[k >= 2] += sum(tie and z != ZONE for tie, z in zip(ties, zones))
+            checks += len(reach)
+    assert checks > 60000 and wider[False] > 0 and wider[True] > 0
+    # two documented differences.  At k = 1, node 2 drains to minimum 1
+    # alone, but both minima are at distance (1,) from it
+    g = WeightedGraph(6, ((0, 1), (0, 2), (1, 3), (0, 4), (3, 5)), (0, 1, 1, 0, 0, 0),
+                      (1, 1, 1, 0, 0))
+    assert minima_sets(minima_of_flooding(g)) == [{0, 4}, {3, 5}]
+    assert basins_with_zones(g, 1).values[2] == 1
+    assert _attaining_minima(g, 1)[2] == [1, 2]
+    # at k = 2, on the path 0-1-2-3-4 weighted (0, 1, 0, 1, 1), node 4
+    # descends to minimum 2 alone, but the track 4, 3, 2, 1, 0 starts as
+    # the track 4, 3, 2 does
+    fg = flooding_from_nodes(WeightedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)), (0, 1, 0, 1, 1)))
+    assert basins_with_zones(fg, 2).values[4] == 2
+    assert _attaining_minima(fg, 2)[4] == [1, 2]
