@@ -17,7 +17,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .adjunction import dilate_nodes_to_edges, erode_edges_to_nodes
 from .errors import InvalidFloodingGraph, MissingWeights, ZeroNonMinimum
@@ -57,15 +57,18 @@ def flooding_from_edges(g: WeightedGraph) -> WeightedGraph:
 
     The nodes take the erosion ``lo`` of the edge weights, and only the
     edges invariant under the edge opening (``ew[e]`` equal to the max of
-    its ends' ``lo``) stay: the lowest adjacent edges of each node.  Each
-    node keeps its lowest edges, so ``lo`` is also the erosion over the
-    kept edges, and both identities hold by construction: certified.
+    its ends' ``lo``) stay: each node's lowest adjacent edges, so ``lo`` is
+    also the erosion over the kept edges, and both identities hold by
+    construction: certified.  A certified ``g`` comes back as it is.
     """
     return _from_edges(g)[0]
 
 
-def _from_edges(g: WeightedGraph) -> tuple[WeightedGraph, list[int]]:
-    """``flooding_from_edges(g)`` and, per edge of it, its id in ``g``."""
+def _from_edges(g: WeightedGraph) -> tuple[WeightedGraph, Sequence[int]]:
+    """``flooding_from_edges(g)`` and, per edge of it, its id in ``g``: a
+    certified ``g``, whose erosion and opening change nothing, unchanged."""
+    if "_minima" in vars(g):
+        return g, range(len(g.edges))
     ew = g.require_edge_weights()
     lo = erode_edges_to_nodes(g, ew)
     kept = [eid for eid, (w, top) in enumerate(zip(ew, dilate_nodes_to_edges(g, lo))) if w == top]
@@ -154,7 +157,7 @@ def zero_minima(g: WeightedGraph) -> WeightedGraph:
     """
     g.require_node_weights()
     # the nodes of the edge-weight minima, then the isolated nodes
-    span = set().union(*minima_span(regional_minima(g, "edges"), g, "edges"))
+    span = set().union(*minima_span(regional_minima(g, "edges"), g))
     linked = {n for e in g.edges for n in e}  # the nodes of degree > 0
     span.update(i for i in range(g.num_nodes) if i not in linked)
     ew = g.require_edge_weights()
@@ -234,11 +237,12 @@ def _pair_nodes(g: WeightedGraph, pairs: tuple, kept: Optional[tuple],
     ranks ``kept`` of ``steepness._minimal_pairs`` keep, unbuilt: an edge
     weighs its higher end, so a node's edges down are its kept pairs with
     a lower head, and the only rows built, its plateau edges, those with
-    an equal head either way."""
+    an equal head either way.  Under ``rng`` each tail lists its lower
+    pairs, and an exit draws its pair from that list in head order."""
     nw, edges, n = g.node_weights, g.edges, g.num_nodes
     rank, lo = kept or (None, None)
-    pair, least, top = [-1] * n, [n] * n, [-1] * n if rng else None  # least: lowest head
-    lower, links, rows, last = [], [], {}, -1  # under rng, each tail's lower pairs chain from top
+    pair, least = [-1] * n, [n] * n  # least: lowest head
+    lower, rows, last = {}, {}, -1  # lower: under rng, each tail's lower pairs
     for i, j, eid in zip(*pairs[1:]):
         if rank and rank[j] != lo[i]:  # a pair depth-k pruning drops
             continue
@@ -246,9 +250,7 @@ def _pair_nodes(g: WeightedGraph, pairs: tuple, kept: Optional[tuple],
             if j < least[i]:
                 least[i], pair[i] = j, eid
             if rng:
-                links.append(top[i])
-                top[i] = len(lower)
-                lower.append(eid)
+                lower.setdefault(i, []).append(eid)
         elif eid != last:  # once per edge, though both its pairs are kept
             last = eid
             rows.setdefault(i, []).append(eid)
@@ -259,11 +261,7 @@ def _pair_nodes(g: WeightedGraph, pairs: tuple, kept: Optional[tuple],
             continue
         frontier = [x for x in sorted(_reach(s, rows, edges, seen, [])) if least[x] < n]
         for x in frontier if rng else ():  # uniform over x's lower pairs, in head order
-            cands, p = [], top[x]
-            while p >= 0:
-                cands.append(lower[p])
-                p = links[p]
-            pair[x] = rng.choice(sorted(cands, key=lambda e: sum(edges[e])))
+            pair[x] = rng.choice(sorted(lower[x], key=lambda e: sum(edges[e])))
         while frontier:  # each layer pairs by its least edge to the last
             reachable: dict[int, list[int]] = {}
             for x in frontier:

@@ -19,9 +19,10 @@ from .weights import TOP, W_MAX
 PGM_MAXVAL = 65535  # the largest gray level the PGM format allows
 
 
-def _level(token: str, lineno: int, top_ok: bool = False) -> int:
+def _level(token: str, lineno: int) -> int:
+    """A node weight: a level in [0, W_MAX], or TOP."""
     value = int(token)
-    if not (0 <= value <= W_MAX or top_ok and value == TOP):
+    if not (0 <= value <= W_MAX or value == TOP):
         raise MalformedInput(f"line {lineno}: weight {value} outside [0, {W_MAX}]")
     return value
 
@@ -54,7 +55,7 @@ def parse_wgr(text: str) -> WeightedGraph:
                 nid = int(parts[1])
                 if nid in nodes:
                     raise MalformedInput(f"line {lineno}: duplicate node {nid}")
-                nodes[nid] = _level(parts[2], lineno, top_ok=True) if len(parts) == 3 else None
+                nodes[nid] = _level(parts[2], lineno) if len(parts) == 3 else None
             else:
                 raise ValueError
     except ValueError:

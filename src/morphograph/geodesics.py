@@ -199,8 +199,8 @@ def toll_distances(
     entering costs the drop to the lowest neighbor (weight minus eroded
     weight) and roots start at their altitude, so geodesics are steepest
     descents read backwards.  ``roots`` is a set of node ids or of node
-    groups sharing one label.  Labels propagate along the geodesics,
-    smallest label winning ties.
+    groups sharing one label (a root's first group names it).  Labels
+    propagate along the geodesics, smallest label winning ties.
     """
     nw = g.require_node_weights()
     groups = _root_groups(roots, g.num_nodes)
@@ -226,12 +226,9 @@ def toll_distances(
     heap: list = []
     for lab, group in enumerate(groups, start=1):
         for r in sorted(group):
-            if dist[r] is None or start[r] < dist[r]:
-                dist[r] = start[r]
-                labels[r] = lab
-            elif start[r] == dist[r] and lab < labels[r]:
-                labels[r] = lab
-            heapq.heappush(heap, (dist[r], next(counter), r))
+            if dist[r] is None:  # a root in a later group keeps its first label
+                dist[r], labels[r] = start[r], lab
+                heapq.heappush(heap, (dist[r], next(counter), r))
     while heap:
         d, _, i = heapq.heappop(heap)
         if settled[i] or d != dist[i]:

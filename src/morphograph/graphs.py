@@ -276,10 +276,8 @@ def regional_minima(g: WeightedGraph, mode: str) -> list[frozenset[int]]:
     return [frozenset(m) for m in members.values()]
 
 
-def minima_span(minima: Sequence[frozenset[int]], g: WeightedGraph, mode: str) -> list[frozenset[int]]:
-    """Node sets spanned by regional minima (identity for node mode)."""
-    if mode == "nodes":
-        return [frozenset(m) for m in minima]
+def minima_span(minima: Sequence[frozenset[int]], g: WeightedGraph) -> list[frozenset[int]]:
+    """Node sets spanned by edge-carrier regional minima (sets of edge ids)."""
     return [frozenset(n for eid in m for n in g.edges[eid]) for m in minima]
 
 

@@ -52,22 +52,18 @@ def build_hierarchy(
     base nodes and coarsen strictly from level to level.
     """
     rng = parse_tie(tie)
-    if g.has_edge_weights and not g.has_node_weights:
-        flood, kept = _from_edges(g)  # kept: flooding graph edge -> g edge
-    else:  # the flooding graph is the base graph
-        flood = as_flooding(g)
-        kept = range(len(flood.edges))
-    base = g if g.has_edge_weights else flood
+    base = g if g.has_edge_weights and not g.has_node_weights else as_flooding(g)
     if base.num_nodes <= 1:
         lone = Labeling((1,) * base.num_nodes, "nodes")
         level = HierarchyLevel(frozenset(), lone, base.num_nodes, base)
         return Hierarchy(base, (level,))
 
-    levels, cur_full, cur_flood = [], base, flood
+    levels, cur_full = [], base
     to_region = list(range(base.num_nodes))   # base node -> current node
     to_base_edge = list(range(len(base.edges)))  # current edge -> base edge
 
     while True:
+        cur_flood, kept = _from_edges(cur_full)  # kept: cur_flood edge -> cur_full edge
         # the drainage forest of the depth-k pruned graph, which is not built
         forest = _drain(cur_flood, _pair_nodes(cur_flood, *_kept_pairs(cur_flood, k), rng))
         base_ids = frozenset([to_base_edge[kept[eid]] for eid in forest.edges])
@@ -81,7 +77,6 @@ def build_hierarchy(
         to_region = list(map(contraction.node_map.__getitem__, to_region))
         to_base_edge = list(map(to_base_edge.__getitem__, contraction.edge_origins))
         cur_full = contraction.graph
-        cur_flood, kept = _from_edges(cur_full)
 
 
 def merge_levels(h: Hierarchy) -> tuple[int, ...]:

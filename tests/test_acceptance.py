@@ -88,7 +88,7 @@ def test_criterion_03_minima_correspondence():
         fg = random_flooding(rng)
         node_m = set(map(frozenset, regional_minima(fg, "nodes")))
         edge_m = set(
-            map(frozenset, minima_span(regional_minima(fg, "edges"), fg, "edges"))
+            map(frozenset, minima_span(regional_minima(fg, "edges"), fg))
         )
         assert node_m == edge_m
         minima_of_flooding(fg)  # also asserts the shared labeling

@@ -1,13 +1,33 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
+import random
+import re
 
 import pytest
 
-from morphograph import WeightedGraph, build_hierarchy, merge_levels
+from morphograph import (
+    CarrierMismatch,
+    DimensionMismatch,
+    UNIT,
+    WeightedGraph,
+    ZERO,
+    build_hierarchy,
+    compose,
+    flat_zones,
+    flooding_from_nodes,
+    is_invariant,
+    linear_solve,
+    local_prune,
+    lowest_edge_filter,
+    merge_levels,
+    toll_distances,
+)
 from morphograph.cli import _waterfall, main
-from morphograph.formats import parse_wgr, write_pgm, write_wgr
-from morphograph.flooding import validate_flooding
+from morphograph.formats import parse_wgr, to_dot, write_pgm, write_wgr
+from morphograph.flooding import FloodingReport, validate_flooding
 from conftest import random_edge_weighted
 
 FIVE_PATH_WGR = """\
@@ -394,6 +414,46 @@ def test_watershed_validates_and_finds_minima_once(five_path_file, tmp_path, mon
     assert calls["validate"] == 0 and calls["pairs"] == 4
 
 
+def test_every_waterfall_level_floods_by_one_rule(tmp_path, monkeypatch, capsys):
+    # each level, the first included, takes its flooding graph from
+    # _from_edges; a node-weighted input is flooded once by its constructor
+    # and a two-weight input validated once, before the first level
+    from morphograph import flooding, waterfall
+
+    img = tmp_path / "relief.pgm"
+    rng = random.Random(5)
+    img.write_bytes(write_pgm(12, 12, [rng.randrange(10) for _ in range(144)], 9))
+    code, flooded, _ = run_cli(capsys, "flood", str(img))
+    assert code == 0
+    both = tmp_path / "both.wgr"
+    both.write_text(flooded)
+    edges = tmp_path / "edges.wgr"
+    weights = [1 if i % 2 else 3 + (i & -i).bit_length() for i in range(1, 28)]
+    edges.write_text("".join(f"node {i}\n" for i in range(28))
+                     + "".join(f"edge {i} {i + 1} {w}\n" for i, w in enumerate(weights)))
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(waterfall, "_from_edges")
+    counted(flooding, "flooding_from_nodes")
+    counted(flooding, "validate_flooding")
+    for path, nodes, validations in ((img, 1, 0), (edges, 0, 0), (both, 0, 1)):
+        for tie in ("min-label", "seed:3"):
+            calls.update(_from_edges=0, flooding_from_nodes=0, validate_flooding=0)
+            code, out, _ = run_cli(capsys, "waterfall", str(path), "--tie", tie)
+            levels = len(json.loads(out)["levels"])
+            assert code == 0 and levels >= 3, path
+            assert calls == {"_from_edges": levels, "flooding_from_nodes": nodes,
+                             "validate_flooding": validations}, path
+
+
 def test_pgm_watershed_walks_the_pixel_zones_once(tmp_path, monkeypatch, capsys):
     from morphograph import graphs
 
@@ -731,3 +791,59 @@ def test_a_library_function_patched_after_the_parser_is_built_runs(
     monkeypatch.setattr(lexalgebra, "distances_to_minima", counted)
     assert run_cli(capsys, "dist", tied_image, "--method", "gondran") == (code, want, "")
     assert code == 0 and calls == [(2, "gondran")]
+
+
+# -- every refusal branch, with its error type and message --------------------
+
+
+_PATH3 = WeightedGraph(3, ((0, 1), (1, 2)), (1, 0, 1), (1, 1))
+
+
+def _cli_error(tmp_path, data):
+    """The exit code and the error name of ``watershed`` on a file of ``data``."""
+    path = tmp_path / "input.wgr"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["watershed", str(path)])
+    return code, json.loads(err.getvalue())["error"]
+
+
+# name -> (call on a temporary directory, (error type, message) or result)
+REFUSALS = {
+    "compose-unknown-carrier": (lambda tmp: compose(_PATH3, [], (0, 0, 0), "arcs"),
+                                (CarrierMismatch, "unknown carrier 'arcs'")),
+    "is_invariant-unknown-operator": (lambda tmp: is_invariant(_PATH3, (1, 1), "node_opening"),
+                                      (ValueError, "unknown operator 'node_opening'")),
+    "cli-neither-pgm-nor-utf8": (lambda tmp: _cli_error(tmp, b"node 0 \xff\xfe\n"),
+                                 (2, "MalformedInput")),
+    "validate_flooding-one-carrier": (
+        lambda tmp: validate_flooding(WeightedGraph(3, _PATH3.edges, (1, 0, 1))),
+        FloodingReport(False, (), ())),
+    "toll_distances-unknown-mode": (lambda tmp: toll_distances(_PATH3, [1], "geodesic"),
+                                    (ValueError, "unknown mode 'geodesic'")),
+    "edge_weights-length": (lambda tmp: WeightedGraph(3, _PATH3.edges, None, (1,)),
+                            (ValueError, "edge_weights length != num edges")),
+    "flat_zones-unknown-mode": (lambda tmp: flat_zones(_PATH3, "arcs"),
+                                (ValueError, "unknown mode 'arcs'")),
+    "lowest_edge_filter-unknown-mode": (lambda tmp: lowest_edge_filter(_PATH3, "arcs"),
+                                        (ValueError, "unknown mode 'arcs'")),
+    "linear_solve-unknown-method": (lambda tmp: linear_solve([[ZERO]], [[UNIT]], 1, "cholesky"),
+                                    (ValueError, "unknown method 'cholesky'")),
+    "linear_solve-no-column": (lambda tmp: linear_solve([[ZERO]], [[]], 1),
+                               (DimensionMismatch, "B must have at least one column")),
+    "local_prune-negative": (lambda tmp: local_prune(flooding_from_nodes(_PATH3), -1),
+                             (ValueError, "iteration count must be >= 0")),
+    "to_dot-unweighted-edges": (lambda tmp: to_dot(WeightedGraph(2, ((0, 1),))),
+                                "graph {\n  0;\n  1;\n  0 -- 1;\n}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_every_refusal_branch(name, tmp_path):
+    call, outcome = REFUSALS[name]
+    if isinstance(outcome, tuple) and isinstance(outcome[0], type):
+        with pytest.raises(outcome[0], match=f"^{re.escape(outcome[1])}$"):
+            call(tmp_path)
+    else:
+        assert call(tmp_path) == outcome

@@ -17,7 +17,7 @@ from morphograph import (
     zero_minima,
 )
 from morphograph.adjunction import dilate_nodes_to_edges, erode_edges_to_nodes, is_invariant
-from morphograph.flooding import FloodingReport, assign_pairs, minima_sets, parse_tie
+from morphograph.flooding import FloodingReport, _from_edges, assign_pairs, minima_sets, parse_tie
 from morphograph.formats import pixel_graph
 from morphograph.graphs import (
     UNSET,
@@ -518,3 +518,27 @@ def test_the_certificate_is_never_carried(rng):
                     minima_of_flooding(fg.partial(e for e in range(len(fg.edges)) if e != drop))
                 checked += 1
     assert checked > 500
+
+
+def test_a_certified_graph_is_its_own_flooding_graph(rng):
+    # every waterfall level takes its flooding graph from _from_edges, which
+    # hands a certified graph back as it is: on it the erosion and the
+    # opening, run on an uncertified copy, change nothing
+    from test_geodesics import _one_graph_per_shape
+
+    floodings = _certified_corpus(rng)
+    small = []
+    for g in _one_graph_per_shape(4):
+        small += [flooding_from_nodes(g.with_weights(node_weights=nw))
+                  for nw in itertools.product(range(3), repeat=g.num_nodes)]
+        small += [flooding_from_edges(g.with_weights(edge_weights=ew))
+                  for ew in itertools.product(range(3), repeat=len(g.edges)) if g.edges]
+    floodings += small + [prune_to_steepness(fg, k) for fg in small for k in (1, 2)]
+    validated = [_fresh(fg) for fg in floodings[::2]]  # two weights, certified by validation
+    for fg in validated:
+        minima_of_flooding(fg)
+    for fg in floodings + validated:
+        assert "_minima" in vars(fg)
+        assert flooding_from_edges(_fresh(fg)) == fg
+        flood, kept = _from_edges(fg)
+        assert flood is fg and list(kept) == list(range(len(fg.edges)))

@@ -309,6 +309,20 @@ def test_toll_refuses_roots_outside_the_node_range():
             toll_distances(g, roots)
 
 
+def test_a_root_in_two_groups_keeps_its_first_groups_label():
+    # groups are numbered upward, so a later group never gives a root a
+    # smaller label: the first group that names a root labels it, as if
+    # the later groups did not list it
+    g = WeightedGraph(4, ((0, 1), (1, 2), (2, 3)), (2, 5, 4, 1), None)
+    for groups, unique, first in (([{3}, {0, 3}], [{3}, {0}], {3: 1}),
+                                  ([{0, 3}, {3, 1}], [{0, 3}, {1}], {3: 1}),
+                                  ([{2}, {2, 0}, {0, 1}], [{2}, {0}, {1}], {2: 1, 0: 2})):
+        for mode in ("toll", "topographic"):
+            dists, labeling = toll_distances(g, groups, mode)
+            assert {r: labeling.values[r] for r in first} == first
+            assert (dists, labeling) == toll_distances(g, unique, mode)
+
+
 def test_topographic_distance_along_steepest_descent():
     # a(0) - b(1) - c(3): the only descent from c runs through b
     g = WeightedGraph(3, ((0, 1), (1, 2)), (0, 1, 3), None)
