@@ -7,10 +7,10 @@ hierarchy, ``mst`` reports the emergent spanning tree and ``dist``
 computes lexicographic distances to the minima with a chosen solver.
 
 Inputs are .wgr text graphs or PGM images (one node per pixel); outputs
-are JSON by default, DOT or PGM label maps on request.  Runs are
-deterministic given the options, including the tie seed.  Exit codes:
-0 success, 2 input error (bad flags included), 3 invariant violation;
-diagnostics go to stderr as one JSON object per line.
+are JSON, built by each handler, or DOT or PGM label maps on request.
+Runs are deterministic given the options, including the tie seed.  Exit
+codes: 0 success, 2 input error (bad flags included), 3 invariant
+violation; diagnostics go to stderr as one JSON object per line.
 
 ``build_parser`` is the only definition of the options: each flag
 declares its default and allowed values once, and each subcommand's
@@ -123,10 +123,12 @@ def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Outp
         return formats.to_dot(fg, labeling)
     zones = watershed.basins_with_zones(fg, args.depth)
     minima = flooding.minima_sets(flooding.minima_of_flooding(fg))
-    payload = formats.labels_json(fg, labeling, minima)
-    payload["zones"] = sorted(zones.zone_nodes() - fg.dummies)
-    payload["zone_components"] = formats.zone_components(fg, zones)
-    return payload
+    return {
+        "labels": [labeling.values[i] for i in range(fg.num_nodes) if i not in fg.dummies],
+        "minima": [sorted(m - fg.dummies) for m in minima],
+        "zones": sorted(zones.zone_nodes() - fg.dummies),
+        "zone_components": formats.zone_components(fg, zones),
+    }
 
 
 def _waterfall(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:

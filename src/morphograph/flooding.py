@@ -120,6 +120,7 @@ def minima_of_flooding(g: WeightedGraph) -> Labeling:
     Labels run from 1 in order of each minimum's smallest node id.
     """
     if "_minima" not in vars(g):  # not certified: validate, then label
+        g.require_node_weights(), g.require_edge_weights()
         report = validate_flooding(g)
         if not report.ok:
             raise InvalidFloodingGraph(f"bad edges {report.bad_edges[:8]}, "
@@ -159,22 +160,22 @@ def zero_minima(g: WeightedGraph) -> WeightedGraph:
     # the nodes of the edge-weight minima, then the isolated nodes
     span = set().union(*minima_span(regional_minima(g, "edges"), g))
     linked = {n for e in g.edges for n in e}  # the nodes of degree > 0
-    span.update(i for i in range(g.num_nodes) if i not in linked)
+    in_min = [i in span or i not in linked for i in range(g.num_nodes)]
     ew = g.require_edge_weights()
     return g.with_weights(
-        node_weights=_zeroed_nodes(g, span),
-        edge_weights=[0 if u in span and v in span else w for (u, v), w in zip(g.edges, ew)],
+        node_weights=_zeroed_nodes(g, in_min),
+        edge_weights=[0 if in_min[u] and in_min[v] else w for (u, v), w in zip(g.edges, ew)],
     )
 
 
-def _zeroed_nodes(g: WeightedGraph, span) -> list[int]:
-    """Node weights of ``g`` with the nodes in ``span`` at 0, the node
-    weights ``zero_minima`` gives."""
+def _zeroed_nodes(g: WeightedGraph, in_min: list) -> list[int]:
+    """Node weights of ``g`` with the nodes of the mask ``in_min`` at 0, the
+    node weights ``zero_minima`` gives."""
     nw = g.require_node_weights()
-    for i in range(g.num_nodes):
-        if i not in span and nw[i] == 0:
+    for i, (w, m) in enumerate(zip(nw, in_min)):
+        if w == 0 and not m:
             raise ZeroNonMinimum(f"node {i} weighs 0 outside the minima")
-    return [0 if i in span else nw[i] for i in range(g.num_nodes)]
+    return [0 if m else w for w, m in zip(nw, in_min)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,9 @@ def _pair_nodes(g: WeightedGraph, pairs: tuple, kept: Optional[tuple],
     weighs its higher end, so a node's edges down are its kept pairs with
     a lower head, and the only rows built, its plateau edges, those with
     an equal head either way.  Under ``rng`` each tail lists its lower
-    pairs, and an exit draws its pair from that list in head order."""
+    pairs, and an exit draws its pair from that list in head order.
+    Plateaus share no row, so without ``rng`` one layered pass from every
+    exit pairs them all; under ``rng`` they go one by one, by least node."""
     nw, edges, n = g.node_weights, g.edges, g.num_nodes
     rank, lo = kept or (None, None)
     pair, least = [-1] * n, [n] * n  # least: lowest head
@@ -255,11 +258,10 @@ def _pair_nodes(g: WeightedGraph, pairs: tuple, kept: Optional[tuple],
             last = eid
             rows.setdefault(i, []).append(eid)
             rows.setdefault(j, []).append(eid)
-    seen = bytearray(n)  # by plateau, by its least node; without rng, lone nodes are paired
-    for s in range(n) if rng else sorted(rows):
-        if seen[s]:
-            continue
-        frontier = [x for x in sorted(_reach(s, rows, edges, seen, [])) if least[x] < n]
+    seen = bytearray(n)  # under rng, a lone exit is a plateau of one and draws too
+    plateaus = (_reach(s, rows, edges, seen, []) for s in range(n) if not seen[s])
+    for plateau in plateaus if rng else (rows,):
+        frontier = [x for x in sorted(plateau) if least[x] < n]
         for x in frontier if rng else ():  # uniform over x's lower pairs, in head order
             pair[x] = rng.choice(sorted(lower[x], key=lambda e: sum(edges[e])))
         while frontier:  # each layer pairs by its least edge to the last

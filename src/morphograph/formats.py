@@ -1,4 +1,4 @@
-"""File formats: .wgr text graphs, PGM rasters, JSON and DOT exports.
+"""File formats: .wgr text graphs, PGM rasters, DOT and zone exports.
 
 The .wgr format is line based: ``node <id> [<weight>]``, ``edge <u> <v>
 [<weight>]`` and ``#`` comments.  Ids are 0-based and dense; a missing
@@ -212,21 +212,6 @@ def pixel_graph(width: int, height: int, pixels: list[int], connectivity: int = 
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
-
-
-def labels_json(g: WeightedGraph, labeling: Labeling, minima: list[frozenset[int]]) -> dict:
-    """Label export over real (non-dummy) nodes: Z nodes carry 0."""
-    real = [i for i in range(g.num_nodes) if i not in g.dummies]
-    labels = [
-        0 if labeling.values[i] in (ZONE, UNSET) else labeling.values[i]
-        for i in real
-    ]
-    zones = [i for i in real if labeling.values[i] == ZONE]
-    return {
-        "labels": labels,
-        "zones": zones,
-        "minima": [sorted(m - g.dummies) for m in minima],
-    }
 
 
 def zone_components(g: WeightedGraph, labeling: Labeling) -> list[list[int]]:

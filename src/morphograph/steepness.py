@@ -8,20 +8,20 @@ track beats every extension of itself).  Tracks are never built: each
 node holds an integer rank that orders them (``track_ranks``), refined
 one pair deeper per pass until it repeats.  ``local_prune`` reaches the
 same edge set by iterating a purely local step on the node weights,
-with the minima pinned at 0: each edge is two arcs, one per end, and
-each node keeps only its arcs to its lowest live neighbors, then takes
-their weight, so the next step sees one pair further down each track.
-An edge survives while either of its arcs does; the returned graph
-carries the original weights.  ``local_prune_step`` and
-``erode_weights`` give the first such step as a graph, built from the
-adjunction operators.
+with the minima pinned at 0: starting from the flooding pairs, each
+node keeps only its pairs to its lowest live heads, then takes their
+weight, so the next step sees one pair further down each track.  An
+edge survives while either of its pairs does, as the edges inside the
+minima always do; the returned graph carries the original weights.
+``local_prune_step`` and ``erode_weights`` give the first such step as
+a graph, built from the adjunction operators.
 """
 
 from __future__ import annotations
 
 from .adjunction import erode_edges_to_nodes, erode_nodes_to_edges
 from .flooding import _certify, _flooding_pairs, _zeroed_nodes, minima_of_flooding
-from .graphs import UNSET, WeightedGraph, lowest_edge_filter
+from .graphs import WeightedGraph, lowest_edge_filter
 from .weights import TOP
 
 
@@ -188,35 +188,37 @@ def local_prune_step(g: WeightedGraph) -> WeightedGraph:
 def _local_survivors(g: WeightedGraph, m: int) -> set[int]:
     """Edge ids of ``g`` left by ``m`` local steps on its zeroed minima.
 
-    Each edge is two arcs, one from each end.  A step keeps the arcs from
-    a node to its lowest live heads and lowers the node to that head's
-    weight, so after t steps a node weighs the t-th weight down its
-    minimal tracks; an edge survives while either of its arcs does.  The
-    loop leaves at its fixed point: a step that keeps every arc and
-    lowers no node would repeat forever.
+    The live arcs start as the flooding pairs: each edge outside the
+    minima is one, as each node's arcs to its lowest neighbors are.  A
+    step keeps the arcs from a node to its lowest live heads and lowers
+    the node to that head's weight, so after t steps a node weighs the
+    t-th weight down its minimal tracks; an edge survives while either of
+    its arcs does, as the edges inside the minima always do.  The loop
+    leaves at its fixed point: a step that keeps every arc and lowers no
+    node would repeat forever.
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    nw = _zeroed_nodes(g, {i for i, v in enumerate(minima_of_flooding(g).values) if v != UNSET})
-    live = [(u, v, eid) for eid, (u, v) in enumerate(g.edges)]
-    live += [(v, u, eid) for u, v, eid in live]
+    in_min, tails, heads, eids = _flooding_pairs(g)
+    nw = _zeroed_nodes(g, in_min)
+    live, start = list(zip(tails, heads, eids)), [0 if x else TOP for x in in_min]
     for _ in range(m):
-        lo = [TOP] * g.num_nodes  # per tail, its lowest live head
+        lo = start[:]  # per tail, its lowest live head
         for i, j, _ in live:
             if nw[j] < lo[i]:
                 lo[i] = nw[j]
         kept = [arc for arc in live if nw[arc[1]] == lo[arc[0]]]
         if len(kept) == len(live) and lo == nw:
             break
-        live, nw = kept, lo  # a node with no arc is never a head
-    return {eid for _, _, eid in live}
+        live, nw = kept, lo  # the minima stay at 0; every other node keeps an arc
+    return {eid for _, _, eid in live}.union(_inner_edges(g, in_min))
 
 
 def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:
     """Iterate the local step ``m`` times on arcs, keep the original weights.
 
     The surviving edge set equals ``prune_to_steepness(g, m + 1)``;
-    m=0 is the identity.  The steps narrow a list of live arcs, and the
+    m=0 is the identity.  The steps narrow the flooding pairs, and the
     one graph built is the partial graph of the survivors.
     """
     return g.partial(_local_survivors(g, m))

@@ -49,15 +49,11 @@ def build_hierarchy(
 
     Level m prunes the current flooding graph to steepness ``k``, takes a
     drainage forest, then contracts it.  Partitions are reported over the
-    base nodes and coarsen strictly from level to level.
+    base nodes and coarsen strictly from level to level; a base of 0 or 1
+    node takes one level too, its contraction without node weights.
     """
     rng = parse_tie(tie)
     base = g if g.has_edge_weights and not g.has_node_weights else as_flooding(g)
-    if base.num_nodes <= 1:
-        lone = Labeling((1,) * base.num_nodes, "nodes")
-        level = HierarchyLevel(frozenset(), lone, base.num_nodes, base)
-        return Hierarchy(base, (level,))
-
     levels, cur_full = [], base
     to_region = list(range(base.num_nodes))   # base node -> current node
     to_base_edge = list(range(len(base.edges)))  # current edge -> base edge

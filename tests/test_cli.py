@@ -11,11 +11,14 @@ import pytest
 from morphograph import (
     CarrierMismatch,
     DimensionMismatch,
+    MissingWeights,
     UNIT,
     WeightedGraph,
     ZERO,
+    basins_with_zones,
     build_hierarchy,
     compose,
+    drainage_forest,
     flat_zones,
     flooding_from_nodes,
     is_invariant,
@@ -23,6 +26,8 @@ from morphograph import (
     local_prune,
     lowest_edge_filter,
     merge_levels,
+    minima_of_flooding,
+    prune_to_steepness,
     toll_distances,
 )
 from morphograph.cli import _waterfall, main
@@ -64,6 +69,7 @@ def test_watershed_five_path_min_label(five_path_file, capsys):
     payload = json.loads(out)
     assert payload["labels"] == [1, 1, 1, 2, 2]
     assert payload["zones"] == [2]
+    assert payload["zone_components"] == [[2]]
     assert payload["minima"] == [[0], [4]]
 
 
@@ -837,6 +843,19 @@ REFUSALS = {
     "to_dot-unweighted-edges": (lambda tmp: to_dot(WeightedGraph(2, ((0, 1),))),
                                 "graph {\n  0;\n  1;\n  0 -- 1;\n}\n"),
 }
+# a graph that carries one weight is refused for the carrier it lacks,
+# before it is validated, by every entry that reads its minima
+REFUSALS.update({
+    f"{name}-{carrier}-only": (lambda tmp, read=read, g=g: read(g),
+                               (MissingWeights, f"graph has no {missing} weights"))
+    for name, read in (("minima_of_flooding", minima_of_flooding),
+                       ("drainage_forest", drainage_forest),
+                       ("basins_with_zones", lambda g: basins_with_zones(g, 2)),
+                       ("prune_to_steepness", lambda g: prune_to_steepness(g, 2)),
+                       ("local_prune", lambda g: local_prune(g, 1)))
+    for carrier, g, missing in (("nodes", WeightedGraph(3, _PATH3.edges, (1, 0, 1)), "edge"),
+                                ("edges", WeightedGraph(3, _PATH3.edges, None, (1, 1)), "node"))
+})
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))

@@ -8,7 +8,6 @@ from morphograph import MalformedImage, MalformedInput, MorphographError
 from morphograph.flooding import flooding_from_nodes
 from morphograph.formats import (
     image_to_graph,
-    labels_json,
     labels_to_pgm,
     parse_pgm,
     parse_wgr,
@@ -414,18 +413,6 @@ def test_image_two_basin_ramp():
     fg = flooding_from_nodes(g)
     minima = regional_minima(fg, "nodes")
     assert len(minima) == 2
-
-
-def test_labels_json_hides_dummies(five_path_flooding):
-    from morphograph import basins_with_zones
-    from morphograph.flooding import minima_of_flooding, minima_sets
-
-    fg = five_path_flooding
-    labeling = basins_with_zones(fg, 2)
-    payload = labels_json(fg, labeling, minima_sets(minima_of_flooding(fg)))
-    assert payload["labels"] == [1, 1, 0, 2, 2]
-    assert payload["zones"] == [2]
-    assert payload["minima"] == [[0], [4]]
 
 
 def test_dot_output_mentions_weights(path4):

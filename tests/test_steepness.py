@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,10 +16,13 @@ from morphograph import (
     validate_flooding,
     zero_minima,
 )
-from morphograph.flooding import minima_of_flooding
+from morphograph.flooding import _flooding_pairs, minima_of_flooding
 from morphograph.formats import image_to_graph, write_pgm
 from morphograph.graphs import UNSET, lowest_edge_filter
-from morphograph.steepness import _upstream, minimal_track_edges, track_ranks
+from morphograph.steepness import (
+    _inner_edges, _local_survivors, _upstream, minimal_track_edges, track_ranks,
+)
+from morphograph.weights import TOP
 from conftest import quantized_pixel_floodings, random_edge_weighted, random_flooding, rows
 
 
@@ -424,3 +428,61 @@ def test_every_depth_k_function_refuses_depth_below_one():
             with pytest.raises(ValueError, match="depth must be >= 1"):
                 call(fg, k)
     assert track_ranks(fg, 0) == [0] * fg.num_nodes  # depth 0 ranks nothing
+
+
+def _small_and_pixel_floodings():
+    """Every flooding of one graph per shape on up to 4 nodes, weighted on
+    its nodes or on its edges in {0, 1, 2} in every way, then tie-heavy
+    quantized pixel floodings."""
+    from test_geodesics import _one_graph_per_shape
+
+    for g in _one_graph_per_shape(4):
+        for nw in itertools.product(range(3), repeat=g.num_nodes):
+            yield flooding_from_nodes(g.with_weights(node_weights=nw))
+        for ew in itertools.product(range(3), repeat=len(g.edges)) if g.edges else ():
+            yield flooding_from_edges(g.with_weights(edge_weights=ew))
+    yield from quantized_pixel_floodings(random.Random(83), 20)
+
+
+def test_the_flooding_pairs_and_the_inner_edges_are_every_edge():
+    # local pruning starts from the flooding pairs and adds the edges inside
+    # the minima: on a flooding graph each edge is a pair of its higher end
+    # or lies inside a minimum, and never both
+    checked = 0
+    for fg in _small_and_pixel_floodings():
+        in_min, _, _, eids = _flooding_pairs(fg)
+        inner = _inner_edges(fg, in_min)
+        assert not set(eids) & set(inner)
+        assert sorted({*eids, *inner}) == list(range(len(fg.edges)))
+        checked += bool(eids) and bool(inner)
+    assert checked > 1000
+
+
+def _local_survivors_by_arcs(g, m):
+    """``steepness._local_survivors`` as it ran before it started from the
+    flooding pairs, kept as its oracle: two arcs per edge, one from each
+    end, on node weights zeroed on the minima it read from the labeling."""
+    if m < 0:
+        raise ValueError("iteration count must be >= 0")
+    labels = minima_of_flooding(g).values
+    nw = [0 if v != UNSET else w for w, v in zip(g.node_weights, labels)]
+    live = [(u, v, eid) for eid, (u, v) in enumerate(g.edges)]
+    live += [(v, u, eid) for u, v, eid in live]
+    for _ in range(m):
+        lo = [TOP] * g.num_nodes
+        for i, j, _ in live:
+            if nw[j] < lo[i]:
+                lo[i] = nw[j]
+        kept = [arc for arc in live if nw[arc[1]] == lo[arc[0]]]
+        if len(kept) == len(live) and lo == nw:
+            break
+        live, nw = kept, lo
+    return {eid for _, _, eid in live}
+
+
+def test_local_survivors_start_from_the_pairs_as_the_arcs_gave_them():
+    # every depth from the identity to past the longest track: the steps
+    # on the pairs keep what the steps on both arcs of every edge kept
+    for fg in _small_and_pixel_floodings():
+        for m in range(fg.num_nodes + 2):
+            assert _local_survivors(fg, m) == _local_survivors_by_arcs(fg, m)

@@ -8,6 +8,7 @@ import pytest
 from morphograph import (
     DisconnectedInput,
     IncompleteHierarchy,
+    MissingWeights,
     WeightedGraph,
     build_hierarchy,
     drainage_forest,
@@ -20,6 +21,7 @@ from morphograph import graphs
 from morphograph.graphs import Labeling, connected_components, contract
 from morphograph.steepness import prune_to_steepness
 from morphograph.waterfall import Hierarchy, HierarchyLevel
+from morphograph.weights import TOP
 from conftest import (
     adjacency_drainage_forest, constrained_msf_weight, kruskal_mst, quantized_pixel_floodings,
     random_edge_weighted, random_flooding, random_node_weighted,
@@ -46,6 +48,30 @@ def test_single_minimum_one_level():
     h = build_hierarchy(g, 2)
     assert len(h.levels) == 1
     assert h.levels[0].region_count == 1
+
+
+def test_lone_bases_go_through_the_level_loop():
+    # a base of 0 or 1 node takes one level: no forest edge, one region per
+    # node and, as every level's contraction, a contracted graph without
+    # node weights (a node-weighted lone base was its own contraction once)
+    lone = [WeightedGraph(0, (), None, ()), WeightedGraph(0, (), (), None),
+            WeightedGraph(0, (), (), ()), WeightedGraph(1, (), None, ()),
+            WeightedGraph(1, (), (TOP,), ())]
+    for g in lone:
+        n = g.num_nodes
+        for k in (1, 2, 3):
+            for tie in ("min-label", "seed:7"):
+                h = build_hierarchy(g, k, tie)
+                assert h.base.num_nodes == n and h.complete == (n == 1)
+                [level] = h.levels
+                assert level == HierarchyLevel(frozenset(), Labeling((1,) * n, "nodes"), n,
+                                               WeightedGraph(n, (), None, ()))
+                assert merge_levels(h) == ()
+    # a lone node weighted on its node alone gets a dummy twin: no lone base
+    h = build_hierarchy(WeightedGraph(1, (), (5,), None), 2)
+    assert h.base.dummies == {1} and [lvl.region_count for lvl in h.levels] == [1]
+    with pytest.raises(MissingWeights):
+        build_hierarchy(WeightedGraph(1, ()), 2)
 
 
 def test_region_counts_strictly_decrease(rng):

@@ -11,6 +11,7 @@ from morphograph import (
     ZONE,
     basins_with_zones,
     drainage_forest,
+    flat_zones,
     flooding_from_edges,
     flooding_from_nodes,
     flooding_pairs,
@@ -386,6 +387,71 @@ def test_kept_pairs_are_tested_in_place_as_the_triples_were_filtered():
                 assert _pair_nodes(fg, *_kept_pairs(fg, k), got_rng) == _pair_nodes(
                     fg, cols, None, want_rng)
                 assert tie is None or got_rng.getstate() == want_rng.getstate()
+
+
+def _pair_nodes_by_plateau(g, pairs, kept, rng):
+    """``flooding._pair_nodes`` as it ran before min-label plateaus paired in
+    one pass, kept as its oracle: a search from each plateau's least node
+    finds its exits, then its layers pair, one plateau at a time."""
+    nw, edges, n = g.node_weights, g.edges, g.num_nodes
+    rank, lo = kept or (None, None)
+    pair, least = [-1] * n, [n] * n
+    lower, rows, last = {}, {}, -1
+    for i, j, eid in zip(*pairs[1:]):
+        if rank and rank[j] != lo[i]:
+            continue
+        if nw[j] < nw[i]:
+            if j < least[i]:
+                least[i], pair[i] = j, eid
+            if rng:
+                lower.setdefault(i, []).append(eid)
+        elif eid != last:
+            last = eid
+            rows.setdefault(i, []).append(eid)
+            rows.setdefault(j, []).append(eid)
+    seen = bytearray(n)
+    for s in range(n) if rng else sorted(rows):
+        if seen[s]:
+            continue
+        frontier = [x for x in sorted(_reach(s, rows, edges, seen, [])) if least[x] < n]
+        for x in frontier if rng else ():
+            pair[x] = rng.choice(sorted(lower[x], key=lambda e: sum(edges[e])))
+        while frontier:
+            reachable = {}
+            for x in frontier:
+                for e in rows.get(x, ()):
+                    u, v = edges[e]
+                    if pair[j := u + v - x] < 0:
+                        reachable.setdefault(j, []).append(e)
+            frontier = sorted(reachable)
+            for j in frontier:
+                pair[j] = rng.choice(sorted(reachable[j])) if rng else min(reachable[j])
+    return pair
+
+
+def test_min_label_plateaus_pair_in_one_pass_as_they_did_one_by_one():
+    # plateaus share no edge and a node's choice depends on its layer alone,
+    # so one layered pass from every exit pairs what the plateau-by-plateau
+    # passes paired; under a seed the plateaus still go one by one, and the
+    # generator must end in the same state
+    rng = random.Random(79)
+    corpus = [fg for fg, _ in _pairing_kernel_corpus(rng)]
+    corpus += quantized_pixel_floodings(rng, 20)
+    several = 0
+    for fg in corpus:
+        pairs = _flooding_pairs(fg)
+        for kept in (None, *(_kept_pairs(fg, k)[1] for k in (1, 2, 3))):
+            for tie in (None, rng.randrange(2**32)):
+                want_rng, got_rng = (None, None) if tie is None else (
+                    random.Random(tie), random.Random(tie))
+                got = _pair_nodes(fg, pairs, kept, got_rng)
+                assert got == _pair_nodes_by_plateau(fg, pairs, kept, want_rng)
+                assert tie is None or got_rng.getstate() == want_rng.getstate()
+        labels = minima_of_flooding(fg).values
+        plateaus = [z for z in flat_zones(fg, "nodes").label_sets().values()
+                    if len(z) > 1 and labels[min(z)] == UNSET]
+        several += len(plateaus) > 1
+    assert several > 50
 
 
 def _levels(g, k, tie):
