@@ -18,17 +18,18 @@ compute the smallest solution of ``Y = A (x) Y (+) B``, which is
 that tracks truncated tails, serves every exact path, each keeping only
 the columns it reads: ``closure`` all of A*, ``distances_to_minima`` the
 minima's, and Jordan, which pivots ``[A | B]`` with each column of B a
-sink node, B's alone.  It and ``_mul_row`` (Jacobi, Gauss-Seidel) inline
-the dioid ops.  Dense matrices here are the oracle path, kept to modest
-sizes: lists of lists at the public edges (``closure``, ``linear_solve``,
-``incidence_matrix``; all three refuse k < 1, the first two a non-square
-A, a ragged B or an entry out of contract), sparse rows ``{col: entry}``
-of the non-ZERO entries inside.  The graph-native algorithms live in
-``geodesics``.
+sink node, B's alone.  It and the Jacobi and Gauss-Seidel sweeps, which
+chain only improved entries, inline the dioid ops.  Dense matrices here
+are the oracle path, kept to modest sizes: lists of lists at the public
+edges (``closure``, ``linear_solve``, ``incidence_matrix``; all three
+refuse k < 1, the first two a non-square A, a ragged B or an entry out
+of contract), sparse rows ``{col: entry}`` of the non-ZERO entries
+inside.  The graph-native algorithms live in ``geodesics``.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -171,27 +172,6 @@ def _dense(rows: list[dict], cols: int) -> LexMatrix:
     return [[row.get(j) for j in range(cols)] for row in rows]
 
 
-def _mul_row(row: dict, b: list[dict], k: int, add: dict) -> dict:
-    """One sparse row times the rows ``b``, plus the row ``add``; ``lex_chain``
-    and ``lex_min`` inlined, the left entry's tail read once."""
-    acc = dict(add)
-    for t, x in row.items():
-        tail = x[-1] if x else None
-        for j, y in b[t].items():
-            if tail is None:
-                z = y[:k]
-            elif not y:
-                z = x[:k]
-            elif tail < y[0]:
-                continue  # ZERO
-            else:
-                z = (x + y)[:k]
-            old = acc.get(j)
-            if old is None or z < old:
-                acc[j] = z
-    return acc
-
-
 def _upward(rows: list[dict]) -> list[int]:
     """Row ids in ascending order of each row's least entry, empty rows
     last; a flooding graph's incidence row has its node's level as its
@@ -286,34 +266,46 @@ def closure(a: LexMatrix, k: int) -> LexMatrix:
 
 
 def _solve_gauss_seidel(a: list[dict], b: list[dict], k: int, at_once: bool = True) -> list[dict]:
-    # a sweep computes the rows from the lowest level up (_upward), each
-    # from the new values of the rows before it, but only the rows that
-    # read a row changed since their last computation; the diagonal is
-    # dropped, as a cycle never beats the path it interrupts
+    # semi-naive sweeps: y only improves, and prepending an entry of A
+    # distributes over the min, so a row chains only the entries its
+    # neighbours improved since it last read them: pending[i] holds them as
+    # {neighbour: {col: value}}, B's entries first.  A sweep visits the rows
+    # from the lowest level up (_upward); Gauss-Seidel hands an improvement
+    # to its readers at once, Jacobi in the next sweep.  Readers share a
+    # delta and merge into it: all holding it await the same later ones.
+    # The diagonal is dropped: a cycle never beats the path it interrupts
     rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(a)]
     readers: list[list] = [[] for _ in a]
     for i, row in enumerate(rows):
         for j in row:
             readers[j].append(i)
     order = _upward(a)
-    y: list[dict] = [{} for _ in b]
-    stale = [True] * len(b)
-    while any(stale):
-        src, marks = (y, stale) if at_once else (list(y), [False] * len(b))
+    y = [dict(row) for row in b]
+    pending = [{t: dict(b[t]) for t in row if b[t]} for row in rows]
+    while any(pending):
+        out = pending if at_once else [{} for _ in b]
         for i in order:
-            if stale[i]:
-                stale[i] = False
-                row = _mul_row(rows[i], src, k, b[i])
-                if row != y[i]:
-                    y[i] = row
-                    for r in readers[i]:
-                        marks[r] = True
-        stale = marks
+            if not pending[i]:
+                continue
+            got, pending[i] = pending[i], {}
+            yi, row, new = y[i], rows[i], {}
+            for t, delta in got.items():
+                x = row[t]
+                tail = x[-1] if x else None
+                for j, v in delta.items():  # lex_chain and lex_min inlined
+                    if v and tail is not None and tail < v[0]:
+                        continue  # ZERO
+                    z = (x + v)[:k]
+                    old = yi.get(j)
+                    if old is None or z < old:
+                        yi[j] = new[j] = z
+            for r in readers[i] if new else ():
+                out[r].setdefault(i, new).update(new)
+        pending = out
     return y
 
 
 def _solve_jacobi(a: list[dict], b: list[dict], k: int) -> list[dict]:
-    # every row of a sweep reads the previous sweep's rows
     return _solve_gauss_seidel(a, b, k, at_once=False)
 
 
@@ -331,7 +323,9 @@ def _solve_jordan(a: list[dict], b: list[dict], k: int) -> list[dict]:
 
 def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
     # greedy elimination: the smallest remaining b entry is already the
-    # solution for its row; substitute and shrink the system.
+    # solution for its row; substitute and shrink the system.  A heap pops
+    # the least (value, row) first, as a scan of the work set would; a row
+    # settles at its first pop, and its stale later entries are skipped
     column: list[dict] = [{} for _ in a]  # column[j]: the a[i][j] by i
     for i, row in enumerate(a):
         for j, x in row.items():
@@ -342,15 +336,19 @@ def _solve_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
             b_columns.setdefault(c, {})[i] = x
     y: list[dict] = [{} for _ in b]
     for c, work in b_columns.items():
-        while work:  # rows left out of work are unreachable and keep ZERO
-            x, i0 = min((x, i) for i, x in work.items())
-            del work[i0]
+        heap = [(x, i) for i, x in work.items()]
+        heapify(heap)
+        while heap:  # rows never pushed are unreachable and keep ZERO
+            x, i0 = heappop(heap)
+            if c in y[i0]:
+                continue  # a stale entry: its row is settled
             y[i0][c] = x
             for i, w in column[i0].items():
                 if c not in y[i]:
                     z = lex_chain(w, x, k)
-                    if z is not None:
-                        work[i] = lex_min(work.get(i), z)
+                    if z is not None and (i not in work or z < work[i]):
+                        work[i] = z
+                        heappush(heap, (z, i))
     return y
 
 

@@ -200,18 +200,20 @@ def _local_survivors(g: WeightedGraph, m: int) -> set[int]:
     if m < 0:
         raise ValueError("iteration count must be >= 0")
     in_min, tails, heads, eids = _flooding_pairs(g)
-    nw = _zeroed_nodes(g, in_min)
-    live, start = list(zip(tails, heads, eids)), [0 if x else TOP for x in in_min]
+    nw, start = _zeroed_nodes(g, in_min), [0 if x else TOP for x in in_min]
+    # arcs() iterates the live arcs afresh: the pair columns, until the
+    # first step builds tuples for the arcs it keeps
+    arcs, count = lambda: zip(tails, heads, eids), len(tails)
     for _ in range(m):
         lo = start[:]  # per tail, its lowest live head
-        for i, j, _ in live:
+        for i, j, _ in arcs():
             if nw[j] < lo[i]:
                 lo[i] = nw[j]
-        kept = [arc for arc in live if nw[arc[1]] == lo[arc[0]]]
-        if len(kept) == len(live) and lo == nw:
+        kept = [arc for arc in arcs() if nw[arc[1]] == lo[arc[0]]]
+        if len(kept) == count and lo == nw:
             break
-        live, nw = kept, lo  # the minima stay at 0; every other node keeps an arc
-    return {eid for _, _, eid in live}.union(_inner_edges(g, in_min))
+        arcs, count, nw = kept.__iter__, len(kept), lo  # the minima stay at 0
+    return {eid for _, _, eid in arcs()}.union(_inner_edges(g, in_min))
 
 
 def local_prune(g: WeightedGraph, m: int) -> WeightedGraph:

@@ -15,7 +15,7 @@ from morphograph import (
     lex_weight,
     linear_solve,
 )
-from morphograph.lexalgebra import UNIT_T, _mul_row, lift
+from morphograph.lexalgebra import UNIT_T, _upward, lift
 from conftest import (
     brute_flooding_distance, enumerate_walks, flooding_distance_matrix, random_edge_weighted, rows,
 )
@@ -120,7 +120,8 @@ def _mul_tracked_rows(a: list, b: list[dict], k: int) -> list[dict]:
 
 # -- the kernels before level-ordered pivots and change-driven sweeps ---------
 # Kept with their bodies unchanged as the oracles of lexalgebra's
-# ``_fronts``, ``_solve_jacobi``, ``_solve_gauss_seidel`` and ``_mul_row``.
+# ``_fronts``, ``_solve_jacobi`` and ``_solve_gauss_seidel``; ``_mul_row``
+# is the row kernel the solvers below recompute whole rows with.
 
 
 def _mul_rows_by_dioid_ops(a: list[dict], b: list[dict], k: int, add=None) -> list[dict]:
@@ -135,6 +136,27 @@ def _mul_rows_by_dioid_ops(a: list[dict], b: list[dict], k: int, add=None) -> li
                     acc[j] = lex_min(acc.get(j), z)
         out.append(acc)
     return out
+
+
+def _mul_row(row: dict, b: list[dict], k: int, add: dict) -> dict:
+    """One sparse row times the rows ``b``, plus the row ``add``; ``lex_chain``
+    and ``lex_min`` inlined, the left entry's tail read once."""
+    acc = dict(add)
+    for t, x in row.items():
+        tail = x[-1] if x else None
+        for j, y in b[t].items():
+            if tail is None:
+                z = y[:k]
+            elif not y:
+                z = x[:k]
+            elif tail < y[0]:
+                continue  # ZERO
+            else:
+                z = (x + y)[:k]
+            old = acc.get(j)
+            if old is None or z < old:
+                acc[j] = z
+    return acc
 
 
 def _pixel_order_fronts(rows: list[dict], k: int) -> list[dict]:
@@ -233,6 +255,63 @@ def _mat_mul_tracked(a, b, k):
     a_pairs = [[(t, x) for t, x in enumerate(row) if x is not None] for row in a]
     b_rows = [_by_head({j: x for j, x in enumerate(row) if x is not None}) for row in b]
     return [[row.get(j) for j in range(cols)] for row in _mul_tracked_rows(a_pairs, b_rows, k)]
+
+
+# -- the solvers before semi-naive sweeps and the heap -------------------------
+# Kept with their bodies unchanged as the oracles of lexalgebra's
+# ``_solve_gauss_seidel``, ``_solve_jacobi`` and ``_solve_gondran``.
+
+
+def _recomputing_gauss_seidel(a: list[dict], b: list[dict], k: int, at_once: bool = True) -> list[dict]:
+    # a sweep computes the rows from the lowest level up (_upward), each
+    # from the new values of the rows before it, but only the rows that
+    # read a row changed since their last computation; the diagonal is
+    # dropped, as a cycle never beats the path it interrupts
+    rows = [{j: x for j, x in row.items() if j != i} for i, row in enumerate(a)]
+    readers: list[list] = [[] for _ in a]
+    for i, row in enumerate(rows):
+        for j in row:
+            readers[j].append(i)
+    order = _upward(a)
+    y: list[dict] = [{} for _ in b]
+    stale = [True] * len(b)
+    while any(stale):
+        src, marks = (y, stale) if at_once else (list(y), [False] * len(b))
+        for i in order:
+            if stale[i]:
+                stale[i] = False
+                row = _mul_row(rows[i], src, k, b[i])
+                if row != y[i]:
+                    y[i] = row
+                    for r in readers[i]:
+                        marks[r] = True
+        stale = marks
+    return y
+
+
+def _scanning_gondran(a: list[dict], b: list[dict], k: int) -> list[dict]:
+    # greedy elimination: the smallest remaining b entry is already the
+    # solution for its row; substitute and shrink the system.
+    column: list[dict] = [{} for _ in a]  # column[j]: the a[i][j] by i
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            column[j][i] = x
+    b_columns: dict = {}
+    for i, row in enumerate(b):
+        for c, x in row.items():
+            b_columns.setdefault(c, {})[i] = x
+    y: list[dict] = [{} for _ in b]
+    for c, work in b_columns.items():
+        while work:  # rows left out of work are unreachable and keep ZERO
+            x, i0 = min((x, i) for i, x in work.items())
+            del work[i0]
+            y[i0][c] = x
+            for i, w in column[i0].items():
+                if c not in y[i]:
+                    z = lex_chain(w, x, k)
+                    if z is not None:
+                        work[i] = lex_min(work.get(i), z)
+    return y
 
 
 def test_lex_weight_examples():
@@ -703,20 +782,27 @@ def test_jordan_on_the_augmented_system_matches_the_product_oracle(rng):
 def _dense_bench_tiles():
     """The 16 seed-1 inputs of the benchmark's ``dense`` workload: 12x12
     Voronoi reliefs of 2x2 cells, 4-connected, flooded."""
-    import importlib.util
-    import os
     import random
 
     from morphograph.flooding import as_flooding
     from morphograph.formats import pixel_graph
 
+    terrains = _bench_terrains()
+    rng = random.Random("dense:1")
+    return [as_flooding(pixel_graph(12, 12, terrains.voronoi_relief(rng, 12, 2, 8), 4))
+            for _ in range(16)]
+
+
+def _bench_terrains():
+    """The benchmark's terrain generators, ``bench/terrains.py``."""
+    import importlib.util
+    import os
+
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "terrains.py")
     spec = importlib.util.spec_from_file_location("bench_terrains", path)
     terrains = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(terrains)
-    rng = random.Random("dense:1")
-    return [as_flooding(pixel_graph(12, 12, terrains.voronoi_relief(rng, 12, 2, 8), 4))
-            for _ in range(16)]
+    return terrains
 
 
 def _elimination_cases(rng):
@@ -757,6 +843,46 @@ def test_level_order_and_changed_rows_give_the_row_order_results(rng):
         assert windows(_fronts(aug, k, _upward(a))) == windows(_pixel_order_fronts(aug, k))
         assert _solve_jacobi(a, b, k) == _full_sweep_jacobi(a, b, k)
         assert _solve_gauss_seidel(a, b, k) == _bottom_up_gauss_seidel(a, b, k)
+
+
+def test_semi_naive_sweeps_and_the_heap_give_the_recomputing_results(rng):
+    # Jacobi and Gauss-Seidel chain only the entries that improved since a
+    # row last read them, and Gondran pops its rows from a heap; each must
+    # return what the solvers that recompute whole rows and scan for the
+    # least entry return, on multi-column systems and on pixel floodings
+    from morphograph.lexalgebra import _solve_gauss_seidel, _solve_gondran, _solve_jacobi
+
+    for a, b, k in _elimination_cases(rng):
+        assert _solve_jacobi(a, b, k) == _recomputing_gauss_seidel(a, b, k, at_once=False)
+        assert _solve_gauss_seidel(a, b, k) == _recomputing_gauss_seidel(a, b, k)
+        assert _solve_gondran(a, b, k) == _scanning_gondran(a, b, k)
+
+
+def test_iterative_solvers_equal_closure_times_b_past_the_dense_cap():
+    # the per-minimum system of a 24x24 Voronoi relief, past the 400-node
+    # cap of incidence_matrix, on sparse rows built here
+    import random
+
+    from morphograph.flooding import as_flooding, minima_of_flooding, minima_sets
+    from morphograph.formats import pixel_graph
+    from morphograph.lexalgebra import (
+        _closure_rows, _solve_gauss_seidel, _solve_gondran, _solve_jacobi,
+    )
+
+    terrains = _bench_terrains()
+    fg = as_flooding(pixel_graph(24, 24, terrains.voronoi_relief(random.Random(24), 24, 3, 8), 4))
+    assert fg.num_nodes > 400
+    k = 3
+    a: list[dict] = [{} for _ in range(fg.num_nodes)]
+    for (u, v), w in zip(fg.edges, fg.edge_weights):
+        a[u][v] = a[v][u] = (w,)
+    b: list[dict] = [{} for _ in a]
+    for c, nodes in enumerate(minima_sets(minima_of_flooding(fg))):
+        for m in nodes:
+            b[m][c] = UNIT
+    want = _mul_rows_by_dioid_ops(_closure_rows(a, k, _upward(a)), b, k)
+    for solve in (_solve_jacobi, _solve_gauss_seidel, _solve_gondran):
+        assert solve(a, b, k) == want
 
 
 def test_jordan_without_pivoted_columns_keeps_the_sink_fronts(rng):
