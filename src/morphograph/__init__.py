@@ -6,32 +6,11 @@ algebra, drainage forests, watershed partitions and the waterfall
 hierarchy with its emergent minimum spanning tree.
 """
 
-from .errors import (
-    CarrierMismatch,
-    DimensionMismatch,
-    DisconnectedInput,
-    IncompleteHierarchy,
-    InvalidFloodingGraph,
-    MalformedImage,
-    MalformedInput,
-    MissingWeights,
-    MorphographError,
-    NoRoots,
-    ZeroNonMinimum,
-)
-from .graphs import (
-    Labeling,
-    UNSET,
-    WeightedGraph,
-    ZONE,
-    collapse,
-    connected_components,
-    contract,
-    expand_isolated_minima,
-    flat_zones,
-    lowest_edge_filter,
-    regional_minima,
-)
+from .errors import (CarrierMismatch, DimensionMismatch, DisconnectedInput, IncompleteHierarchy,
+                     InvalidFloodingGraph, MalformedImage, MalformedInput, MissingWeights,
+                     MorphographError, NoRoots, ZeroNonMinimum)
+from .graphs import (Labeling, UNSET, WeightedGraph, ZONE, collapse, connected_components, contract,
+                     expand_isolated_minima, flat_zones, lowest_edge_filter, regional_minima)
 from .adjunction import (
     compose,
     dilate_edges_to_nodes,

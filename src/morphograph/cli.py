@@ -7,7 +7,9 @@ hierarchy, ``mst`` reports the emergent spanning tree and ``dist``
 computes lexicographic distances to the minima with a chosen solver.
 
 Inputs are .wgr text graphs or PGM images (one node per pixel); outputs
-are JSON, built by each handler, or DOT or PGM label maps on request.
+are JSON, DOT or PGM label maps.  Each handler runs every step that can
+fail, then returns its output as chunks that ``_emit`` writes in order,
+so a refused run writes nothing.
 Runs are deterministic given the options, including the tie seed.  Exit
 codes: 0 success, 2 input error (bad flags included), 3 invariant
 violation; diagnostics go to stderr as one JSON object per line.
@@ -23,26 +25,24 @@ function is the one that runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
+import os
 import sys
-from typing import Optional, Union
+from itertools import chain, compress
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import flooding, formats, geodesics, lexalgebra, steepness, waterfall, watershed
-from .errors import (
-    MalformedImage,
-    MalformedInput,
-    MissingWeights,
-    MorphographError,
-)
+from .errors import MalformedImage, MalformedInput, MissingWeights, MorphographError
 from .graphs import WeightedGraph
 
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 Shape = Optional[tuple[int, int]]
-Output = Union[str, bytes, dict]  # text, raw bytes, or a JSON payload
+Chunks = Iterable[Union[str, bytes]]  # output text or raw bytes, in order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,34 +82,56 @@ def _load(path: str, connectivity: int) -> tuple[WeightedGraph, Shape]:
     return formats.parse_wgr(text), None
 
 
-def _write(path: str, data: Union[str, bytes]) -> None:
+def _emit(output: Optional[str], chunks: Chunks) -> None:
+    """Write the chunks in order to ``output``, or to stdout when it is None.
+    A reader that closes stdout early ends the writing quietly."""
     try:
-        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as out:
+            for chunk in chunks:
+                if isinstance(chunk, str):
+                    out.write(chunk)
+                else:  # after the text written before it
+                    out.flush()
+                    out.buffer.write(chunk)
+            out.flush()  # a reader gone from stdout shows here, not at exit
     except OSError as exc:
-        raise MalformedInput(f"cannot write {path}: {exc}") from None
+        if output:
+            raise MalformedInput(f"cannot write {output}: {exc}") from None
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the flush at exit goes nowhere
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
-def _emit(output: Optional[str], result: Output) -> None:
-    if isinstance(result, dict):
-        result = json.dumps(result, sort_keys=True) + "\n"
-    if output:
-        _write(output, result)
-    elif isinstance(result, bytes):
-        sys.stdout.buffer.write(result)
-    else:
-        sys.stdout.write(result)
+def _listed(head: str, items: Sequence, tail: str,
+            text: Callable[[Sequence], str] = lambda b: json.dumps(b)[1:-1]) -> Iterator[str]:
+    """``head``, the JSON list of ``items`` in chunks of BLOCK items, ``tail``;
+    ``text`` gives a block's items joined by ", "."""
+    yield head + "["
+    for s in range(0, len(items), formats.BLOCK):
+        yield (", " if s else "") + text(items[s : s + formats.BLOCK])
+    yield "]" + tail
 
 
-def _flood(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
-    return formats.write_wgr(flooding.as_flooding(g))
+def _real(values: Sequence, g: WeightedGraph) -> Sequence:
+    """``values`` without the entries of ``g``'s dummies: a slice when they
+    are the last ids, as ``expand_isolated_minima`` makes them."""
+    cut = g.num_nodes - len(g.dummies)
+    if min(g.dummies, default=cut) == cut:
+        return values[:cut]
+    return [x for i, x in enumerate(values) if i not in g.dummies]
 
 
-def _prune(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
-    return formats.write_wgr(steepness.local_prune(flooding.as_flooding(g), args.steepness - 1))
+def _flood(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Chunks:
+    return formats.wgr_chunks(flooding.as_flooding(g))
 
 
-def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+def _prune(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Chunks:
+    return formats.wgr_chunks(steepness.local_prune(flooding.as_flooding(g), args.steepness - 1))
+
+
+def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Chunks:
     fg = flooding.as_flooding(g)  # its input errors outrank the refusal below
     if args.fmt == "pgm-labels" and shape is None:
         raise MalformedInput("pgm-labels output needs a PGM input")
@@ -117,66 +139,61 @@ def _watershed(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Outp
     if args.fmt == "pgm-labels":
         data, legend = formats.labels_to_pgm(shape[0], shape[1], labeling)
         if args.output:
-            _write(args.output + ".legend.json", json.dumps(legend, sort_keys=True))
-        return data
+            _emit(args.output + ".legend.json", [json.dumps(legend, sort_keys=True)])
+        return [data]
     if args.fmt == "dot":
-        return formats.to_dot(fg, labeling)
-    zones = watershed.basins_with_zones(fg, args.depth)
-    minima = flooding.minima_sets(flooding.minima_of_flooding(fg))
-    return {
-        "labels": [labeling.values[i] for i in range(fg.num_nodes) if i not in fg.dummies],
-        "minima": [sorted(m - fg.dummies) for m in minima],
-        "zones": sorted(zones.zone_nodes() - fg.dummies),
-        "zone_components": formats.zone_components(fg, zones),
-    }
+        return [formats.to_dot(fg, labeling)]
+    components = formats.zone_components(fg, watershed.basins_with_zones(fg, args.depth))
+    labels = flooding.minima_of_flooding(fg).values
+    minima: list[list[int]] = [[] for _ in range(max(labels))]
+    for i in compress(range(len(labels)), labels):  # the nodes of the minima
+        if i not in fg.dummies:
+            minima[labels[i] - 1].append(i)
+    zones = [i for i in sorted(chain.from_iterable(components)) if i not in fg.dummies]
+    # the bytes of json.dumps(payload, sort_keys=True)
+    return _listed('{"labels": ', _real(labeling.values, fg),
+                   f', "minima": {json.dumps(minima)}, "zone_components": '
+                   f'{json.dumps(components)}, "zones": {json.dumps(zones)}}}\n')
 
 
-def _waterfall(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+def _waterfall(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Chunks:
     h = waterfall.build_hierarchy(g, args.depth, args.tie)
     if args.fmt == "dot":
-        return "".join(formats.to_dot(lvl.contracted) for lvl in h.levels)
-    real = [b for b in range(h.base.num_nodes) if b not in h.base.dummies]
-    levels = [
-        {"regions": lvl.region_count, "labels": [lvl.partition.values[b] for b in real]}
-        for lvl in h.levels
-    ]
+        return map(formats.to_dot, [lvl.contracted for lvl in h.levels])
+    edges, merged = h.base.edges, waterfall.merge_levels(h)
+    ids = list(map(str, range(h.base.num_nodes)))  # each id formatted once
     # the bytes of json.dumps(payload, sort_keys=True), with one record per
     # base edge formatted directly; "edge_levels" sorts before "levels"
-    records = ", ".join([f'{{"edge": [{u}, {v}], "level": {lvl}}}'
-                         for (u, v), lvl in zip(h.base.edges, waterfall.merge_levels(h))])
-    return f'{{"edge_levels": [{records}], "levels": {json.dumps(levels, sort_keys=True)}}}\n'
+    records = _listed('{"edge_levels": ', range(len(edges)), ', "levels": [', lambda r: ", ".join(
+        [f'{{"edge": [{ids[u]}, {ids[v]}], "level": {lvl}}}'
+         for (u, v), lvl in zip(edges[r.start : r.stop], merged[r.start : r.stop])]))
+    levels = (_listed(", " * (k > 0) + '{"labels": ', _real(lvl.partition.values, h.base),
+                      f', "regions": {lvl.region_count}}}') for k, lvl in enumerate(h.levels))
+    return chain(records, chain.from_iterable(levels), ["]}\n"])
 
 
-def _mst(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+def _mst(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Chunks:
     h = waterfall.build_hierarchy(g, args.depth, args.tie)
     edges, ew = h.base.edges, h.base.edge_weights
     tree = sorted(waterfall.emergent_tree(h), key=edges.__getitem__)
-    return {
-        "edges": [[*edges[eid], ew[eid]] for eid in tree],
-        "weight": sum(ew[eid] for eid in tree),
-    }
+    return _listed('{"edges": ', tree, f', "weight": {sum(ew[e] for e in tree)}}}\n',
+                   lambda block: json.dumps([[*edges[e], ew[e]] for e in block])[1:-1])
 
 
-def _dist(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Output:
+def _dist(args: argparse.Namespace, g: WeightedGraph, shape: Shape) -> Chunks:
     fg = flooding.as_flooding(g)
     if args.method == "dijkstra":
         dists, labeling = geodesics.dijkstra_to_minima(fg, args.depth, args.tie)
     elif args.method == "core":
         dists, labeling, _ = geodesics.core_expanding(fg, args.depth, args.tie)
     elif fg.num_nodes > lexalgebra.MAX_DENSE_NODES:
-        raise MalformedInput(
-            f"--method {args.method} takes at most {lexalgebra.MAX_DENSE_NODES} "
-            f"nodes, got {fg.num_nodes}; use core or dijkstra"
-        )
+        raise MalformedInput(f"--method {args.method} takes at most {lexalgebra.MAX_DENSE_NODES} "
+                             f"nodes, got {fg.num_nodes}; use core or dijkstra")
     else:
-        dists, labeling = lexalgebra.distances_to_minima(
-            fg, args.depth, args.method.replace("-", "_")
-        )
-    real = [i for i in range(fg.num_nodes) if i not in fg.dummies]
-    return {
-        "distances": [dists[i] for i in real],
-        "labels": [labeling.values[i] for i in real],
-    }
+        dists, labeling = lexalgebra.distances_to_minima(fg, args.depth,
+                                                         args.method.replace("-", "_"))
+    return chain(_listed('{"distances": ', _real(dists, fg), ""),
+                 _listed(', "labels": ', _real(labeling.values, fg), "}\n"))
 
 
 @functools.cache
@@ -228,7 +245,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         g, shape = _load(args.input, args.connectivity)
-        _emit(args.output, args.run(args, g, shape))
+        _emit(args.output, args.run(args, g, shape))  # every check runs before the first byte
         return 0
     except MorphographError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)

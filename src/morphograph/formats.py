@@ -10,13 +10,15 @@ weighted edges: the weight the flooding graph gives such a node.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import compress
+from typing import Iterator, Optional
 
 from .errors import MalformedImage, MalformedInput
-from .graphs import Labeling, UNSET, ZONE, WeightedGraph, connected_components
+from .graphs import Labeling, UNSET, ZONE, WeightedGraph, _union
 from .weights import TOP, W_MAX
 
 PGM_MAXVAL = 65535  # the largest gray level the PGM format allows
+BLOCK = 4096  # lines, or list items, per chunk of streamed output
 
 
 def _level(token: str, lineno: int) -> int:
@@ -91,21 +93,23 @@ def parse_wgr(text: str) -> WeightedGraph:
         raise MalformedInput(str(exc)) from None
 
 
+def wgr_chunks(g: WeightedGraph) -> Iterator[str]:
+    """The .wgr text of ``g``, BLOCK lines a chunk, each id formatted once."""
+    ids, nw, ew = list(map(str, range(g.num_nodes))), g.node_weights, g.edge_weights
+    for s in range(0, g.num_nodes, BLOCK):
+        block = ids[s : s + BLOCK]
+        yield "".join([f"node {i}\n" for i in block] if nw is None else
+                      [f"node {i} {w}\n" for i, w in zip(block, nw[s : s + BLOCK])])
+    yield "".join([f"# dummy {i}\n" for i in sorted(g.dummies)])
+    for s in range(0, len(g.edges), BLOCK):
+        block = g.edges[s : s + BLOCK]
+        yield "".join([f"edge {ids[u]} {ids[v]}\n" for u, v in block] if ew is None else
+                      [f"edge {ids[u]} {ids[v]} {w}\n"
+                       for (u, v), w in zip(block, ew[s : s + BLOCK])])
+
+
 def write_wgr(g: WeightedGraph) -> str:
-    lines = []
-    for i in range(g.num_nodes):
-        if g.node_weights is not None:
-            lines.append(f"node {i} {g.node_weights[i]}")
-        else:
-            lines.append(f"node {i}")
-    for i in sorted(g.dummies):
-        lines.append(f"# dummy {i}")
-    for eid, (u, v) in enumerate(g.edges):
-        if g.edge_weights is not None:
-            lines.append(f"edge {u} {v} {g.edge_weights[eid]}")
-        else:
-            lines.append(f"edge {u} {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(wgr_chunks(g)) or "\n"  # a graph without nodes is one empty line
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +163,7 @@ def parse_pgm(data: bytes) -> tuple[int, int, int, list[int]]:
         raw = data[pos : pos + count * per]
         if len(raw) != count * per:
             raise MalformedImage("truncated P5 pixel data")
-        if per == 1:
-            pixels = list(raw)
-        else:
-            pixels = [
-                (raw[2 * i] << 8) | raw[2 * i + 1] for i in range(count)
-            ]
+        pixels = list(raw) if per == 1 else [hi << 8 | lo for hi, lo in zip(raw[::2], raw[1::2])]
     if min(pixels) < 0 or max(pixels) > maxval:  # count > 0: width, height >= 1
         raise MalformedImage("pixel outside [0, maxval]")
     return width, height, maxval, pixels
@@ -176,10 +175,11 @@ def write_pgm(width: int, height: int, pixels: list[int], maxval: int = 255) -> 
     if not 1 <= maxval <= PGM_MAXVAL:
         raise ValueError(f"PGM maxval {maxval} outside [1, {PGM_MAXVAL}]")
     header = f"P5 {width} {height} {maxval}\n".encode()
-    clipped = [min(p, maxval) for p in pixels]
+    if max(pixels, default=0) > maxval:
+        pixels = [min(p, maxval) for p in pixels]
     if maxval > 255:
-        return header + b"".join([p.to_bytes(2, "big") for p in clipped])
-    return header + bytes(clipped)
+        return header + b"".join([p.to_bytes(2, "big") for p in pixels])
+    return header + bytes(pixels)
 
 
 def image_to_graph(data: bytes, connectivity: int = 4) -> WeightedGraph:
@@ -215,35 +215,39 @@ def pixel_graph(width: int, height: int, pixels: list[int], connectivity: int = 
 
 
 def zone_components(g: WeightedGraph, labeling: Labeling) -> list[list[int]]:
-    """Connected components of the ZONE set, for consumers needing geometry."""
-    zone = labeling.zone_nodes()
-    keep = [
-        eid for eid, (u, v) in enumerate(g.edges) if u in zone and v in zone
-    ]
-    comp = connected_components(g, keep)
+    """Connected components of the ZONE set, each ascending, in order of
+    their smallest node.  Past one pass over the edges, the cost is the
+    zone's: the union-find runs over the zone nodes alone."""
+    values = labeling.values
+    parent = {i: i for i in compress(range(len(values)), map(ZONE.__eq__, values))}
+    for u, v in g.edges:
+        if u in parent and v in parent:
+            _union(parent, u, v)
     groups: dict[int, list[int]] = {}
-    for i in sorted(zone):
-        groups.setdefault(comp.values[i], []).append(i)
-    return [groups[k] for k in sorted(groups, key=lambda k: groups[k][0])]
+    for i in parent:  # ascending: i links to a smaller node, which links to its root
+        parent[i] = parent[parent[i]]
+        groups.setdefault(parent[i], []).append(i)
+    return list(groups.values())
 
 
 def to_dot(g: WeightedGraph, labeling: Optional[Labeling] = None) -> str:
+    ids = list(map(str, range(g.num_nodes)))  # each id formatted once
     lines = ["graph {"]
     for i in range(g.num_nodes):
         attrs = []
         if g.node_weights is not None:
-            attrs.append(f'label="{i}:{g.node_weights[i]}"')
+            attrs.append(f'label="{ids[i]}:{g.node_weights[i]}"')
         if labeling is not None and labeling.values[i] != UNSET:
             lab = labeling.values[i]
             attrs.append(f'group="{ "Z" if lab == ZONE else lab }"')
         if i in g.dummies:
             attrs.append("style=dashed")
-        lines.append(f"  {i} [{', '.join(attrs)}];" if attrs else f"  {i};")
+        lines.append(f"  {ids[i]} [{', '.join(attrs)}];" if attrs else f"  {ids[i]};")
     for eid, (u, v) in enumerate(g.edges):
         if g.edge_weights is not None:
-            lines.append(f'  {u} -- {v} [label="{g.edge_weights[eid]}"];')
+            lines.append(f'  {ids[u]} -- {ids[v]} [label="{g.edge_weights[eid]}"];')
         else:
-            lines.append(f"  {u} -- {v};")
+            lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -253,4 +257,4 @@ def labels_to_pgm(width: int, height: int, labeling: Labeling) -> tuple[bytes, d
     values = labeling.values[: width * height]
     gray = {lab: 0 if lab in (ZONE, UNSET) else 1 + (lab - 1) % 254 for lab in set(values)}
     legend = {"Z" if lab == ZONE else str(lab): g for lab, g in gray.items()}
-    return write_pgm(width, height, [gray[lab] for lab in values]), {"gray": legend}
+    return write_pgm(width, height, bytes(map(gray.__getitem__, values))), {"gray": legend}

@@ -186,7 +186,7 @@ def test_waterfall_and_mst_json_are_the_bytes_of_json_dumps(rng, tmp_path, capsy
         for tie in ("min-label", "seed:7"):
             args = argparse.Namespace(depth=k, tie=tie, fmt="json")
             want = json.dumps(_dict_payload(build_hierarchy(lone, k, tie)), sort_keys=True)
-            assert _waterfall(args, lone, None) == want + "\n"
+            assert "".join(_waterfall(args, lone, None)) == want + "\n"
             assert '"edge_levels": []' in want
 
 
@@ -754,7 +754,7 @@ def tied_image(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("sequence", ["tie", "format", "refused"])
+@pytest.mark.parametrize("sequence", ["tie", "format", "refused", "output"])
 def test_calls_in_a_row_print_what_each_prints_alone(sequence, tied_image, capsys):
     # the calls share one parser: a default, a choice or a half-parsed
     # refusal left on it by one call would show in the next call's bytes
@@ -766,6 +766,11 @@ def test_calls_in_a_row_print_what_each_prints_alone(sequence, tied_image, capsy
         "refused": [("waterfall", tied_image, "--depth", "3"),
                     ("watershed", tied_image, "--depth", "0", "--tie", "seed:7"),
                     ("watershed", tied_image)],
+        # an --output call between two stdout calls: the file holds what the
+        # call prints to stdout alone, and the stdout calls keep their bytes
+        "output": [("watershed", tied_image, "--tie", "seed:7"),
+                   ("watershed", tied_image, "--format", "dot", "--output", tied_image + ".dot"),
+                   ("watershed", tied_image)],
     }[sequence]
     alone = []
     for argv in calls:
@@ -778,6 +783,9 @@ def test_calls_in_a_row_print_what_each_prints_alone(sequence, tied_image, capsy
     assert build_parser() is parser
     if sequence == "refused":
         assert alone[1][0] == 2 and json.loads(alone[1][2])["error"] == "MalformedInput"
+    if sequence == "output":
+        with open(tied_image + ".dot") as fh:
+            assert fh.read() == run_cli(capsys, "watershed", tied_image, "--format", "dot")[1]
 
 
 def test_a_library_function_patched_after_the_parser_is_built_runs(
@@ -797,6 +805,111 @@ def test_a_library_function_patched_after_the_parser_is_built_runs(
     monkeypatch.setattr(lexalgebra, "distances_to_minima", counted)
     assert run_cli(capsys, "dist", tied_image, "--method", "gondran") == (code, want, "")
     assert code == 0 and calls == [(2, "gondran")]
+
+
+# -- streamed output ----------------------------------------------------------
+
+
+# every subcommand with every format it takes; pgm-labels needs a PGM input
+STREAMED = (
+    ["flood"], ["prune", "--steepness", "2"], ["watershed"], ["watershed", "--format", "dot"],
+    ["watershed", "--format", "pgm-labels"], ["waterfall"], ["waterfall", "--format", "dot"],
+    ["mst"], ["dist"], ["dist", "--method", "closure"],
+)
+
+
+def test_stdout_and_output_get_the_same_bytes(tied_image, five_path_file, tmp_path,
+                                              capsysbinary):
+    def stdout(argv):
+        code = main(argv)
+        out, err = capsysbinary.readouterr()
+        assert (code, err) == (0, b""), argv
+        return out
+
+    for path in (tied_image, five_path_file):
+        for command in STREAMED:
+            if "pgm-labels" in command and not path.endswith(".pgm"):
+                continue
+            argv = [command[0], path, *command[1:]]
+            printed = stdout(argv)
+            assert printed and stdout(argv) == printed, argv  # two calls in a row
+            target = tmp_path / "out"
+            assert stdout([*argv, "--output", str(target)]) == b"", argv
+            assert target.read_bytes() == printed, argv
+            target.unlink()
+
+
+def _disconnected(tmp_path):
+    path = tmp_path / "two.wgr"
+    path.write_text("node 0\nnode 1\nnode 2\nnode 3\nedge 0 1 2\nedge 2 3 5\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["mst", "waterfall"])
+def test_a_refused_run_leaves_its_output_file_as_it_was(command, tmp_path, capsys):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"kept\n")
+    code, out, err = run_cli(capsys, command, _disconnected(tmp_path), "--output", str(target))
+    assert (code, out) == (3, "") and json.loads(err)["error"] == "DisconnectedInput"
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_a_pgm_label_map_refused_on_a_wgr_writes_no_file(five_path_file, tmp_path, capsys):
+    target = tmp_path / "labels.pgm"
+    code, out, _ = run_cli(capsys, "watershed", five_path_file, "--format", "pgm-labels",
+                           "--output", str(target))
+    assert (code, out) == (2, "")
+    assert not target.exists() and not (tmp_path / "labels.pgm.legend.json").exists()
+
+
+@pytest.mark.parametrize("module, name, command", [
+    ("waterfall", "merge_levels", ["waterfall"]),
+    ("watershed", "basins_with_zones", ["watershed"]),
+])
+def test_a_failure_in_the_last_step_before_export_prints_nothing(
+        module, name, command, tied_image, tmp_path, monkeypatch, capsys):
+    import importlib
+
+    from morphograph.errors import MorphographError
+
+    def fail(*args, **kwargs):
+        raise MorphographError("injected")
+
+    monkeypatch.setattr(importlib.import_module(f"morphograph.{module}"), name, fail)
+    target = tmp_path / "out.json"
+    for extra in ([], ["--output", str(target)]):
+        code, out, err = run_cli(capsys, command[0], tied_image, *command[1:], *extra)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "MorphographError", "detail": "injected"}
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command, side, taken", [
+    ("flood", 64, 100), ("waterfall", 64, 100), ("watershed", 8, 0),
+])
+def test_a_reader_that_closes_early_ends_the_run_quietly(command, side, taken, tmp_path):
+    # a 64x64 relief prints far more than a pipe holds, so the writes after
+    # the reader has gone meet a broken pipe; an 8x8 one fits in stdout's
+    # buffer, so a reader gone before the first byte shows only at its flush.
+    # stdout is block-buffered, as it is under a shell
+    import os
+    import subprocess
+    import sys
+
+    rng = random.Random(2)
+    path = tmp_path / "relief.pgm"
+    path.write_bytes(write_pgm(side, side, [rng.randrange(40) for _ in range(side * side)], 255))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "morphograph.cli", command, str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(env, PYTHONPATH=src))
+    head = proc.stdout.read(taken)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b""
+    assert len(head) == taken
 
 
 # -- every refusal branch, with its error type and message --------------------
