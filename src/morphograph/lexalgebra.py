@@ -18,8 +18,9 @@ compute the smallest solution of ``Y = A (x) Y (+) B``, which is
 that tracks truncated tails, serves every exact path, each keeping only
 the columns it reads: ``closure`` all of A*, ``distances_to_minima`` the
 minima's, and Jordan, which pivots ``[A | B]`` with each column of B a
-sink node, B's alone.  It and the Jacobi and Gauss-Seidel sweeps, which
-chain only improved entries, inline the dioid ops.  Dense matrices here
+sink node, B's alone; a column past its pivot, or a sink, keeps only its
+least window.  It and the Jacobi and Gauss-Seidel sweeps, which chain
+only improved entries, inline the dioid ops.  Dense matrices here
 are the oracle path, kept to modest sizes: lists of lists at the public
 edges (``closure``, ``linear_solve``, ``incidence_matrix``; all three
 refuse k < 1, the first two a non-square A, a ragged B or an entry out
@@ -42,11 +43,7 @@ LexWeight = Optional[tuple[int, ...]]
 ZERO: LexWeight = None
 UNIT: LexWeight = ()
 
-# Sized by timing on a 2-vCPU host: the five solvers together took 7-10 s
-# at 400 nodes with dense loops; on sparse rows distances_to_minima takes
-# 0.05-0.07 s by all five on a 20x19 relief image (386 flooding nodes,
-# depth 3), 0.014-0.026 s by closure, while all of A* (closure(), or
-# Jordan with an identity B) takes 0.10-0.21 s.
+# Sized by timing (README, "Notes on conventions"); dense loops took 7-10 s here.
 MAX_DENSE_NODES = 400
 
 
@@ -68,22 +65,14 @@ def lex_weight(seq: Sequence[int], k: int) -> LexWeight:
 
 def lex_compare(a: LexWeight, b: LexWeight) -> int:
     """-1, 0 or 1; ZERO is the maximum, UNIT the minimum."""
-    if a is None and b is None:
-        return 0
-    if a is None:
-        return 1
-    if b is None:
-        return -1
-    return -1 if a < b else (0 if a == b else 1)
+    if a is None or b is None:
+        return (a is None) - (b is None)
+    return (a > b) - (a < b)
 
 
 def lex_min(a: LexWeight, b: LexWeight) -> LexWeight:
     """The sum of the dioid: keeps the smaller operand."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
+    return b if a is None or (b is not None and b < a) else a
 
 
 def lex_chain(a: LexWeight, b: LexWeight, k: int) -> LexWeight:
@@ -176,7 +165,8 @@ def _upward(rows: list[dict]) -> list[int]:
     """Row ids in ascending order of each row's least entry, empty rows
     last; a flooding graph's incidence row has its node's level as its
     least entry, so this is the order of the levels, from the minima up."""
-    return sorted(range(len(rows)), key=lambda i: (not rows[i], min(rows[i].values(), default=())))
+    least = {i: min(row.values()) for i, row in enumerate(rows) if row}
+    return sorted(least, key=least.__getitem__) + [i for i, row in enumerate(rows) if not row]
 
 
 def _fronts(rows: list[dict], k: int, pivots: list[int], keep: Optional[set] = None) -> list[dict]:
@@ -189,22 +179,27 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: Optional[set] = N
     column short, a column index ``col`` visits only the rows holding an
     entry in it, and a new entry is set as one element, without a scan.
     Columns not in ``keep`` (default: all kept) drop each entry (i, p)
-    once pivot p has read it, Gauss-Jordan style: later pivots read column
-    p only to update column p, so every column left, kept, unpivoted or a
-    sink, holds the fronts the full elimination gives it.
+    once pivot p has read it, Gauss-Jordan style: no row holds column p
+    after that, so no later pivot touches it.
 
     Pivoting chains accumulated (truncated) paths, so one element per
     entry is not enough: one is dropped only for another with a window
     <= and a tail >= its own, which chains with every suffix it does, no
     worse.  A single representative would drop i->p as (200,) tail 180
-    for (190,) tail 100 and lose p->j at 170.  Cycles never beat the path
-    they interrupt, so pivoting skips the diagonal.
+    for (190,) tail 100 and lose p->j at 170.  That holds while a column
+    is open, until its pivot.  A finished column, pivoted or a sink, is
+    read only as a right factor and for its least window, which alone is
+    kept: its head is the smallest, so it chains whenever another element
+    does, and order survives concatenation and truncation, so it gives
+    the least product.  Cycles never beat the path they interrupt, so
+    pivoting skips the diagonal.
     """
     c = [{j: (lift(x),) for j, x in row.items() if j != i} for i, row in enumerate(rows)]
     col: list[list] = [[] for _ in c]  # col[j]: the rows holding an entry at j
     for i, row in enumerate(c):
         for j in row:
             col[j].append(i)
+    pending = set(pivots)  # the open columns
     for p in pivots:
         row_p = c[p]
         drop = keep is not None and p not in keep
@@ -229,13 +224,19 @@ def _fronts(rows: list[dict], k: int, pivots: list[int], keep: Optional[set] = N
                         if front is None:  # a new entry: nothing to dominate
                             col[j].append(i)
                             front = row_i[j] = ((w, t),)
-                            continue
-                        for we, te in front:
-                            if we <= w and te >= t:
-                                break  # dominated
+                        elif j not in pending:  # a finished column: the least window alone
+                            if w < front[0][0]:
+                                front = row_i[j] = ((w, t),)
                         else:
-                            front = row_i[j] = (
-                                *[e for e in front if e[0] < w or e[1] > t], (w, t))
+                            for we, te in front:
+                                if we <= w and te >= t:
+                                    break  # dominated
+                            else:
+                                front = row_i[j] = (
+                                    *[e for e in front if e[0] < w or e[1] > t], (w, t))
+        pending.discard(p)  # column p is finished
+        for i in col[p] if not drop else ():
+            c[i][p] = (min(c[i][p]),)
     for i, row in enumerate(c):
         row[i] = (UNIT_T,)
     return c
@@ -398,16 +399,13 @@ def distances_to_minima(g: WeightedGraph, k: int, method: str = "closure"):
     _require_depth(k)
     a = _incidence_rows(g, k)
     minima = [(m, c) for c, nodes in enumerate(minima_sets(minima_of_flooding(g))) for m in nodes]
-    if method == "closure":
-        y: list[dict] = [{} for _ in a]
-        for row, y_row in zip(_fronts(a, k, _upward(a), {m for m, _ in minima}), y):
-            for m, c in minima:
-                if m in row:
-                    y_row[c] = lex_min(y_row.get(c), min(row[m])[0])
+    if method == "closure":  # (label, least window) per minimum node in the row
+        y = [[(c, min(row[m])[0]) for m, c in minima if m in row]
+             for row in _fronts(a, k, _upward(a), {m for m, _ in minima})]
     else:
         b: list[dict] = [{} for _ in a]
         for m, c in minima:
             b[m][c] = UNIT
-        y = _solver(method)(a, b, k)
-    best = [min(((x, c + 1) for c, x in row.items()), default=(ZERO, UNSET)) for row in y]
+        y = [row.items() for row in _solver(method)(a, b, k)]
+    best = [min(((x, c + 1) for c, x in row), default=(ZERO, UNSET)) for row in y]
     return [x for x, _ in best], Labeling(tuple(lab for _, lab in best), "nodes")

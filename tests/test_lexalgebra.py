@@ -805,17 +805,31 @@ def _bench_terrains():
     return terrains
 
 
+def _relief20x19():
+    """The 20x19 relief of four bowls with a small ramp of ties that CI
+    runs the dense solvers on: 386 flooding nodes, under the 400-node cap."""
+    from morphograph import flooding_from_nodes
+    from morphograph.formats import pixel_graph
+
+    w, h, bowls = 20, 19, ((3, 4), (15, 2), (9, 14), (17, 16))
+    pixels = [min((x - a) ** 2 + (y - b) ** 2 for a, b in bowls) + (x + 2 * y) % 4
+              for y in range(h) for x in range(w)]
+    fg = flooding_from_nodes(pixel_graph(w, h, pixels, 4))
+    assert fg.num_nodes == 386
+    return fg
+
+
 def _elimination_cases(rng):
     """The ``_random_systems`` corpus, per-minimum systems of quantized
     pixel floodings at k = 1, 2 and 3, and those of the 16 dense tiles
-    at k = 3, as sparse rows ``(A, B, k)``."""
+    and of ``_relief20x19`` at k = 3, as sparse rows ``(A, B, k)``."""
     from morphograph.lexalgebra import _rows
 
     cases = _random_systems(rng)
     cases += [(*_per_minimum_system(_quantized_pixel_flooding(rng), k), k) for k in (1, 2, 3)]
     tiles = _dense_bench_tiles()
     assert sum(fg.num_nodes for fg in tiles) > 16 * 144  # one-pixel minima are twinned
-    cases += [(*_per_minimum_system(fg, 3), 3) for fg in tiles]
+    cases += [(*_per_minimum_system(fg, 3), 3) for fg in tiles + [_relief20x19()]]
     return [(_rows(a), _rows(b), k) for a, b, k in cases]
 
 
@@ -999,8 +1013,9 @@ def test_closure_distances_read_only_the_minima_columns(rng):
 def test_closure_route_keeps_only_the_minima_columns(rng, monkeypatch):
     # the closure route of distances_to_minima drops every pivoted column
     # but the minima's; each front it keeps, at (i, minimum node), must be
-    # the front the full elimination on A gives there, and no row may hold
-    # another column than those and its own diagonal
+    # the front the full elimination on A gives there (once pivoted, a
+    # column keeps one element in both, its least window), and no row may
+    # hold another column than those and its own diagonal
     from conftest import random_flooding
     from morphograph import lexalgebra
     from morphograph.flooding import minima_of_flooding, minima_sets
@@ -1013,8 +1028,9 @@ def test_closure_route_keeps_only_the_minima_columns(rng, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(lexalgebra, "_fronts", recorded)
-    for trial in range(20):
-        fg = _quantized_pixel_flooding(rng) if trial % 4 == 0 else random_flooding(rng, 14)
+    floodings = [_quantized_pixel_flooding(rng) if trial % 4 == 0 else random_flooding(rng, 14)
+                 for trial in range(20)]
+    for fg in floodings + [_relief20x19()]:
         minima = {m for nodes in minima_sets(minima_of_flooding(fg)) for m in nodes}
         for k in (1, 2, 3, 4):
             a = _incidence_rows(fg, k)
